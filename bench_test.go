@@ -1,5 +1,5 @@
 // Benchmarks regenerating the paper's evaluation, one per figure plus the
-// ablations from DESIGN.md, and micro-benchmarks for the hot substrates.
+// ablations of internal/bench/ablation.go, and micro-benchmarks for the hot substrates.
 //
 // Each figure benchmark runs a complete simulated trial per iteration on
 // virtual time (wall time is just simulation overhead) and reports the

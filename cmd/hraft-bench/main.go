@@ -1,5 +1,5 @@
 // Command hraft-bench regenerates every table and figure from the paper's
-// evaluation section (plus the ablations in DESIGN.md) on the deterministic
+// evaluation section (plus the ablations of internal/bench/ablation.go) on the deterministic
 // simulator, printing the same rows/series the paper reports.
 //
 // Usage:

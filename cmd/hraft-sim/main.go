@@ -61,7 +61,9 @@ func run(scenario string, seed int64, duration time.Duration, loss float64) erro
 	leader, _ := c.Leader()
 	logf("leader elected: %s (term %d)", leader.ID(), leader.Machine().Term())
 
-	p, err := c.StartProposer(harness.ProposerOptions{Node: "n2", StopAfter: c.Sched.Now() + duration})
+	p, err := c.StartProposer(harness.ProposerOptions{
+		Node: "n2", StopAfter: c.Sched.Now() + duration, ThinkTime: harness.PacedThink,
+	})
 	if err != nil {
 		return err
 	}

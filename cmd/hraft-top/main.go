@@ -1,7 +1,10 @@
 // Command hraft-top is a live cluster console: it polls every listed
 // peer's /debug/hraft/top endpoint and renders one refreshing table of
 // per-group consensus state and sliding-window load — leader, term,
-// commit lag, proposal rate, p50/p99 latency, fsync batch effectiveness.
+// commit lag, proposal rate, p50/p99 latency, fsync batch effectiveness,
+// and FAST%, the share of the leader's commits since the previous poll
+// that took the fast track (since the node started, on the first frame
+// and with -once).
 //
 //	hraft-top -peer n1=host1:7070 -peer n2=host2:7070 -peer n3=host3:7070
 //	hraft-top -peer host1:7070 -once                  # single snapshot
@@ -46,8 +49,10 @@ func main() {
 		os.Exit(1)
 	}
 	client := &http.Client{Timeout: *timeout}
+	seen := map[string]trackCounts{}
 	for {
 		rows, errs := poll(client, peers)
+		fastShare(rows, seen)
 		if *once {
 			fmt.Print(render(rows, errs, time.Now()))
 			if len(rows) == 0 {
@@ -66,6 +71,33 @@ type row struct {
 	node  string
 	top   hraft.DebugTop
 	group hraft.DebugTopGroup
+	// fast is the fast-track share of the commits since the previous poll
+	// (-1 = none were made).
+	fast float64
+}
+
+// trackCounts is one row's cumulative commits by track at the last poll.
+type trackCounts struct{ fast, classic uint64 }
+
+// fastShare fills every row's fast-track share from the growth of its
+// cumulative counters since the previous poll, and remembers them for the
+// next. Counters that went backwards mean the node restarted: its row
+// starts over.
+func fastShare(rows []row, seen map[string]trackCounts) {
+	for i := range rows {
+		r := &rows[i]
+		key := r.node + "/" + r.group.Group
+		cur := trackCounts{r.group.CommitsFast, r.group.CommitsClassic}
+		prev := seen[key]
+		if cur.fast < prev.fast || cur.classic < prev.classic {
+			prev = trackCounts{}
+		}
+		seen[key] = cur
+		r.fast = -1
+		if n := (cur.fast - prev.fast) + (cur.classic - prev.classic); n > 0 {
+			r.fast = float64(cur.fast-prev.fast) / float64(n)
+		}
+	}
 }
 
 // poll fetches every peer's DebugTop, returning flattened group rows and
@@ -122,17 +154,22 @@ func fetch(client *http.Client, base string) (hraft.DebugTop, error) {
 func render(rows []row, errs []string, now time.Time) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "hraft-top  %s  %d group-rows\n\n", now.Format("15:04:05"), len(rows))
-	fmt.Fprintf(&b, "%-12s %-10s %-10s %-10s %6s %9s %6s %9s %9s %9s %7s\n",
-		"NODE", "GROUP", "ROLE", "LEADER", "TERM", "COMMIT", "LAG", "RATE/S", "P50", "P99", "FSYNC")
+	fmt.Fprintf(&b, "%-12s %-10s %-10s %-10s %6s %9s %6s %9s %9s %9s %7s %6s\n",
+		"NODE", "GROUP", "ROLE", "LEADER", "TERM", "COMMIT", "LAG", "RATE/S", "P50", "P99", "FSYNC", "FAST%")
 	for _, r := range rows {
 		g := r.group
 		fsync := "-"
 		if r.top.FsyncBatchAvg > 0 {
 			fsync = fmt.Sprintf("%.1f", r.top.FsyncBatchAvg)
 		}
-		fmt.Fprintf(&b, "%-12s %-10s %-10s %-10s %6d %9d %6d %9.1f %9s %9s %7s\n",
+		// Followers (and classic Raft) commit nothing as leader.
+		fast := "-"
+		if r.fast >= 0 {
+			fast = fmt.Sprintf("%.0f", 100*r.fast)
+		}
+		fmt.Fprintf(&b, "%-12s %-10s %-10s %-10s %6d %9d %6d %9.1f %9s %9s %7s %6s\n",
 			r.node, g.Group, g.Role, g.Leader, g.Term, g.CommitIndex, g.CommitLag,
-			g.Proposals.RatePerSec, g.Proposals.P50, g.Proposals.P99, fsync)
+			g.Proposals.RatePerSec, g.Proposals.P50, g.Proposals.P99, fsync, fast)
 	}
 	for _, e := range errs {
 		fmt.Fprintf(&b, "\nunreachable: %s\n", e)

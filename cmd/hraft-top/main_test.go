@@ -29,6 +29,8 @@ func sampleTop(node string) hraft.DebugTop {
 				P50:        2 * time.Millisecond,
 				P99:        9 * time.Millisecond,
 			},
+			CommitsFast:    35,
+			CommitsClassic: 5,
 		}},
 		FsyncBatchAvg: 4.5,
 	}
@@ -37,15 +39,41 @@ func sampleTop(node string) hraft.DebugTop {
 func TestRenderTable(t *testing.T) {
 	top := sampleTop("n1")
 	rows := []row{{node: "n1", top: top, group: top.Groups[0]}}
+	fastShare(rows, map[string]trackCounts{})
 	out := render(rows, []string{"n3: connection refused"}, time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC))
 	for _, want := range []string{
-		"NODE", "GROUP", "LAG", "RATE/S", "P99", "FSYNC",
-		"n1", "g0", "leader", "41", "3", "20.0", "9ms", "4.5",
+		"NODE", "GROUP", "LAG", "RATE/S", "P99", "FSYNC", "FAST%",
+		"n1", "g0", "leader", "41", "3", "20.0", "9ms", "4.5", "88",
 		"unreachable: n3: connection refused",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("table lacks %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestFastShareIsPerInterval: FAST% reflects the commits since the previous
+// poll, not the node's lifetime — an early collision burst does not stick.
+func TestFastShareIsPerInterval(t *testing.T) {
+	seen := map[string]trackCounts{}
+	frame := func(fast, classic uint64) float64 {
+		top := sampleTop("n1")
+		top.Groups[0].CommitsFast, top.Groups[0].CommitsClassic = fast, classic
+		rows := []row{{node: "n1", top: top, group: top.Groups[0]}}
+		fastShare(rows, seen)
+		return rows[0].fast
+	}
+	if got := frame(0, 100); got != 0 {
+		t.Fatalf("first frame = %v, want the lifetime share 0", got)
+	}
+	if got := frame(50, 100); got != 1 {
+		t.Fatalf("all-fast interval = %v, want 1", got)
+	}
+	if got := frame(50, 100); got != -1 {
+		t.Fatalf("idle interval = %v, want -1 (no commits)", got)
+	}
+	if got := frame(3, 1); got != 0.75 {
+		t.Fatalf("after a restart = %v, want 0.75 (counters start over)", got)
 	}
 }
 

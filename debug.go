@@ -523,6 +523,14 @@ type DebugTopGroup struct {
 	// Proposals is the group's propose→apply window: rate plus p50/p99
 	// over roughly the last 16 seconds.
 	Proposals RollingStats `json:"proposals"`
+	// CommitsFast and CommitsClassic count this node's commits as the
+	// group's leader by track (cumulative counters; both 0 on a node that
+	// has led nothing, or runs classic Raft). A poller turns the deltas
+	// into the current fast-track share (hraft-top's FAST%): it falls when
+	// proposers collide or votes are lost, and entries wait for the
+	// heartbeat instead of committing on arrival.
+	CommitsFast    uint64 `json:"commits_fast,omitempty"`
+	CommitsClassic uint64 `json:"commits_classic,omitempty"`
 }
 
 // DebugTop is the document served as JSON at /debug/hraft/top: per-group
@@ -579,6 +587,13 @@ func fillTopMetrics(t *DebugTop, m map[string]uint64) {
 	}
 }
 
+// fillTrackCommits copies the leader-side commit counters under prefix (""
+// for a single group, "local."/"global." for C-Raft's layers) into g.
+func fillTrackCommits(g *DebugTopGroup, m map[string]uint64, prefix string) {
+	g.CommitsFast = m[prefix+"fastraft.commits_fast"]
+	g.CommitsClassic = m[prefix+"fastraft.commits_classic"]
+}
+
 // DebugTop snapshots the node's live rate/latency aggregates (served at
 // /debug/hraft/top). Safe from any goroutine.
 func (n *Node) DebugTop() DebugTop {
@@ -595,7 +610,9 @@ func (n *Node) DebugTop() DebugTop {
 		g.Proposals = pickLive(n.fr.Recorder().LiveStats(now), n.fr.Recorder().Group())
 		t = DebugTop{Node: string(n.fr.ID()), Groups: []DebugTopGroup{g}}
 	})
-	fillTopMetrics(&t, n.Metrics())
+	m := n.Metrics()
+	fillTopMetrics(&t, m)
+	fillTrackCommits(&t.Groups[0], m, "")
 	return t
 }
 
@@ -650,7 +667,11 @@ func (n *CRaftNode) DebugTop() DebugTop {
 			t.Groups = append(t.Groups, global)
 		}
 	})
-	fillTopMetrics(&t, n.Metrics())
+	m := n.Metrics()
+	fillTopMetrics(&t, m)
+	for i := range t.Groups {
+		fillTrackCommits(&t.Groups[i], m, t.Groups[i].Group+".")
+	}
 	return t
 }
 

@@ -63,9 +63,13 @@ func run() error {
 			return fmt.Errorf("propose %q: %w", payload, err)
 		}
 		fmt.Printf("  %-10s committed at index %-3d in %v\n",
-			payload, idx, time.Since(start).Round(time.Millisecond))
+			payload, idx, time.Since(start).Round(10*time.Microsecond))
 	}
 
+	// The leader commits when the deciding vote arrives and tells the
+	// proposer at once; the followers' own commit indexes follow with its
+	// next heartbeat.
+	time.Sleep(50 * time.Millisecond)
 	leader := proposer.Leader()
 	fmt.Printf("\nleader is %s (term %d); commit index on each node:\n", leader, proposer.Term())
 	for _, id := range peers {

@@ -229,8 +229,15 @@ func TestPublicAPIPipelinedProposals(t *testing.T) {
 			t.Fatalf("propose %d: %v", i, err)
 		}
 	}
-	if ci := nodes[0].CommitIndex(); ci < 10 {
-		t.Fatalf("commit index %d after 10 proposals", ci)
+	// Propose returns when the leader's commit notification arrives; the
+	// proposing follower's own commit index follows with the next
+	// AppendEntries, a heartbeat later at most.
+	deadline := time.Now().Add(5 * time.Second)
+	for nodes[0].CommitIndex() < 10 {
+		if time.Now().After(deadline) {
+			t.Fatalf("commit index %d after 10 proposals", nodes[0].CommitIndex())
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 	go func() {
 		for range nodes[0].Commits() {

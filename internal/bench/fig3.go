@@ -1,6 +1,6 @@
 // Package bench implements the paper's evaluation: one experiment per
-// figure, each built from the simulation harness, plus the ablations listed
-// in DESIGN.md. Every experiment returns structured rows and can print the
+// figure, each built from the simulation harness, plus the ablations in
+// ablation.go. Every experiment returns structured rows and can print the
 // same table/series the paper reports.
 package bench
 

@@ -13,7 +13,11 @@ import (
 // Fig5Options parametrizes the Figure 5 experiment: global-log throughput
 // of classic Raft vs C-Raft with 20 sites split evenly over a varying
 // number of geo-distributed clusters (paper: batches of 10, five 3-minute
-// trials, one closed-loop proposer per cluster).
+// trials, one closed-loop proposer per cluster). Both arms' proposers pause
+// harness.PacedThink between a resolution and the next proposal: a local
+// commit takes a LAN round trip, not a heartbeat, and an unpaced closed
+// loop would measure the simulator, at thousands of proposals per virtual
+// second.
 type Fig5Options struct {
 	// ClusterCounts are the sweep points (paper: 20 sites over 1..10
 	// clusters; counts must divide Sites).
@@ -161,7 +165,7 @@ func fig5RaftTrial(opts Fig5Options, n int, seed int64) (float64, error) {
 	end := start + opts.TrialDuration
 	proposers := make([]*harness.Proposer, 0, n)
 	for _, spec := range specs {
-		p, err := c.StartProposer(harness.ProposerOptions{Node: spec.Sites[0], StopAfter: end})
+		p, err := c.StartProposer(harness.ProposerOptions{Node: spec.Sites[0], StopAfter: end, ThinkTime: harness.PacedThink})
 		if err != nil {
 			return 0, err
 		}
@@ -198,7 +202,7 @@ func fig5CraftTrial(opts Fig5Options, n int, seed int64) (float64, error) {
 	start := c.Sched.Now() + opts.Warmup
 	end := start + opts.TrialDuration
 	for _, spec := range specs {
-		if _, err := c.StartProposer(harness.ProposerOptions{Node: spec.Sites[0], StopAfter: end}); err != nil {
+		if _, err := c.StartProposer(harness.ProposerOptions{Node: spec.Sites[0], StopAfter: end, ThinkTime: harness.PacedThink}); err != nil {
 			return 0, err
 		}
 	}

@@ -499,10 +499,22 @@ func (n *Node) pump(now time.Duration) {
 
 // syncGlobalLifecycle creates or destroys the global instance as local
 // leadership changes.
+//
+// A new local leader starts the instance only once the replay has caught up
+// with this leadership's own no-op. Everything the predecessor externalized
+// depended on deltas that had committed locally, but the successor may hold
+// those deltas uncommitted (or not know they committed) when it wins the
+// election; they re-commit, and replay, no later than its no-op does. An
+// instance built before that would lack global state the cluster already
+// showed the world — it could fill a global index the predecessor had
+// committed with its own no-op.
 func (n *Node) syncGlobalLifecycle(now time.Duration) bool {
 	isLeader := n.local.Role() == types.RoleLeader
 	switch {
 	case isLeader && n.global == nil:
+		if n.appliedLocal < n.local.LeaderFloor() {
+			return false
+		}
 		n.startGlobal(now)
 		return true
 	case !isLeader && n.global != nil:

@@ -174,3 +174,53 @@ func TestConfigValidationCraft(t *testing.T) {
 		t.Fatal("missing Rand accepted")
 	}
 }
+
+// TestSuccessorStartsGlobalAfterReplayCatchesUp pins the hand-over rule: a
+// site that wins the local election may hold the predecessor's last deltas
+// uncommitted — the predecessor commits (and externalizes) them the moment
+// the deciding ack arrives, its followers hear of it a heartbeat later. The
+// successor's global instance must be built from a replay that includes
+// them, i.e. not before its own no-op has committed; built at election time
+// it would lack global index 1 here and fill it with its own entry.
+func TestSuccessorStartsGlobalAfterReplayCatchesUp(t *testing.T) {
+	n := newReplayNode(t)
+	local := func(from types.NodeID, msg types.Message) types.Envelope {
+		return types.Envelope{From: from, To: "s1", Layer: types.LayerLocal, Msg: msg}
+	}
+	// The predecessor s2 replicated a delta carrying global entry 1 and its
+	// commit; s1 holds it, not knowing that it committed.
+	delta := deltaEntry(1, 1, 1, gEntry(1, "a"))
+	delta.Index, delta.Term, delta.Approval = 1, 1, types.ApprovedLeader
+	delta.PID = types.ProposalID{Proposer: "s2", Seq: 1}
+	n.Step(time.Second, local("s2", types.AppendEntries{
+		Term: 1, LeaderID: "s2", Entries: []types.Entry{delta},
+	}))
+	if n.CommitIndex() != 0 || n.GlobalCommitIndex() != 0 {
+		t.Fatalf("setup: delta already committed (local %d, global %d)", n.CommitIndex(), n.GlobalCommitIndex())
+	}
+
+	// s2 dies; s1 wins the election.
+	n.Tick(time.Hour)
+	n.Step(time.Hour, local("s3", types.RequestVoteResp{Term: n.Term(), Granted: true}))
+	if n.Role() != types.RoleLeader {
+		t.Fatalf("role = %v, want leader", n.Role())
+	}
+	if n.IsGlobalMember() {
+		t.Fatal("global instance started before the predecessor's deltas replayed")
+	}
+
+	// The ack that commits s1's no-op commits the delta before it.
+	n.Step(time.Hour, local("s3", types.AppendEntriesResp{
+		Term: n.Term(), Success: true, MatchIndex: n.LocalLastIndex(),
+	}))
+	if n.GlobalCommitIndex() != 1 {
+		t.Fatalf("replayed gCommit = %d, want 1", n.GlobalCommitIndex())
+	}
+	g := n.GlobalNode()
+	if g == nil {
+		t.Fatal("global instance not started once the replay caught up")
+	}
+	if e, ok := g.Entry(1); !ok || e.PID != gEntry(1, "a").PID {
+		t.Fatalf("successor's global log holds %v at 1, want the predecessor's batch", e)
+	}
+}

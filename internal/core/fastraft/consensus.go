@@ -51,9 +51,8 @@ func (n *Node) ProposeEntryPID(now time.Duration, e types.Entry, pid types.Propo
 		e.TraceID = n.rec.MintTrace()
 	}
 	p := &pendingProposal{
-		entry:    e.Clone(),
-		deadline: now + n.cfg.ProposalTimeout,
-		size:     types.EntryWireSize(e),
+		entry: e.Clone(),
+		size:  types.EntryWireSize(e),
 	}
 	n.pending[pid] = p
 	n.rec.SpanStart(now, pid, n.term, e.TraceID)
@@ -90,11 +89,43 @@ func (n *Node) byteWindowClosed(p *pendingProposal) bool {
 	return cap > 0 && n.inflightProposals > 0 && n.inflightProposalBytes+p.size > cap
 }
 
-// admitProposal charges the window and broadcasts.
+// admitProposal charges the window, arms the retry deadline and broadcasts.
 func (n *Node) admitProposal(p *pendingProposal) {
 	n.inflightProposals++
 	n.inflightProposalBytes += p.size
+	n.armRetry(p)
 	n.broadcastProposal(p)
+}
+
+// armRetry sets p's retry deadline one proposal timeout from now and queues
+// it. The timeout is one constant and time does not run backwards, so
+// deadlines are armed in non-decreasing order and the queue's head is the
+// earliest: neither NextDeadline nor retryProposals walks every pending
+// proposal. An entry is stale once its proposal resolved or was re-armed.
+func (n *Node) armRetry(p *pendingProposal) {
+	p.deadline = n.now + n.cfg.ProposalTimeout
+	n.retryQueue = append(n.retryQueue, retryAt{pid: p.entry.PID, deadline: p.deadline})
+}
+
+// nextRetry returns the earliest retry deadline (0 = none). The queue's
+// head is always live: whatever removes a head prunes behind it.
+func (n *Node) nextRetry() time.Duration {
+	if len(n.retryQueue) == 0 {
+		return 0
+	}
+	return n.retryQueue[0].deadline
+}
+
+// pruneRetries drops stale entries off the head of the retry queue.
+func (n *Node) pruneRetries() {
+	for len(n.retryQueue) > 0 {
+		head := n.retryQueue[0]
+		if p, ok := n.pending[head.pid]; ok && p.deadline == head.deadline {
+			return
+		}
+		n.retryQueue = n.retryQueue[1:]
+	}
+	n.retryQueue = nil // release the drained backing array
 }
 
 // resolvePending resolves a tracked local proposal, releasing its window
@@ -105,6 +136,7 @@ func (n *Node) resolvePending(pid types.ProposalID, idx types.Index) {
 		return
 	}
 	delete(n.pending, pid)
+	n.pruneRetries()
 	if !p.queued {
 		n.inflightProposals--
 		n.inflightProposalBytes -= p.size
@@ -129,7 +161,6 @@ func (n *Node) admitProposals() {
 		}
 		n.proposalQueue = n.proposalQueue[1:]
 		p.queued = false
-		p.deadline = n.now + n.cfg.ProposalTimeout
 		n.admitProposal(p)
 	}
 }
@@ -145,7 +176,7 @@ func (n *Node) admitProposals() {
 // the decide loop indefinitely. Skipping occupied slots lets proposal
 // bursts pipeline instead of colliding with their own predecessors.
 func (n *Node) broadcastProposal(p *pendingProposal) {
-	cfg := n.Config()
+	cfg := n.log.ConfigView()
 	if cfg.Size() == 0 {
 		return // not part of any group yet; retry later
 	}
@@ -153,18 +184,14 @@ func (n *Node) broadcastProposal(p *pendingProposal) {
 	if idx <= n.commitIndex {
 		idx = n.commitIndex + 1
 	}
-	for {
-		e, ok := n.log.Get(idx)
-		if !ok || e.PID == p.entry.PID {
-			break
-		}
+	for e := n.log.Peek(idx); e != nil && e.PID != p.entry.PID; e = n.log.Peek(idx) {
 		idx++
 	}
 	p.index = idx
 	n.rec.SpanStage(n.now, p.entry.PID, trace.StageReplicate, idx)
 	msg := types.ProposeEntry{Index: idx, Entry: p.entry.Clone()}
-	for _, peer := range cfg.Others(n.cfg.ID) {
-		n.send(peer, msg)
+	for _, peer := range cfg.Members {
+		n.send(peer, msg) // send skips this site itself
 	}
 	if cfg.Contains(n.cfg.ID) {
 		n.handleProposeLocally(msg)
@@ -173,15 +200,15 @@ func (n *Node) broadcastProposal(p *pendingProposal) {
 
 func (n *Node) retryProposals(now time.Duration) {
 	var due []types.ProposalID
-	for pid, p := range n.pending {
-		if !p.queued && now >= p.deadline {
-			due = append(due, pid)
-		}
+	for d := n.nextRetry(); d != 0 && now >= d; d = n.nextRetry() {
+		due = append(due, n.retryQueue[0].pid)
+		n.retryQueue = n.retryQueue[1:]
+		n.pruneRetries()
 	}
 	sort.Slice(due, func(i, j int) bool { return due[i].Less(due[j]) })
 	for _, pid := range due {
 		p := n.pending[pid]
-		p.deadline = now + n.cfg.ProposalTimeout
+		n.armRetry(p)
 		// Re-propose at a fresh index: the old slot may have been decided
 		// for a different entry. De-duplication (leader pid map + commit
 		// notifications) keeps the proposal single-commit. Queued proposals
@@ -308,25 +335,95 @@ func (n *Node) recordVote(from types.NodeID, m types.VoteEntry) {
 	}
 }
 
-// decideLoop is the paper's "periodically run by the leader" procedure:
-// while a classic quorum has voted on the next undecided index, decide the
-// most-voted entry. An entry commits immediately on a fast quorum — but,
-// per the paper, the fast track applies only when every earlier index has
+// evaluate is the leader's one commit-evaluation step: the classic-track
+// commit rule over matchIndex, then the decide loop, then the reads that a
+// commit releases. It runs at the end of every entry point through which
+// something arrives — Step (a vote or an append ack; the leader's own vote
+// on a proposal it receives), SyncDone (the leader's own records became
+// durable) — and at the heartbeat tick. Propose* and proposal retries do not
+// run it: a leader's own vote completes a quorum only where the leader is
+// the whole group, and a group in which nothing ever arrives keeps the
+// heartbeat as its commit clock (README "Timing model"). Between ticks it
+// may only commit what a quorum has already made certain (see decideLoop);
+// the tick additionally decides on a classic quorum of votes. It is never
+// entered from inside recordVote or commitTo: a commit that resolves a
+// local proposal and admits a queued one only adds that proposal's vote to
+// the tally, and the decide loop already running picks it up.
+//
+// Commits come first so that a decision sees the commit index this
+// leader's acks already justify: the fast track applies only at
+// commitIndex+1, and deciding before committing would leave every later
+// entry one step behind the fast track for as long as load is steady.
+func (n *Node) evaluate(tick bool) {
+	if n.role != types.RoleLeader {
+		return
+	}
+	commit := n.commitIndex
+	for {
+		n.advanceClassicCommit()
+		if n.role != types.RoleLeader {
+			return // committing a config entry removed this leader
+		}
+		// Entries the decide loop leaves on the classic track commit above
+		// only if this leader alone is a quorum; otherwise they wait for
+		// acks and the second pass finds nothing to do.
+		if !n.decideLoop(tick) {
+			break
+		}
+	}
+	if tick || n.commitIndex != commit {
+		n.reads.Flush(n.now)
+	}
+}
+
+// decideLoop is the paper's "periodically run by the leader" procedure,
+// split by what may happen when. At a heartbeat tick (tick=true) it is the
+// paper's rule: while a classic quorum has voted on the next undecided
+// index, decide the most-voted entry; the heartbeat is the fast track's
+// timeout. Between ticks the next index k is decided only when nothing
+// decided is still uncommitted (k = commitIndex+1) and one candidate
+// already holds a fast quorum of votes — no later vote can change that
+// outcome, so waiting for the tick would add nothing but latency — and it
+// commits on the spot.
+//
+// In both modes an entry commits immediately on a fast quorum — but, per
+// the paper, the fast track applies only when every earlier index has
 // already committed — otherwise the entry rides the classic track
 // (AppendEntries replication + matchIndex commit). Decisions pipeline ahead
 // of the commit point exactly as appends do in classic Raft; the losing
 // candidates at each index are re-sequenced at subsequent indices (the
 // leader's free choice) so their proposers don't stall.
-func (n *Node) decideLoop() {
-	cfg := n.Config()
+//
+// It reports whether it decided entries that it left uncommitted.
+func (n *Node) decideLoop(tick bool) bool {
+	head := n.log.LastLeaderIndex()
+	cfg := n.log.ConfigView()
 	classicQ := quorum.ClassicSize(cfg.Size())
 	fastQ := quorum.FastSize(cfg.Size())
 	for {
 		k := n.log.LastLeaderIndex() + 1
-		if n.tally.Voters(k, cfg) < classicQ {
-			return
+		var fast types.Entry
+		if tick {
+			if n.tally.Voters(k, cfg) < classicQ {
+				break
+			}
+		} else if n.cfg.DisableFastTrack || k != n.commitIndex+1 {
+			break
+		} else if e, ok := n.tally.FastCandidate(k, cfg, fastQ); ok {
+			fast = e
+		} else {
+			break // where most evaluations end, having allocated nothing
 		}
-		d, ok := n.tally.Decide(k, cfg, n.skipDecidedAt(k))
+		skip := n.skipDecidedAt(k)
+		if !tick && skip(fast) {
+			break
+		}
+		d, ok := n.tally.Decide(k, cfg, skip)
+		if tick {
+			n.metrics.Inc("fastraft.decisions_on_tick")
+		} else {
+			n.metrics.Inc("fastraft.decisions_on_arrival")
+		}
 		if !ok {
 			// Every candidate was a duplicate of an already decided
 			// proposal; fill the slot with a no-op to keep the log dense.
@@ -351,16 +448,18 @@ func (n *Node) decideLoop() {
 			k == n.commitIndex+1 &&
 			n.log.Term(k) == n.term &&
 			n.progress.FastMatchQuorum(cfg, k, fastQ) {
+			n.metrics.Add("fastraft.commits_fast", uint64(k-n.commitIndex))
 			n.commitTo(k)
 			if n.role != types.RoleLeader {
-				return // committing a config entry removed this leader
+				return false // committing a config entry removed this leader
 			}
 			n.tally.Clear(k)
-			cfg = n.Config()
+			cfg = n.log.ConfigView()
 			classicQ = quorum.ClassicSize(cfg.Size())
 			fastQ = quorum.FastSize(cfg.Size())
 		}
 	}
+	return n.log.LastLeaderIndex() > head && n.log.LastLeaderIndex() > n.commitIndex
 }
 
 // appendLeaderEntry appends e at the end of the leader-approved prefix.
@@ -393,19 +492,17 @@ func (n *Node) appendLeaderEntryAt(idx types.Index, e types.Entry) {
 // --- Leader tick -----------------------------------------------------------
 
 // leaderTick performs all periodic leader duties in the paper's order:
-// decide/commit evaluation, membership processing, then AppendEntries
-// dispatch. Any phase can demote the node (committing a configuration that
-// excludes it), so leadership is re-checked between phases.
+// commit/decide evaluation, membership processing, then AppendEntries
+// dispatch. Evaluation also runs whenever a vote or an ack arrives (see
+// evaluate); everything else here stays on the timer: dispatch, heartbeats,
+// read-confirmation rounds, silent-leave accounting and classic-quorum
+// decisions. Any phase can demote the node (committing a configuration
+// that excludes it), so leadership is re-checked between phases.
 func (n *Node) leaderTick() {
-	n.decideLoop()
+	n.evaluate(true)
 	if n.role != types.RoleLeader {
 		return
 	}
-	n.advanceClassicCommit()
-	if n.role != types.RoleLeader {
-		return
-	}
-	n.reads.Flush(n.now)
 	n.maybeSessionClock()
 	n.processMembership()
 	if n.role != types.RoleLeader {
@@ -417,7 +514,7 @@ func (n *Node) leaderTick() {
 // advanceClassicCommit applies the classic-track commit rule over
 // matchIndex.
 func (n *Node) advanceClassicCommit() {
-	cfg := n.Config()
+	cfg := n.log.ConfigView()
 	classicQ := quorum.ClassicSize(cfg.Size())
 	for k := n.commitIndex + 1; k <= n.log.LastLeaderIndex(); k++ {
 		if n.log.Term(k) != n.term {
@@ -428,6 +525,7 @@ func (n *Node) advanceClassicCommit() {
 		if !n.progress.MatchQuorum(cfg, k, classicQ) {
 			break
 		}
+		n.metrics.Add("fastraft.commits_classic", uint64(k-n.commitIndex))
 		n.commitTo(k)
 		if n.role != types.RoleLeader {
 			return // committing a config entry removed this leader
@@ -435,7 +533,7 @@ func (n *Node) advanceClassicCommit() {
 		n.tally.Clear(k)
 		// A committed configuration entry changes quorum sizes from here
 		// on.
-		cfg = n.Config()
+		cfg = n.log.ConfigView()
 		classicQ = quorum.ClassicSize(cfg.Size())
 	}
 }
@@ -610,7 +708,7 @@ func (n *Node) onAppendEntries(from types.NodeID, m types.AppendEntries) {
 		n.applyLeaderEntry(e)
 	}
 	// Fast Raft commit-prefix refinement: only commit over leader-approved
-	// entries (see DESIGN.md).
+	// entries.
 	if m.LeaderCommit > n.commitIndex {
 		k := m.LeaderCommit
 		if top := n.log.LastLeaderIndex(); k > top {
@@ -636,7 +734,7 @@ func (n *Node) onAppendEntries(from types.NodeID, m types.AppendEntries) {
 // entries at other indices must survive).
 func (n *Node) applyLeaderEntry(e types.Entry) {
 	idx := e.Index
-	if existing, ok := n.log.Get(idx); ok {
+	if existing := n.log.Peek(idx); existing != nil {
 		// The in-place fast paths require PID identity, not just
 		// SameProposal: a session proposal retried under a different PID is
 		// the same value, but keeping the local twin would leave replicas
@@ -715,9 +813,11 @@ func (n *Node) onAppendEntriesResp(from types.NodeID, m types.AppendEntriesResp)
 		n.progress.SeedSnapshot(from, b, m.PendingOffset, n.now)
 		n.rec.SnapResume(n.now, from, b, m.PendingOffset)
 	}
-	// Commit evaluation happens at the next leader tick (timing model).
 }
 
 func (n *Node) onCommitNotify(m types.CommitNotify) {
+	// The notification is how a remote proposer learns of the commit; its
+	// own commit index follows with the next AppendEntries.
+	n.rec.SpanStage(n.now, m.PID, trace.StageCommit, m.Index)
 	n.resolvePending(m.PID, m.Index)
 }

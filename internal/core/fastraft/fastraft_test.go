@@ -55,8 +55,9 @@ func vote(idx types.Index, e types.Entry, term types.Term, commit types.Index) t
 }
 
 // ackLeaderLog feeds successful AppendEntries responses covering the
-// leader's current prefix from the given followers and ticks, committing
-// pending classic-track entries (e.g. the election no-op).
+// leader's current prefix from the given followers, which commits pending
+// classic-track entries (e.g. the election no-op) as the completing ack
+// arrives — no tick involved.
 func ackLeaderLog(t *testing.T, n *Node, followers ...types.NodeID) {
 	t.Helper()
 	top := n.LastLeaderIndex()
@@ -64,7 +65,6 @@ func ackLeaderLog(t *testing.T, n *Node, followers ...types.NodeID) {
 		n.Step(time.Hour, types.Envelope{From: f, To: n.ID(), Layer: types.LayerLocal,
 			Msg: types.AppendEntriesResp{Term: n.Term(), Success: true, MatchIndex: top}})
 	}
-	n.Tick(n.NextDeadline())
 	if n.CommitIndex() < top {
 		t.Fatalf("prefix not committed: commit=%d top=%d", n.CommitIndex(), top)
 	}
@@ -86,10 +86,17 @@ func TestSingleNodeBecomesLeaderAndCommits(t *testing.T) {
 	if n.Role() != types.RoleLeader {
 		t.Fatalf("single node should self-elect, role=%v", n.Role())
 	}
+	// A single member is its own fast quorum, but its own proposal is not an
+	// arrival: with nothing to arrive, the entry commits at the next
+	// heartbeat.
+	before := n.CommitIndex()
 	n.Propose(2*time.Second, []byte("solo"))
+	if n.CommitIndex() != before {
+		t.Fatalf("commitIndex = %d after Propose, want %d (evaluation is not run by Propose)", n.CommitIndex(), before)
+	}
 	n.Tick(n.NextDeadline())
-	if n.CommitIndex() < 1 {
-		t.Fatalf("commitIndex = %d", n.CommitIndex())
+	if n.CommitIndex() != before+1 {
+		t.Fatalf("commitIndex = %d after the tick, want %d", n.CommitIndex(), before+1)
 	}
 	found := false
 	for _, e := range n.TakeCommitted() {
@@ -146,8 +153,8 @@ func TestPaperQuorumExample(t *testing.T) {
 func TestFastTrackCommitNeedsFastQuorum(t *testing.T) {
 	peers := []types.NodeID{"n1", "n2", "n3", "n4", "n5"}
 	e := proposal("n5", 1)
-	// Case 1: fast quorum (4 voters including the leader) -> immediate
-	// commit at the tick.
+	// Case 1: fast quorum (4 voters including the leader) -> the vote that
+	// completes it commits the entry, inside Step.
 	n := newTestNode(t, "n1", peers...)
 	electLeader(t, n, "n2", "n3")
 	ackLeaderLog(t, n, "n2", "n3")
@@ -155,18 +162,22 @@ func TestFastTrackCommitNeedsFastQuorum(t *testing.T) {
 	n.Step(time.Hour, types.Envelope{From: "n5", To: "n1", Layer: types.LayerLocal,
 		Msg: types.ProposeEntry{Index: k, Entry: e}}) // leader inserts + self-votes
 	for _, voter := range []types.NodeID{"n2", "n3", "n4"} {
+		if n.CommitIndex() >= k {
+			t.Fatalf("committed before the fast quorum was complete (next voter %s)", voter)
+		}
 		n.Step(time.Hour, types.Envelope{From: voter, To: "n1", Layer: types.LayerLocal,
 			Msg: vote(k, e, n.Term(), 0)})
 	}
-	n.Tick(n.NextDeadline())
 	if n.CommitIndex() < k {
 		t.Fatalf("fast quorum present but no fast commit (commit=%d, k=%d)", n.CommitIndex(), k)
 	}
 
-	// Case 2: only a classic quorum -> decided but NOT committed until
-	// AppendEntries responses arrive (classic track).
+	// Case 2: only a classic quorum -> not even decided until the tick (the
+	// fast track's timeout), and then NOT committed until AppendEntries
+	// responses arrive (classic track).
 	n2 := newTestNode(t, "n1", peers...)
 	electLeader(t, n2, "n2", "n3")
+	ackLeaderLog(t, n2, "n2", "n3")
 	k2 := n2.LastLeaderIndex() + 1
 	n2.Step(time.Hour, types.Envelope{From: "n5", To: "n1", Layer: types.LayerLocal,
 		Msg: types.ProposeEntry{Index: k2, Entry: e}})
@@ -174,21 +185,31 @@ func TestFastTrackCommitNeedsFastQuorum(t *testing.T) {
 		n2.Step(time.Hour, types.Envelope{From: voter, To: "n1", Layer: types.LayerLocal,
 			Msg: vote(k2, e, n2.Term(), 0)})
 	}
+	if n2.LastLeaderIndex() >= k2 {
+		t.Fatal("decided between ticks on a classic quorum of votes")
+	}
 	n2.Tick(n2.NextDeadline())
-	if got, ok := n2.Entry(k2); !ok || !got.SameProposal(e) {
-		t.Fatalf("entry not decided: %v %v", got, ok)
+	if got, ok := n2.Entry(k2); !ok || !got.SameProposal(e) || got.Approval != types.ApprovedLeader {
+		t.Fatalf("entry not decided at the tick: %v %v", got, ok)
 	}
 	if n2.CommitIndex() >= k2 {
 		t.Fatal("committed without a fast quorum or classic replication")
 	}
-	// Acks from a classic quorum commit it at the next tick.
-	for _, peer := range []types.NodeID{"n2", "n3"} {
-		n2.Step(time.Hour, types.Envelope{From: peer, To: "n1", Layer: types.LayerLocal,
-			Msg: types.AppendEntriesResp{Term: n2.Term(), Success: true, MatchIndex: k2}})
+	// The ack that completes a classic quorum of matchIndex commits it,
+	// inside Step.
+	n2.Step(time.Hour, types.Envelope{From: "n2", To: "n1", Layer: types.LayerLocal,
+		Msg: types.AppendEntriesResp{Term: n2.Term(), Success: true, MatchIndex: k2}})
+	if n2.CommitIndex() >= k2 {
+		t.Fatal("committed on one ack: leader + n2 is not a quorum of five")
 	}
-	n2.Tick(n2.NextDeadline())
+	n2.Step(time.Hour, types.Envelope{From: "n3", To: "n1", Layer: types.LayerLocal,
+		Msg: types.AppendEntriesResp{Term: n2.Term(), Success: true, MatchIndex: k2}})
 	if n2.CommitIndex() < k2 {
-		t.Fatalf("classic track never committed (commit=%d, k=%d)", n2.CommitIndex(), k2)
+		t.Fatalf("classic track did not commit on the completing ack (commit=%d, k=%d)", n2.CommitIndex(), k2)
+	}
+	m := n2.Metrics()
+	if m["fastraft.decisions_on_tick"] == 0 || m["fastraft.commits_classic"] == 0 {
+		t.Fatalf("classic-track entry not counted as such: %v", m)
 	}
 }
 
@@ -209,9 +230,19 @@ func TestDisableFastTrackForcesClassic(t *testing.T) {
 		n.Step(time.Hour, types.Envelope{From: voter, To: "n1", Layer: types.LayerLocal,
 			Msg: vote(k, e, n.Term(), 0)})
 	}
+	if n.LastLeaderIndex() >= k {
+		t.Fatal("fast track disabled but entry decided between ticks")
+	}
 	n.Tick(n.NextDeadline())
+	if got, ok := n.Entry(k); !ok || got.Approval != types.ApprovedLeader {
+		t.Fatal("entry not decided at the tick")
+	}
 	if n.CommitIndex() >= k {
 		t.Fatal("fast track disabled but entry fast-committed")
+	}
+	ackLeaderLog(t, n, "n2", "n3")
+	if m := n.Metrics(); m["fastraft.commits_fast"] != 0 || m["fastraft.decisions_on_arrival"] != 0 {
+		t.Fatalf("fast track disabled but used: %v", m)
 	}
 }
 
@@ -418,7 +449,7 @@ func TestCommitPrefixRestrictedToLeaderApproved(t *testing.T) {
 	n.TakeOutbox()
 	n.Step(time.Second, types.Envelope{From: "n1", To: "n2", Layer: types.LayerLocal,
 		Msg: types.AppendEntries{Term: 1, LeaderID: "n1", LeaderCommit: 3}})
-	// Nothing leader-approved: nothing may commit (DESIGN.md refinement).
+	// Nothing leader-approved: nothing may commit (commit-prefix refinement).
 	if n.CommitIndex() != 0 {
 		t.Fatalf("commitIndex = %d over self-approved entries", n.CommitIndex())
 	}
@@ -472,7 +503,6 @@ func TestRestartRecoversFromStorage(t *testing.T) {
 	}
 	n.Tick(time.Second)
 	n.Propose(2*time.Second, []byte("durable"))
-	n.Tick(n.NextDeadline())
 	if n.CommitIndex() == 0 {
 		t.Fatal("no commit before crash")
 	}
@@ -494,9 +524,8 @@ func TestRestartRecoversFromStorage(t *testing.T) {
 	if n2.CommitIndex() != 0 {
 		t.Fatalf("commitIndex persisted? %d", n2.CommitIndex())
 	}
-	// The restarted single-node group must recommit after re-election.
+	// The restarted single-node group must recommit on re-election.
 	n2.Tick(time.Hour)
-	n2.Tick(n2.NextDeadline())
 	if n2.CommitIndex() == 0 {
 		t.Fatal("restarted node cannot make progress")
 	}
@@ -516,7 +545,6 @@ func TestProposalDedupAcrossReproposal(t *testing.T) {
 		n.Step(time.Hour, types.Envelope{From: voter, To: "n1", Layer: types.LayerLocal,
 			Msg: vote(k, e, n.Term(), 0)})
 	}
-	n.Tick(n.NextDeadline())
 	if n.CommitIndex() < k {
 		t.Fatalf("setup: not committed (commit=%d k=%d)", n.CommitIndex(), k)
 	}

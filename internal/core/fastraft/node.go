@@ -8,12 +8,15 @@
 //   - Proposers broadcast entries directly to all sites at a chosen index.
 //     Sites insert into the free slot (self-approved) and forward a vote —
 //     the slot's occupant — to the leader.
-//   - The leader tallies votes per index in possibleEntries. At each
-//     heartbeat tick it runs the decide loop for k = commitIndex+1: once a
-//     classic quorum has voted, the most-voted entry is decided
-//     (leader-approved); if a fast quorum voted for it, it commits
-//     immediately (fast track), otherwise AppendEntries replicates it and
-//     it commits on a classic quorum of matchIndex (classic track).
+//   - The leader tallies votes per index in possibleEntries. The moment a
+//     fast quorum has voted for one entry at k = commitIndex+1 it is decided
+//     (leader-approved) and committed — the fast track, two message rounds
+//     and no timer. At each heartbeat tick, the fast track's timeout, the
+//     decide loop settles for a classic quorum of votes: the most-voted
+//     entry is decided, AppendEntries replicates it and it commits when the
+//     ack completing a classic quorum of matchIndex arrives (classic
+//     track). README "Timing model" says what runs on arrival and what on
+//     the tick.
 //   - Elections compare only leader-approved log positions; granted votes
 //     carry the voter's self-approved entries so the new leader re-decides
 //     (and re-commits) anything a previous leader may have committed on the
@@ -22,9 +25,10 @@
 //     serializes configuration changes one member at a time, and silent
 //     leaves are detected by missed heartbeat responses.
 //
-// See DESIGN.md for the spec refinements this implementation pins down
-// (proposer index selection, commit-prefix restriction, recovery no-ops,
-// loser re-sequencing).
+// The spec refinements this implementation pins down are documented where
+// they live: proposer index selection (broadcastProposal), the follower's
+// commit-prefix restriction (onAppendEntries), recovery no-ops
+// (recoverDecide) and loser re-sequencing (decideLoop).
 package fastraft
 
 import (
@@ -54,6 +58,12 @@ type pendingProposal struct {
 	// size is the entry's wire encoding size, charged against
 	// Config.MaxInflightProposalBytes while broadcast.
 	size int
+}
+
+// retryAt is one armed proposal-retry deadline.
+type retryAt struct {
+	pid      types.ProposalID
+	deadline time.Duration
 }
 
 // Node is a Fast Raft site: a sans-io state machine driven by Step/Tick.
@@ -127,6 +137,9 @@ type Node struct {
 	inflightProposals     int
 	inflightProposalBytes int
 	proposalQueue         []types.ProposalID
+	// retryQueue holds the broadcast proposals' retry deadlines, earliest
+	// first (see armRetry).
+	retryQueue []retryAt
 
 	// joiner state (site not yet in the configuration).
 	joinDeadline time.Duration
@@ -257,6 +270,14 @@ func New(cfg Config) (*Node, error) {
 		installHist: stats.NewTimingHist("hist.snapshot_install", stats.DefaultLatencyBounds()...),
 		rec:         cfg.Recorder,
 	}
+	// The fast-track counters exist from the first scrape: a ratio over
+	// them (hraft-top's FAST%) should read 0 of 0, not absent.
+	for _, name := range []string{
+		"fastraft.commits_fast", "fastraft.commits_classic",
+		"fastraft.decisions_on_arrival", "fastraft.decisions_on_tick",
+	} {
+		n.metrics.Add(name, 0)
+	}
 	// Slow-op reports name the peers the node was replicating to; evaluated
 	// on the consensus goroutine only when a slow proposal fires.
 	n.rec.SetPeersFunc(func() []types.NodeID { return n.Config().Others(n.cfg.ID) })
@@ -295,6 +316,11 @@ func (n *Node) LeaderID() types.NodeID { return n.leaderID }
 
 // CommitIndex returns the node's commit index.
 func (n *Node) CommitIndex() types.Index { return n.commitIndex }
+
+// LeaderFloor returns the index of the no-op this node appended when it
+// last won an election: once it has committed, so has everything earlier
+// leaders committed (meaningful while leading).
+func (n *Node) LeaderFloor() types.Index { return n.readFloor }
 
 // Config returns the node's active membership configuration.
 func (n *Node) Config() types.Config {
@@ -342,6 +368,13 @@ func (n *Node) Metrics() map[string]uint64 {
 	out["gauge.snapshot_bytes"] = uint64(len(n.snap.Data) + len(n.snap.Sessions))
 	out["log.compacted_pid_hits"] = n.log.CompactedPIDHits()
 	return out
+}
+
+// TrackCommits returns how many entries this node committed as leader on
+// the fast and on the classic track (the fastraft.commits_* counters,
+// without the Metrics snapshot).
+func (n *Node) TrackCommits() (fast, classic uint64) {
+	return n.metrics.Get("fastraft.commits_fast"), n.metrics.Get("fastraft.commits_classic")
 }
 
 // Recorder exposes the node's flight recorder (nil when tracing is
@@ -420,18 +453,7 @@ func (n *Node) SyncDone(now time.Duration, durableLSN uint64) {
 	if !n.acts.Run(durableLSN) {
 		return
 	}
-	if n.role != types.RoleLeader {
-		return
-	}
-	n.decideLoop()
-	if n.role != types.RoleLeader {
-		return
-	}
-	n.advanceClassicCommit()
-	if n.role != types.RoleLeader {
-		return
-	}
-	n.reads.Flush(n.now)
+	n.evaluate(false)
 }
 
 // recordSelfDurable counts the leader's own log head toward replication
@@ -469,14 +491,9 @@ func (n *Node) NextDeadline() time.Duration {
 	default:
 		add(n.electionDeadline)
 	}
-	for _, p := range n.pending {
-		if p.queued {
-			// Queued proposals have no retry deadline: they broadcast when
-			// a resolution opens the window, not on a timer.
-			continue
-		}
-		add(p.deadline)
-	}
+	// Queued proposals have no retry deadline: they broadcast when a
+	// resolution opens the window, not on a timer.
+	add(n.nextRetry())
 	n.reads.EachDeadline(add)
 	add(n.joinDeadline)
 	return d
@@ -558,6 +575,9 @@ func (n *Node) Step(now time.Duration, env types.Envelope) {
 	default:
 		// Ignore unknown message types.
 	}
+	// A vote or an append ack may have completed a quorum (so may the
+	// leader's own vote on a proposal it just received): commit on arrival.
+	n.evaluate(false)
 }
 
 // acceptFrom applies the paper's membership filter: consensus messages from
@@ -573,7 +593,7 @@ func (n *Node) acceptFrom(from types.NodeID, msg types.Message) bool {
 		types.LeaveRequest, types.CommitNotify, types.InstallSnapshot:
 		return true
 	}
-	cfg := n.Config()
+	cfg := n.log.ConfigView()
 	if cfg.Size() == 0 || !cfg.Contains(n.cfg.ID) {
 		return true
 	}
@@ -604,8 +624,9 @@ func (n *Node) persistHardState() {
 	}
 }
 
-// persistEntry records the stored form of index idx and tracks it in the
-// changed-entry stream for C-Raft.
+// persistEntry records the stored form of index idx and, on a C-Raft global
+// instance, tracks it in the changed-entry stream: craft drains that stream
+// into global-state deltas, and on any other node nobody would.
 func (n *Node) persistEntry(idx types.Index) {
 	e, ok := n.log.Get(idx)
 	if !ok {
@@ -614,7 +635,9 @@ func (n *Node) persistEntry(idx types.Index) {
 	if err := n.cfg.Storage.AppendEntry(e); err != nil {
 		panic(fmt.Sprintf("fastraft %s: persist entry: %v", n.cfg.ID, err))
 	}
-	n.changed = append(n.changed, e)
+	if n.cfg.Layer == types.LayerGlobal {
+		n.changed = append(n.changed, e)
+	}
 }
 
 func (n *Node) resetElectionTimer() {
@@ -935,6 +958,7 @@ func (n *Node) recoverDecide() {
 			k == n.commitIndex+1 &&
 			n.log.Term(k) == n.term &&
 			n.progress.FastMatchQuorum(cfg, k, fastQ) {
+			n.metrics.Add("fastraft.commits_fast", uint64(k-n.commitIndex))
 			n.commitTo(k)
 		}
 	}
@@ -952,8 +976,8 @@ func (n *Node) proposalDecided(pid types.ProposalID) bool {
 	if idx <= n.commitIndex {
 		return true
 	}
-	e, ok := n.log.Get(idx)
-	return ok && e.Approval == types.ApprovedLeader
+	e := n.log.Peek(idx)
+	return e != nil && e.Approval == types.ApprovedLeader
 }
 
 // skipDecidedAt excludes, from the decision at index k, candidates whose

@@ -15,7 +15,7 @@ func TestJoinUnderLoad(t *testing.T) {
 	if _, ok := c.WaitForLeader(10 * time.Second); !ok {
 		t.Fatal("no leader")
 	}
-	p, err := c.StartProposer(ProposerOptions{Node: "n2", StopAfter: c.Sched.Now() + 40*time.Second})
+	p, err := c.StartProposer(ProposerOptions{Node: "n2", StopAfter: c.Sched.Now() + 40*time.Second, ThinkTime: PacedThink})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestRejoinAfterSilentRemoval(t *testing.T) {
 		t.Fatal("no leader")
 	}
 	// Keep traffic flowing so heartbeats and removals proceed.
-	if _, err := c.StartProposer(ProposerOptions{Node: "n1", StopAfter: c.Sched.Now() + 2*time.Minute}); err != nil {
+	if _, err := c.StartProposer(ProposerOptions{Node: "n1", StopAfter: c.Sched.Now() + 2*time.Minute, ThinkTime: PacedThink}); err != nil {
 		t.Fatal(err)
 	}
 	victim := types.NodeID("n5")
@@ -132,7 +132,7 @@ func TestGracefulLeaveUnderLoad(t *testing.T) {
 	if _, ok := c.WaitForLeader(10 * time.Second); !ok {
 		t.Fatal("no leader")
 	}
-	p, err := c.StartProposer(ProposerOptions{Node: "n1", StopAfter: c.Sched.Now() + 30*time.Second})
+	p, err := c.StartProposer(ProposerOptions{Node: "n1", StopAfter: c.Sched.Now() + 30*time.Second, ThinkTime: PacedThink})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestQuorumLossStallsThenSilentLeaveRecovers(t *testing.T) {
 			leavers = append(leavers, id)
 		}
 	}
-	p, err := c.StartProposer(ProposerOptions{Node: proposer, StopAfter: c.Sched.Now() + time.Minute})
+	p, err := c.StartProposer(ProposerOptions{Node: proposer, StopAfter: c.Sched.Now() + time.Minute, ThinkTime: PacedThink})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -202,5 +203,85 @@ func TestDeterminismSameSeedSameResult(t *testing.T) {
 	i2, t2 := run()
 	if i1 != i2 || t1 != t2 {
 		t.Fatalf("same seed diverged: (%d,%s) vs (%d,%s)", i1, t1, i2, t2)
+	}
+}
+
+// TestFastTrackResumesAfterCollision pins the end of PR 12's finding (a): a
+// Fast Raft leader used to decide before it advanced its commit index, so
+// the first decision that missed its fast quorum left every later one a
+// heartbeat behind on the classic track for as long as load stayed steady.
+// Now commits are evaluated first (and as acks arrive): one collision costs
+// the colliding entries, and the steady load queued behind them, a trip
+// over the classic track — and within two heartbeats every commit is
+// fast-track again.
+func TestFastTrackResumesAfterCollision(t *testing.T) {
+	const (
+		heartbeat = 100 * time.Millisecond
+		pace      = 10 * time.Millisecond // steady load: ten proposals a heartbeat
+	)
+	c, err := NewCluster(Options{
+		Kind:              KindFastRaft,
+		Nodes:             ids("n1", "n2", "n3"),
+		Seed:              5,
+		HeartbeatInterval: heartbeat,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	leader, ok := c.WaitForLeader(5 * time.Second)
+	if !ok {
+		t.Fatal("no leader")
+	}
+	var followers []types.NodeID
+	for _, id := range ids("n1", "n2", "n3") {
+		if id != leader {
+			followers = append(followers, id)
+		}
+	}
+	counters := func() (fast, classic, onTick uint64) {
+		m := metricsOf(c.Host(leader).Machine())
+		return m["fastraft.commits_fast"], m["fastraft.commits_classic"], m["fastraft.decisions_on_tick"]
+	}
+	load := func(d time.Duration) (proposed uint64) {
+		for end := c.Sched.Now() + d; c.Sched.Now() < end; proposed++ {
+			if _, err := c.Propose(followers[0], []byte(fmt.Sprintf("steady-%d", c.Sched.Now()))); err != nil {
+				t.Fatal(err)
+			}
+			c.RunFor(pace)
+		}
+		return proposed
+	}
+
+	load(5 * heartbeat)
+	fast0, classic0, tick0 := counters()
+	if fast0 == 0 {
+		t.Fatal("steady load is not on the fast track to begin with")
+	}
+	// The collision: the other follower proposes at the same instant, for
+	// the same free index; neither entry can gather all three votes.
+	if _, err := c.Propose(followers[1], []byte("collider")); err != nil {
+		t.Fatal(err)
+	}
+	load(2 * heartbeat)
+	fast1, classic1, tick1 := counters()
+	if classic1 == classic0 || tick1 == tick0 {
+		t.Fatalf("no collision forced: classic commits %d -> %d, tick decisions %d -> %d",
+			classic0, classic1, tick0, tick1)
+	}
+
+	proposed := load(10 * heartbeat)
+	c.RunFor(heartbeat)
+	fast2, classic2, tick2 := counters()
+	if classic2 != classic1 || tick2 != tick1 {
+		t.Fatalf("still on the classic track two heartbeats after the collision: classic commits %d -> %d, tick decisions %d -> %d",
+			classic1, classic2, tick1, tick2)
+	}
+	// (A proposal that lost its slot in the collision may be retried in
+	// this window and add one.)
+	if fast2-fast1 < proposed {
+		t.Fatalf("fast-track commits = %d for %d later proposals", fast2-fast1, proposed)
+	}
+	if err := c.Safety.Err(); err != nil {
+		t.Fatal(err)
 	}
 }

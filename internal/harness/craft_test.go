@@ -210,7 +210,7 @@ func TestCraftThroughputScalesWithClusters(t *testing.T) {
 		}
 		start := c.Sched.Now()
 		for _, spec := range specs {
-			if _, err := c.StartProposer(ProposerOptions{Node: spec.Sites[0], StopAfter: start + 60*time.Second}); err != nil {
+			if _, err := c.StartProposer(ProposerOptions{Node: spec.Sites[0], StopAfter: start + 60*time.Second, ThinkTime: PacedThink}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -247,7 +247,7 @@ func TestCraftToleratesDuplicationAndLoss(t *testing.T) {
 	}
 	end := c.Sched.Now() + 90*time.Second
 	for _, spec := range twoClusterSpecs() {
-		if _, err := c.StartProposer(ProposerOptions{Node: spec.Sites[0], StopAfter: end}); err != nil {
+		if _, err := c.StartProposer(ProposerOptions{Node: spec.Sites[0], StopAfter: end, ThinkTime: PacedThink}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -166,12 +166,19 @@ func testSnapshotStreamResumesAcrossLeaderChange(t *testing.T, kind Kind, seed i
 	}
 	const lagger = types.NodeID("n5")
 	c.Crash(lagger)
-	if _, err := c.RunProposals("n1", 3*threshold, c.Sched.Now()+600*time.Second); err != nil {
-		t.Fatalf("bulk proposals: %v", err)
+	// Continuation requires the successor to hold the same snapshot. A node
+	// compacts at whatever its commit index is when it crosses the
+	// threshold; the leader commits entry by entry as votes arrive and the
+	// followers learn of it with the next heartbeat, so the proposals are
+	// spaced for every follower to see each commit index on its own.
+	bulk, err := c.StartProposer(ProposerOptions{Node: "n1", MaxProposals: 3 * threshold, ThinkTime: time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !c.RunUntil(func() bool { return bulk.Completed >= 3*threshold }, c.Sched.Now()+600*time.Second) {
+		t.Fatalf("bulk proposals: only %d/%d resolved", bulk.Completed, 3*threshold)
 	}
 	c.RunFor(3 * time.Second)
-	// Continuation requires the successor to hold the same snapshot: at
-	// quiescence every alive node compacts at the same committed point.
 	boundary := minAliveBoundary(t, c, lagger)
 	if boundary == 0 {
 		t.Fatal("no alive node compacted")
@@ -180,7 +187,7 @@ func testSnapshotStreamResumesAcrossLeaderChange(t *testing.T, kind Kind, seed i
 		if id == lagger || !h.Alive() {
 			continue
 		}
-		if b := minAliveBoundary(t, c, lagger); b != boundary {
+		if b := snapshotIndexOf(t, h.Machine()); b != boundary {
 			t.Fatalf("node %s compacted at %d, others at %d; scenario broken", id, b, boundary)
 		}
 	}

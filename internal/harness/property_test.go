@@ -45,7 +45,7 @@ func runChaosScenario(t *testing.T, seed int64) {
 	}
 	// Two proposers under closed loop for the whole run.
 	for _, p := range []types.NodeID{"n1", "n2"} {
-		if _, err := c.StartProposer(ProposerOptions{Node: p, StopAfter: c.Sched.Now() + 60*time.Second}); err != nil {
+		if _, err := c.StartProposer(ProposerOptions{Node: p, StopAfter: c.Sched.Now() + 60*time.Second, ThinkTime: PacedThink}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -142,7 +142,7 @@ func runCraftChurnScenario(t *testing.T, seed int64) {
 	for _, spec := range specs {
 		// Proposers on two sites per cluster to survive crashes.
 		for _, site := range spec.Sites[:2] {
-			if _, err := c.StartProposer(ProposerOptions{Node: site, StopAfter: end}); err != nil {
+			if _, err := c.StartProposer(ProposerOptions{Node: site, StopAfter: end, ThinkTime: PacedThink}); err != nil {
 				t.Fatal(err)
 			}
 		}

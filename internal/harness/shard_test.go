@@ -195,7 +195,9 @@ func TestShardClusterSplitUnderTraffic(t *testing.T) {
 // TestShardClusterMergeRetiresGroup folds the hottest range's right
 // neighbor away and checks the range table collapses identically on every
 // process, keys re-route to the absorbing group, and the retired core is
-// garbage-collected once quiet.
+// garbage-collected once quiet. The drain window is shorter than a heartbeat
+// (100 ms): the retiring group's leader commits the merge when the ack
+// arrives and must still live to dispatch that commit to its followers.
 func TestShardClusterMergeRetiresGroup(t *testing.T) {
 	c := newShardCluster(t, ShardOptions{Seed: 33, RetireDrain: 50 * time.Millisecond})
 	if !c.WaitForAllLeaders(10 * time.Second) {

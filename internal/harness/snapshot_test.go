@@ -49,20 +49,24 @@ func minAliveBoundary(t *testing.T, c *Cluster, skip types.NodeID) types.Index {
 		if id == skip || !h.Alive() {
 			continue
 		}
-		var b types.Index
-		switch m := h.Machine().(type) {
-		case *fastraft.Node:
-			b = m.SnapshotIndex()
-		case *raft.Node:
-			b = m.SnapshotIndex()
-		default:
-			t.Fatalf("unexpected machine type %T", h.Machine())
-		}
-		if first || b < min {
+		if b := snapshotIndexOf(t, h.Machine()); first || b < min {
 			min, first = b, false
 		}
 	}
 	return min
+}
+
+// snapshotIndexOf returns a flat-cluster machine's compaction boundary.
+func snapshotIndexOf(t *testing.T, m Machine) types.Index {
+	t.Helper()
+	switch m := m.(type) {
+	case *fastraft.Node:
+		return m.SnapshotIndex()
+	case *raft.Node:
+		return m.SnapshotIndex()
+	}
+	t.Fatalf("unexpected machine type %T", m)
+	return 0
 }
 
 // testSnapshotCatchUp is the acceptance scenario for both protocol kinds: a

@@ -84,7 +84,7 @@ func TestTimelineRecordsConfigChanges(t *testing.T) {
 	if _, ok := c.WaitForLeader(10 * time.Second); !ok {
 		t.Fatal("no leader")
 	}
-	if _, err := c.StartProposer(ProposerOptions{Node: "n1", StopAfter: c.Sched.Now() + time.Minute}); err != nil {
+	if _, err := c.StartProposer(ProposerOptions{Node: "n1", StopAfter: c.Sched.Now() + time.Minute, ThinkTime: PacedThink}); err != nil {
 		t.Fatal(err)
 	}
 	victim := types.NodeID("n5")

@@ -95,8 +95,10 @@ func TestWireTraceAssemblesAcrossNodes(t *testing.T) {
 	}
 
 	// The journey itself: forward at the follower, append at the leader,
-	// replication onto both followers' logs, >=2 peer acks back at the
-	// leader, commit records on every node, and the origin's apply stamp.
+	// replication onto both followers' logs, the peer ack that completed
+	// the quorum back at the leader (it commits on that ack's arrival, and
+	// the second follower's ack is then catch-up, not part of the journey),
+	// commit records on every node, and the origin's apply stamp.
 	ackers := map[types.NodeID]bool{}
 	replicas := map[string]bool{}
 	committed := map[string]bool{}
@@ -132,8 +134,18 @@ func TestWireTraceAssemblesAcrossNodes(t *testing.T) {
 	if len(replicas) < 2 {
 		t.Errorf("traced entry replicated on %d followers, want >=2 (%v)", len(replicas), replicas)
 	}
-	if len(ackers) < 2 {
-		t.Errorf("leader saw acks from %d peers, want >=2 (%v)", len(ackers), ackers)
+	if len(ackers) < 1 {
+		t.Errorf("leader saw acks from %d peers, want the quorum's >=1 (%v)", len(ackers), ackers)
+	}
+	// The ack that did not make the journey still landed: the leader's
+	// match index covers the traced entry on both followers.
+	for _, id := range ids("n1", "n2", "n3") {
+		if id == leader {
+			continue
+		}
+		if m := progressOf(c.Host(leader).Machine()).Match(id); m < idx {
+			t.Errorf("leader's match index for %s = %d, want >= %d", id, m, idx)
+		}
 	}
 	if len(committed) != 3 {
 		t.Errorf("commit recorded on %d nodes, want 3 (%v)", len(committed), committed)

@@ -8,6 +8,13 @@ import (
 	"github.com/hraft-io/hraft/internal/types"
 )
 
+// PacedThink is the think time the time-bounded scenarios (churn, chaos,
+// throughput trends) give their closed-loop proposers: half a default
+// heartbeat, i.e. at most 20 proposals per proposer and virtual second —
+// about twice what the tick-pinned commits of old allowed, and a bound on
+// how much work a virtual minute holds.
+const PacedThink = 50 * time.Millisecond
+
 // ProposerOptions configures a closed-loop proposer: it proposes one entry,
 // waits for it to resolve, then proposes the next — the workload used by
 // all of the paper's experiments.
@@ -20,7 +27,11 @@ type ProposerOptions struct {
 	// StopAfter stops the proposer once virtual time passes this instant
 	// (0 = never).
 	StopAfter time.Duration
-	// ThinkTime separates a resolution from the next proposal.
+	// ThinkTime separates a resolution from the next proposal. Commits land
+	// when the deciding vote or ack arrives, so with no think time a closed
+	// loop completes one proposal per network round trip (thousands per
+	// virtual second on a LAN topology): bound such a proposer by
+	// MaxProposals, or give it a think time.
 	ThinkTime time.Duration
 	// PayloadSize is the entry payload size in bytes (default 16).
 	PayloadSize int

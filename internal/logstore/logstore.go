@@ -179,6 +179,12 @@ func (l *Log) Get(idx types.Index) (types.Entry, bool) {
 	return types.Entry{}, false
 }
 
+// Peek is Get without the copy, for callers that only compare or read
+// fields: it returns the log's own entry (nil for a hole, a compacted index
+// or an out-of-range index), which must be neither modified nor kept past
+// the next mutation of the log.
+func (l *Log) Peek(idx types.Index) *types.Entry { return l.at(idx) }
+
 // Has reports whether idx holds an entry.
 func (l *Log) Has(idx types.Index) bool { return l.at(idx) != nil }
 
@@ -223,6 +229,12 @@ func (l *Log) LastLeaderTerm() types.Term { return l.Term(l.lastLeader) }
 func (l *Log) Config() (types.Config, types.Index) {
 	return l.config.Clone(), l.configIndex
 }
+
+// ConfigView is Config without the copy, for per-message membership and
+// quorum checks. The log replaces its configuration wholesale and never
+// edits one in place, so a view stays valid (as the configuration it was
+// taken from) but must not be modified.
+func (l *Log) ConfigView() types.Config { return l.config }
 
 // ConfigAt returns the configuration in effect at idx: the last config
 // entry at or below idx, falling back to the snapshot/bootstrap base. It is
@@ -401,47 +413,33 @@ func (l *Log) CompactTo(idx types.Index, term types.Term) error {
 		return fmt.Errorf("%w: compact to %d beyond leader prefix %d", ErrCompacted, idx, l.lastLeader)
 	}
 	l.base, l.baseIndex = l.ConfigAt(idx)
-	digests := l.capturePIDDigests(idx)
+	l.windowCompacted(idx)
 	l.entries = append([]*types.Entry(nil), l.entries[idx-l.snapIndex:]...)
 	l.snapIndex = idx
 	l.snapTerm = term
 	if l.lastIndex < idx {
 		l.lastIndex = idx
 	}
-	l.dropCompactedPIDs(digests)
 	return nil
 }
 
-// capturePIDDigests records the payload digest of every tracked proposal at
-// or below boundary, while its entry is still retained. Compaction paths
-// call it just before dropping the prefix so the retry window can later
-// distinguish genuine retries from reused proposal IDs.
-func (l *Log) capturePIDDigests(boundary types.Index) map[types.ProposalID]uint64 {
-	var digests map[types.ProposalID]uint64
-	for pid, idx := range l.byPID {
-		if idx <= boundary {
-			if e := l.at(idx); e != nil {
-				if digests == nil {
-					digests = make(map[types.ProposalID]uint64)
-				}
-				digests[pid] = payloadDigest(e.Data)
-			}
-		}
-	}
-	return digests
-}
-
-// dropCompactedPIDs moves proposal mappings that point at or below the
-// snapshot boundary into the bounded retry window, keeping the primary map
-// proportional to the retained log. Only compaction paths call this, so
+// windowCompacted moves the proposal mappings of the entries at or below
+// boundary into the bounded retry window, keeping the primary map
+// proportional to the retained log. Compaction paths call it just before
+// dropping the prefix, while the payloads are still there to digest, so
 // every windowed mapping refers to a committed entry — truncated or
 // overwritten (never-committed) entries are removed outright by remove()
-// and never enter the window.
-func (l *Log) dropCompactedPIDs(digests map[types.ProposalID]uint64) {
-	for pid, idx := range l.byPID {
-		if idx <= l.snapIndex {
-			delete(l.byPID, pid)
-			l.compacted.add(pid, idx, digests[pid])
+// and never enter the window. Mappings enter in log order, so what the
+// window evicts first is the same on every replica however many entries
+// each of them compacts at a time.
+func (l *Log) windowCompacted(boundary types.Index) {
+	if top := l.snapIndex + types.Index(len(l.entries)); boundary > top {
+		boundary = top
+	}
+	for i := l.FirstIndex(); i <= boundary; i++ {
+		if e := l.at(i); e != nil && !e.PID.IsZero() && l.byPID[e.PID] == i {
+			delete(l.byPID, e.PID)
+			l.compacted.add(e.PID, i, payloadDigest(e.Data))
 		}
 	}
 }
@@ -470,7 +468,7 @@ func (l *Log) InstallSnapshot(meta types.SnapshotMeta) error {
 		return fmt.Errorf("%w: install snapshot %d at or below boundary %d",
 			ErrCompacted, meta.LastIndex, l.snapIndex)
 	}
-	digests := l.capturePIDDigests(meta.LastIndex)
+	l.windowCompacted(meta.LastIndex)
 	if meta.LastIndex <= types.Index(len(l.entries))+l.snapIndex {
 		// Boundary inside the retained range: drop the covered prefix.
 		l.entries = append([]*types.Entry(nil), l.entries[meta.LastIndex-l.snapIndex:]...)
@@ -490,7 +488,6 @@ func (l *Log) InstallSnapshot(meta types.SnapshotMeta) error {
 	l.base = meta.Config.Clone()
 	l.baseIndex = meta.ConfigIndex
 	l.recomputeConfig()
-	l.dropCompactedPIDs(digests)
 	return nil
 }
 

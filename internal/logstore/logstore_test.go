@@ -464,6 +464,57 @@ func TestCompactedPIDWindowBounded(t *testing.T) {
 	}
 }
 
+// TestCompactedPIDWindowEvictsInLogOrder compacts more mappings than the
+// window holds in ONE step: what survives must be the newest by log index,
+// however the proposal map iterates. Replicas compact different numbers of
+// entries at a time (a leader commits entry by entry, a follower learns of
+// it a heartbeat's worth at once), and a retry must find the same answer on
+// all of them.
+func TestCompactedPIDWindowEvictsInLogOrder(t *testing.T) {
+	const extra = 50
+	l := New(types.NewConfig("a", "b", "c"))
+	total := types.Index(compactedWindowSize + extra)
+	for i := types.Index(1); i <= total; i++ {
+		if err := l.AppendLeader(i, leaderEntry(1, "p", uint64(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.CompactTo(total, 1); err != nil {
+		t.Fatal(err)
+	}
+	for s := uint64(1); s <= uint64(total); s++ {
+		want := types.Index(s)
+		if s <= extra {
+			want = 0 // the oldest were evicted
+		}
+		if idx := l.FindProposal(pid("p", s)); idx != want {
+			t.Fatalf("pid %d resolves to %d, want %d", s, idx, want)
+		}
+	}
+}
+
+// TestPeekSharesTheLogsEntry pins Peek against Get: same entry, no copy.
+func TestPeekSharesTheLogsEntry(t *testing.T) {
+	l := New(types.NewConfig("a", "b", "c"))
+	if err := l.InsertSelf(3, leaderEntry(1, "p", 1)); err != nil {
+		t.Fatal(err)
+	}
+	if l.Peek(1) != nil || l.Peek(4) != nil {
+		t.Fatal("Peek returned an entry for a hole")
+	}
+	got, _ := l.Get(3)
+	e := l.Peek(3)
+	if e == nil || e.PID != got.PID || e.Index != 3 || e.Approval != types.ApprovedSelf {
+		t.Fatalf("Peek(3) = %v, Get(3) = %v", e, got)
+	}
+	if len(e.Data) > 0 && &e.Data[0] == &got.Data[0] {
+		t.Fatal("Get shares the log's payload")
+	}
+	if l.Peek(3) != e {
+		t.Fatal("Peek copies")
+	}
+}
+
 // TestCompactedPIDWindowRefresh checks that a window lookup refreshes the
 // mapping's recency: a proposal that keeps being retried outlives mappings
 // compacted after it.

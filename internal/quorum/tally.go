@@ -10,8 +10,19 @@ import (
 // set of distinct proposed entries and the sites that voted for each. A
 // Fast Raft leader feeds follower votes (and recovered self-approved
 // entries after an election) into the tally and reads decisions out of it.
+//
+// The leader consults the tally on every vote it receives, so the queries
+// on that path are bounded by the work at hand, never by the number of
+// indexes tracked: FastCandidate rejects with one field read, and
+// NullProposal and Clear touch only the indexes concerned.
 type Tally struct {
 	byIndex map[types.Index]*indexTally
+	// where lists, per proposal identity, the indexes holding a candidate
+	// for it; NullProposal walks it instead of every tracked index.
+	where map[candidateKey][]types.Index
+	// floor is the highest index Clear has discarded through; nothing at or
+	// below it is tracked.
+	floor types.Index
 }
 
 type indexTally struct {
@@ -20,6 +31,10 @@ type indexTally struct {
 	// voters records which sites have voted at this index (a site votes at
 	// most once per index; re-votes replace the previous vote).
 	voters map[types.NodeID]candidateKey
+	// most is the largest vote count any candidate here has reached. It is
+	// never lowered, so it bounds every candidate's count from above: below
+	// a fast quorum, no candidate can hold one.
+	most int
 }
 
 // candidateKey identifies a distinct proposed value. Entries with a PID key
@@ -41,7 +56,10 @@ type candidate struct {
 
 // NewTally returns an empty tally.
 func NewTally() *Tally {
-	return &Tally{byIndex: make(map[types.Index]*indexTally)}
+	return &Tally{
+		byIndex: make(map[types.Index]*indexTally),
+		where:   make(map[candidateKey][]types.Index),
+	}
 }
 
 func keyOf(e types.Entry) candidateKey {
@@ -68,6 +86,9 @@ func fnv64(b []byte) uint64 {
 // newer vote at the same index replaces its older one (a follower re-votes
 // with its slot occupant, which may have been overwritten by the leader).
 func (t *Tally) AddVote(idx types.Index, voter types.NodeID, e types.Entry) {
+	if idx <= t.floor {
+		return // already cleared: the index is committed
+	}
 	it := t.byIndex[idx]
 	if it == nil {
 		it = &indexTally{
@@ -90,8 +111,38 @@ func (t *Tally) AddVote(idx types.Index, voter types.NodeID, e types.Entry) {
 	if c == nil {
 		c = &candidate{entry: e.Clone(), voters: make(map[types.NodeID]struct{})}
 		it.candidates[k] = c
+		t.where[k] = append(t.where[k], idx)
 	}
 	c.voters[voter] = struct{}{}
+	if len(c.voters) > it.most {
+		it.most = len(c.voters)
+	}
+}
+
+// FastCandidate returns the candidate at idx that at least q members of cfg
+// have voted for, if there is one and it was not nulled. With q a fast
+// quorum at most one candidate can qualify. The returned entry is the
+// tally's own copy and must not be modified.
+func (t *Tally) FastCandidate(idx types.Index, cfg types.Config, q int) (types.Entry, bool) {
+	it := t.byIndex[idx]
+	if it == nil || it.most < q {
+		return types.Entry{}, false
+	}
+	for _, c := range it.candidates {
+		if c.nulled || len(c.voters) < q {
+			continue
+		}
+		votes := 0
+		for v := range c.voters {
+			if cfg.Contains(v) {
+				votes++
+			}
+		}
+		if votes >= q {
+			return c.entry, true
+		}
+	}
+	return types.Entry{}, false
 }
 
 // Voters returns the number of distinct configuration members that have
@@ -158,28 +209,31 @@ func (t *Tally) Decide(idx types.Index, cfg types.Config, skip func(types.Entry)
 	if len(list) == 0 {
 		return Decision{}, false
 	}
-	sort.Slice(list, func(i, j int) bool {
-		if list[i].votes != list[j].votes {
-			return list[i].votes > list[j].votes
-		}
-		// Deterministic tie-break: PID order, then kind/sum.
-		a, b := list[i].key, list[j].key
-		if a.pid != b.pid {
-			return a.pid.Less(b.pid)
-		}
-		if a.kind != b.kind {
-			return a.kind < b.kind
-		}
-		return a.sum < b.sum
-	})
+	if len(list) > 1 { // the uncontended index has one candidate
+		sort.Slice(list, func(i, j int) bool {
+			if list[i].votes != list[j].votes {
+				return list[i].votes > list[j].votes
+			}
+			// Deterministic tie-break: PID order, then kind/sum.
+			a, b := list[i].key, list[j].key
+			if a.pid != b.pid {
+				return a.pid.Less(b.pid)
+			}
+			if a.kind != b.kind {
+				return a.kind < b.kind
+			}
+			return a.sum < b.sum
+		})
+	}
 	win := list[0]
 	d := Decision{Winner: win.c.entry.Clone(), Votes: win.votes}
-	for v := range win.c.voters {
-		if cfg.Contains(v) {
-			d.WinnerVoters = append(d.WinnerVoters, v)
+	// Members are kept sorted, so walking them yields the voters in order.
+	d.WinnerVoters = make([]types.NodeID, 0, win.votes)
+	for _, m := range cfg.Members {
+		if _, voted := win.c.voters[m]; voted {
+			d.WinnerVoters = append(d.WinnerVoters, m)
 		}
 	}
-	sort.Slice(d.WinnerVoters, func(i, j int) bool { return d.WinnerVoters[i] < d.WinnerVoters[j] })
 	for _, s := range list[1:] {
 		d.Losers = append(d.Losers, s.c.entry.Clone())
 	}
@@ -191,12 +245,9 @@ func (t *Tally) Decide(idx types.Index, cfg types.Config, skip func(types.Entry)
 // duplicate-avoidance rule when a proposal is decided at some index.
 func (t *Tally) NullProposal(e types.Entry, except types.Index) {
 	k := keyOf(e)
-	for idx, it := range t.byIndex {
-		if idx == except {
-			continue
-		}
-		if c, ok := it.candidates[k]; ok {
-			c.nulled = true
+	for _, idx := range t.where[k] {
+		if idx != except {
+			t.byIndex[idx].candidates[k].nulled = true
 		}
 	}
 }
@@ -204,9 +255,44 @@ func (t *Tally) NullProposal(e types.Entry, except types.Index) {
 // Clear discards all state at or below idx; the leader calls it as its
 // commit index advances.
 func (t *Tally) Clear(idx types.Index) {
-	for i := range t.byIndex {
-		if i <= idx {
-			delete(t.byIndex, i)
+	if idx <= t.floor {
+		return
+	}
+	if span := idx - t.floor; span <= types.Index(len(t.byIndex)) {
+		// The usual call: the commit index moved up by one or a few.
+		for i := t.floor + 1; i <= idx; i++ {
+			t.drop(i)
+		}
+	} else {
+		for i := range t.byIndex {
+			if i <= idx {
+				t.drop(i)
+			}
+		}
+	}
+	t.floor = idx
+}
+
+// drop discards index i and unlists its candidates.
+func (t *Tally) drop(i types.Index) {
+	it := t.byIndex[i]
+	if it == nil {
+		return
+	}
+	delete(t.byIndex, i)
+	for k := range it.candidates {
+		at := t.where[k]
+		for j, idx := range at {
+			if idx == i {
+				at[j] = at[len(at)-1]
+				at = at[:len(at)-1]
+				break
+			}
+		}
+		if len(at) == 0 {
+			delete(t.where, k)
+		} else {
+			t.where[k] = at
 		}
 	}
 }

@@ -228,3 +228,72 @@ func TestQuickDecideDeterministicAcrossInsertionOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestTallyFastCandidate(t *testing.T) {
+	cfg := types.NewConfig("a", "b", "c", "d", "e")
+	q := FastSize(cfg.Size()) // 4
+	p1 := entryWith(types.ProposalID{Proposer: "p1", Seq: 1})
+	p2 := entryWith(types.ProposalID{Proposer: "p2", Seq: 1})
+	tally := NewTally()
+	if _, ok := tally.FastCandidate(1, cfg, q); ok {
+		t.Fatal("fast candidate at an index nobody voted on")
+	}
+	for _, v := range []types.NodeID{"a", "b", "c"} {
+		tally.AddVote(1, v, p1)
+	}
+	tally.AddVote(1, "zz", p1) // four votes, three of them members'
+	tally.AddVote(1, "e", p2)
+	if e, ok := tally.FastCandidate(1, cfg, q); ok {
+		t.Fatalf("fast candidate %v on three member votes", e.PID)
+	}
+	tally.AddVote(1, "d", p1)
+	if e, ok := tally.FastCandidate(1, cfg, q); !ok || e.PID != p1.PID {
+		t.Fatalf("fast candidate = %v %v, want p1", e.PID, ok)
+	}
+	// A voter moving away takes the quorum with it.
+	tally.AddVote(1, "d", p2)
+	if _, ok := tally.FastCandidate(1, cfg, q); ok {
+		t.Fatal("fast candidate survived a re-vote that broke its quorum")
+	}
+	tally.AddVote(1, "d", p1)
+	// Decided elsewhere: nulled candidates do not qualify.
+	tally.NullProposal(p1, 2)
+	if _, ok := tally.FastCandidate(1, cfg, q); ok {
+		t.Fatal("nulled candidate reported as fast candidate")
+	}
+}
+
+// TestTallyClearKeepsNullProposalBookkeeping walks the incremental paths
+// of Clear and NullProposal against each other: clearing an index must
+// unlist its candidates, so a later NullProposal touches only live ones,
+// and votes for an index already cleared are dropped.
+func TestTallyClearKeepsNullProposalBookkeeping(t *testing.T) {
+	cfg := types.NewConfig("a", "b", "c")
+	pid := types.ProposalID{Proposer: "p1", Seq: 1}
+	tally := NewTally()
+	for idx := types.Index(1); idx <= 4; idx++ {
+		tally.AddVote(idx, "a", entryWith(pid))
+		tally.AddVote(idx, "b", entryWith(pid))
+	}
+	tally.Clear(2) // the step-by-step path
+	tally.NullProposal(entryWith(pid), 3)
+	if _, ok := tally.Decide(3, cfg, nil); !ok {
+		t.Fatal("candidate at its decided index must survive")
+	}
+	if _, ok := tally.Decide(4, cfg, nil); ok {
+		t.Fatal("candidate not nulled at another live index")
+	}
+	tally.AddVote(2, "c", entryWith(pid))
+	if tally.Len() != 2 {
+		t.Fatalf("vote below the cleared floor was tracked: %v", tally.PendingIndexes())
+	}
+	tally.AddVote(900, "a", entryWith(pid))
+	tally.Clear(500) // the sparse path: far more indexes than entries
+	if idxs := tally.PendingIndexes(); len(idxs) != 1 || idxs[0] != 900 {
+		t.Fatalf("pending after sparse clear = %v", idxs)
+	}
+	tally.NullProposal(entryWith(pid), 0)
+	if _, ok := tally.Decide(900, cfg, nil); ok {
+		t.Fatal("candidate listed after a sparse clear was not nulled")
+	}
+}

@@ -3,12 +3,14 @@
 //
 // The implementation is a sans-io state machine: the host delivers messages
 // via Step, advances time via Tick, and drains outgoing messages and newly
-// committed entries. Timing follows the paper's implementation model (see
-// DESIGN.md "Timing model"): followers react to messages immediately, while
-// all leader actions — dispatching AppendEntries, evaluating commits and
-// notifying proposers — happen at the leader's periodic heartbeat tick.
-// This is what gives classic Raft its characteristic ~1.5 heartbeat commit
-// latency against which Fast Raft's single-tick fast track is compared.
+// committed entries. Timing follows the same model as the Fast Raft core
+// (README "Timing model"): followers react to messages immediately; the
+// leader evaluates commits and notifies proposers the moment the append ack
+// that completes a quorum arrives; and dispatch — AppendEntries, heartbeats,
+// read-confirmation rounds — happens at the leader's periodic heartbeat
+// tick. An entry therefore waits for the next tick to be sent (half a
+// heartbeat on average) and then commits one round trip later, which is the
+// baseline Fast Raft's tick-free fast track is compared against.
 package raft
 
 import (
@@ -162,8 +164,8 @@ type Node struct {
 	// control and snapshot streaming state. Leader-only; nil otherwise.
 	progress *replica.Tracker
 	aeRound  uint64
-	// notifyQueue holds commit notifications to flush at the next leader
-	// tick (see package comment on timing).
+	// notifyQueue holds commit notifications until the evaluation step that
+	// produced them ends (see evaluate).
 	notifyQueue []types.Envelope
 
 	// proposer state.
@@ -417,11 +419,7 @@ func (n *Node) SyncDone(now time.Duration, durableLSN uint64) {
 	if !n.acts.Run(durableLSN) {
 		return
 	}
-	if n.role != types.RoleLeader {
-		return
-	}
-	n.advanceCommit()
-	n.reads.Flush(n.now)
+	n.evaluate(false)
 }
 
 // recordSelfDurable counts the leader's own log head toward the commit
@@ -611,6 +609,8 @@ func (n *Node) Step(now time.Duration, env types.Envelope) {
 		// Unknown messages (e.g. Fast Raft traffic misrouted in tests) are
 		// ignored; classic Raft has no use for them.
 	}
+	// An append ack may have completed a quorum: commit on arrival.
+	n.evaluate(false)
 }
 
 func (n *Node) send(to types.NodeID, msg types.Message) {
@@ -871,17 +871,35 @@ func (n *Node) onClientPropose(from types.NodeID, m types.ClientPropose) {
 }
 
 // leaderTick performs all periodic leader duties: commit evaluation,
-// notification flush, and AppendEntries dispatch.
+// notification flush, and AppendEntries dispatch. Evaluation also runs
+// whenever an ack arrives (see evaluate); dispatch happens only here.
 func (n *Node) leaderTick() {
-	n.advanceCommit()
-	n.reads.Flush(n.now)
+	n.evaluate(true)
 	n.maybeSessionClock()
-	n.flushNotifications()
 	n.broadcastAppend()
 }
 
+// evaluate is the leader's one commit-evaluation step: the commit rule over
+// matchIndex, the reads a commit releases, and the proposers' notifications.
+// It runs at the end of every entry point through which something arrives —
+// Step (an append ack), SyncDone (its own records became durable) — and at
+// the heartbeat tick. A proposal on the leader does not run it: the leader's
+// own append is a quorum only in a single-member group, which commits at its
+// heartbeat.
+func (n *Node) evaluate(tick bool) {
+	if n.role != types.RoleLeader {
+		return
+	}
+	commit := n.commitIndex
+	n.advanceCommit()
+	if tick || n.commitIndex != commit {
+		n.reads.Flush(n.now)
+	}
+	n.flushNotifications()
+}
+
 func (n *Node) advanceCommit() {
-	cfg := n.Config()
+	cfg := n.log.ConfigView()
 	classic := quorum.ClassicSize(cfg.Size())
 	for k := n.commitIndex + 1; k <= n.log.LastIndex(); k++ {
 		if n.log.Term(k) != n.term {
@@ -1211,12 +1229,14 @@ func (n *Node) onAppendEntriesResp(from types.NodeID, m types.AppendEntriesResp)
 		n.progress.SeedSnapshot(from, b, m.PendingOffset, n.now)
 		n.rec.SnapResume(n.now, from, b, m.PendingOffset)
 	}
-	// Commit evaluation happens at the next leader tick (timing model).
 }
 
 func (n *Node) onCommitNotify(m types.CommitNotify) {
 	if _, ok := n.pending[m.PID]; ok {
 		delete(n.pending, m.PID)
+		// The notification is how a remote proposer learns of the commit; its
+		// own commit index follows with the next AppendEntries.
+		n.rec.SpanStage(n.now, m.PID, trace.StageCommit, m.Index)
 		n.rec.SpanEnd(n.now, m.PID, m.Index)
 		n.resolved = append(n.resolved, types.Resolution{PID: m.PID, Index: m.Index})
 	}

@@ -132,18 +132,41 @@ func TestLeaderAppendsAndCommits(t *testing.T) {
 	if len(ae.Entries) == 0 {
 		t.Fatal("AppendEntries empty")
 	}
-	// Acks commit at the next tick; the proposer resolution surfaces.
-	for _, f := range []types.NodeID{"n2", "n3"} {
-		n.Step(time.Hour, types.Envelope{From: f, To: "n1", Layer: types.LayerLocal,
-			Msg: types.AppendEntriesResp{Term: n.Term(), Success: true,
-				MatchIndex: n.LastIndex()}})
-	}
-	n.Tick(n.NextDeadline())
+	// The ack that completes the quorum commits inside Step, with no tick,
+	// and the proposer resolution surfaces; nothing is dispatched.
+	n.Step(time.Hour, types.Envelope{From: "n2", To: "n1", Layer: types.LayerLocal,
+		Msg: types.AppendEntriesResp{Term: n.Term(), Success: true,
+			MatchIndex: n.LastIndex()}})
 	if n.CommitIndex() != n.LastIndex() {
 		t.Fatalf("commit = %d, last = %d", n.CommitIndex(), n.LastIndex())
 	}
 	res := n.TakeResolved()
 	if len(res) != 1 || res[0].PID != pid {
+		t.Fatalf("resolved = %v", res)
+	}
+	if out := n.TakeOutbox(); len(out) != 0 {
+		t.Fatalf("commit on arrival dispatched %v", out)
+	}
+}
+
+// TestSingleMemberCommitsAtTick: the leader's own append is the quorum, but
+// a proposal is not an arrival; with no ack ever to arrive, the entry
+// commits at the next heartbeat.
+func TestSingleMemberCommitsAtTick(t *testing.T) {
+	n := newTestNode(t, "n1", "n1")
+	n.Tick(time.Hour)
+	if n.Role() != types.RoleLeader {
+		t.Fatalf("role = %v", n.Role())
+	}
+	pid := n.Propose(time.Hour, []byte("x"))
+	if n.CommitIndex() != n.LastIndex()-1 {
+		t.Fatalf("after Propose: commit = %d, last = %d", n.CommitIndex(), n.LastIndex())
+	}
+	n.Tick(n.NextDeadline())
+	if n.CommitIndex() != n.LastIndex() {
+		t.Fatalf("after the tick: commit = %d, last = %d", n.CommitIndex(), n.LastIndex())
+	}
+	if res := n.TakeResolved(); len(res) != 1 || res[0].PID != pid {
 		t.Fatalf("resolved = %v", res)
 	}
 }

@@ -142,6 +142,10 @@ type Host struct {
 	tr      Transport
 	start   time.Time
 	timer   *time.Timer
+	// armed is the machine deadline the timer is set for (0 = the timer
+	// has fired or was never set). Most drains — one per delivery — leave
+	// the deadline where it was, and leave the timer alone.
+	armed   time.Duration
 	stopped bool
 
 	evCh     chan event
@@ -337,6 +341,7 @@ func (h *Host) tick() {
 		h.mu.Unlock()
 		return
 	}
+	h.armed = 0 // fired: the drain below re-arms even for the same deadline
 	h.machine.Tick(h.now())
 	h.drainLocked()
 	h.mu.Unlock()
@@ -368,7 +373,8 @@ func (h *Host) drainLocked() {
 		gResolved = gm.TakeGroupResolved()
 		gReads = gm.TakeGroupReadDone()
 	}
-	if d := h.machine.NextDeadline(); d > 0 {
+	if d := h.machine.NextDeadline(); d > 0 && d != h.armed {
+		h.armed = d
 		wait := d - h.now()
 		if wait < 0 {
 			wait = 0

@@ -174,6 +174,7 @@ func (m *Manager) applyMerge(g *group, e types.Entry) {
 	m.ranges = append(m.ranges[:i], m.ranges[i+1:]...)
 	g.retired = true
 	g.retiredAt = m.now
+	g.retiredIndex = e.Index
 	m.statMerges++
 	m.journal(metaRecord{Op: "merge", Left: p.Left, Right: g.id})
 }
@@ -194,13 +195,19 @@ func (m *Manager) insertRange(r rangeEntry) {
 
 // gcTick removes retired groups once their proposals resolved and the drain
 // window passed: stragglers still replicating from peers got RetireDrain to
-// finish; later messages drop like any unknown group's.
+// finish; later messages drop like any unknown group's. A group this process
+// leads also waits until the merge's commit index went out to its followers
+// (see group.announced), however short the window.
 func (m *Manager) gcTick(now time.Duration) {
 	var dead []*group
 	for _, g := range m.order {
-		if g.retired && g.core.PendingProposals() == 0 && now >= g.retiredAt+m.cfg.RetireDrain {
-			dead = append(dead, g)
+		if !g.retired || g.core.PendingProposals() != 0 || now < g.retiredAt+m.cfg.RetireDrain {
+			continue
 		}
+		if !g.announced && g.core.Role() == types.RoleLeader && g.core.Config().Size() > 1 {
+			continue
+		}
+		dead = append(dead, g)
 	}
 	for _, g := range dead {
 		m.removeOrdered(g)

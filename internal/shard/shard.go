@@ -115,6 +115,13 @@ type group struct {
 	// no new proposals, and is garbage-collected once quiet (see gcTick).
 	retired   bool
 	retiredAt time.Duration
+	// retiredIndex is the merge entry's index and announced records that an
+	// AppendEntries carrying a commit index at or above it has left this
+	// process: a leader commits the merge when the deciding ack arrives, but
+	// its followers learn of the commit — and retire — only from its next
+	// dispatch, which the core must live to send whatever RetireDrain is.
+	retiredIndex types.Index
+	announced    bool
 }
 
 // Manager multiplexes many consensus groups behind one runtime.Machine. Not
@@ -428,6 +435,9 @@ func (m *Manager) TakeOutbox() []types.Envelope {
 	for _, g := range m.order {
 		for _, env := range g.core.TakeOutbox() {
 			env.Group = g.id
+			if ae, ok := env.Msg.(types.AppendEntries); ok && g.retired && ae.LeaderCommit >= g.retiredIndex {
+				g.announced = true
+			}
 			if _, ok := buckets[env.To]; !ok {
 				order = append(order, env.To)
 			}

@@ -1,6 +1,7 @@
 package hraft
 
 import (
+	"context"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -205,5 +206,67 @@ func TestMetricsHandlerPeerStatus(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Fatalf("exposition missing %q:\n%s", want, body)
 		}
+	}
+}
+
+// TestMetricsFastTrackCounters pins the fast-track counters on a live node:
+// the four names are in Metrics() from the start, move with commits, reach
+// the Prometheus exposition, and feed the fast-track ratio of
+// /debug/hraft/top.
+func TestMetricsFastTrackCounters(t *testing.T) {
+	net := NewInProcNetwork(1)
+	defer net.Close()
+	node, err := NewNode(Options{
+		ID:                 "n1",
+		Peers:              []NodeID{"n1"},
+		Transport:          net.Endpoint("n1"),
+		HeartbeatInterval:  10 * time.Millisecond,
+		ElectionTimeoutMin: 40 * time.Millisecond,
+		ElectionTimeoutMax: 80 * time.Millisecond,
+		Seed:               1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Stop()
+	names := []string{
+		"fastraft.commits_fast", "fastraft.commits_classic",
+		"fastraft.decisions_on_arrival", "fastraft.decisions_on_tick",
+	}
+	m := node.Metrics()
+	for _, name := range names {
+		if _, ok := m[name]; !ok {
+			t.Fatalf("Metrics() lacks %q before any commit", name)
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	for node.DebugTop().Groups[0].Role != "leader" {
+		if ctx.Err() != nil {
+			t.Fatal("no leader")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if _, err := node.Propose(ctx, []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	m = node.Metrics()
+	// The election's no-op rides the classic track; the proposal is its own
+	// fast quorum, but with one member nothing ever arrives, so it is decided
+	// at the heartbeat and committed there on the fast track.
+	if m["fastraft.commits_classic"] != 1 || m["fastraft.commits_fast"] != 1 ||
+		m["fastraft.decisions_on_arrival"] != 0 || m["fastraft.decisions_on_tick"] != 1 {
+		t.Fatalf("counters after one proposal = %v", m)
+	}
+	rec := httptest.NewRecorder()
+	MetricsHandler("n1", node).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	for _, name := range names {
+		want := "hraft_" + strings.ReplaceAll(name, ".", "_") + `{node="n1"} `
+		if !strings.Contains(rec.Body.String(), want) {
+			t.Fatalf("exposition missing %q", want)
+		}
+	}
+	if g := node.DebugTop().Groups[0]; g.CommitsFast != 1 || g.CommitsClassic != 1 {
+		t.Fatalf("top commits fast/classic = %d/%d, want 1/1", g.CommitsFast, g.CommitsClassic)
 	}
 }

@@ -415,6 +415,7 @@ func (n *ShardNode) DebugTop() DebugTop {
 			}
 			g.CommitLag = g.LastIndex - g.CommitIndex
 			g.Proposals = pickLive(core.Recorder().LiveStats(now), string(gid))
+			g.CommitsFast, g.CommitsClassic = core.TrackCommits()
 			t.Groups = append(t.Groups, g)
 		}
 	})
