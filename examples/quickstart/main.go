@@ -67,8 +67,8 @@ func run() error {
 	}
 
 	// The leader commits when the deciding vote arrives and tells the
-	// proposer at once; the followers' own commit indexes follow with its
-	// next heartbeat.
+	// proposer at once, which commits on that notification; the other
+	// followers' commit indexes follow with the leader's next heartbeat.
 	time.Sleep(50 * time.Millisecond)
 	leader := proposer.Leader()
 	fmt.Printf("\nleader is %s (term %d); commit index on each node:\n", leader, proposer.Term())

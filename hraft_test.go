@@ -229,9 +229,11 @@ func TestPublicAPIPipelinedProposals(t *testing.T) {
 			t.Fatalf("propose %d: %v", i, err)
 		}
 	}
-	// Propose returns when the leader's commit notification arrives; the
-	// proposing follower's own commit index follows with the next
-	// AppendEntries, a heartbeat later at most.
+	// Propose returns when the leader's commit notification arrives, and the
+	// proposing follower commits on it when it has committed everything
+	// before; a notification that arrives ahead of that prefix (right after
+	// an election, say) leaves the commit index to the next AppendEntries, a
+	// heartbeat later at most.
 	deadline := time.Now().Add(5 * time.Second)
 	for nodes[0].CommitIndex() < 10 {
 		if time.Now().After(deadline) {

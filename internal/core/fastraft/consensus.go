@@ -1,6 +1,7 @@
 package fastraft
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 	"time"
@@ -246,7 +247,7 @@ func (n *Node) handleProposeLocally(m types.ProposeEntry) {
 	if existing := n.log.FindProposalFor(pid, m.Entry.Data); existing != 0 {
 		if existing <= n.commitIndex {
 			// Already committed: notify the proposer directly.
-			n.send(pid.Proposer, types.CommitNotify{PID: pid, Index: existing})
+			n.send(pid.Proposer, types.CommitNotify{PID: pid, Index: existing, Term: n.log.Term(existing)})
 			return
 		}
 		// Already inserted but uncommitted: re-vote for its current slot
@@ -318,7 +319,7 @@ func (n *Node) recordVote(from types.NodeID, m types.VoteEntry) {
 		// Voted-for proposal already committed elsewhere: tell its
 		// proposer, don't tally. Payload-checked so a vote for a fresh
 		// proposal under a reused PID still tallies.
-		n.send(pid.Proposer, types.CommitNotify{PID: pid, Index: idx})
+		n.send(pid.Proposer, types.CommitNotify{PID: pid, Index: idx, Term: n.log.Term(idx)})
 		return
 	}
 	if m.Index <= n.commitIndex {
@@ -573,7 +574,7 @@ func (n *Node) commitTo(k types.Index) {
 		n.observeCommitted(e)
 		if n.role == types.RoleLeader {
 			if !e.PID.IsZero() && e.PID.Proposer != n.cfg.ID {
-				n.send(e.PID.Proposer, types.CommitNotify{PID: e.PID, Index: i})
+				n.send(e.PID.Proposer, types.CommitNotify{PID: e.PID, Index: i, Term: e.Term})
 			}
 			if e.Kind == types.KindConfig {
 				n.onConfigCommittedAsLeader(e)
@@ -707,22 +708,19 @@ func (n *Node) onAppendEntries(from types.NodeID, m types.AppendEntries) {
 		}
 		n.applyLeaderEntry(e)
 	}
-	// Fast Raft commit-prefix refinement: only commit over leader-approved
-	// entries.
-	if m.LeaderCommit > n.commitIndex {
-		k := m.LeaderCommit
-		if top := n.log.LastLeaderIndex(); k > top {
-			k = top
-		}
-		if k > n.commitIndex {
-			n.commitTo(k)
-			// Local commit advanced: held follower-local reads whose
-			// confirmed index is now covered can be served.
-			n.reads.Flush(n.now)
-		}
+	// Commit up to Raft's "index of last new entry", not the top of our
+	// leader-approved prefix: this message vouches for our log through match
+	// only, and a prefix beyond it may be a deposed leader's suffix that the
+	// sender's term has since replaced.
+	match := m.PrevLogIndex + types.Index(len(m.Entries))
+	if k := min(m.LeaderCommit, match); k > n.commitIndex {
+		n.commitTo(k)
+		// Local commit advanced: held follower-local reads whose
+		// confirmed index is now covered can be served.
+		n.reads.Flush(n.now)
 	}
 	resp.Success = true
-	resp.MatchIndex = m.PrevLogIndex + types.Index(len(m.Entries))
+	resp.MatchIndex = match
 	resp.LastLogIndex = n.log.LastLeaderIndex()
 	n.send(from, resp)
 	n.reactToConfig()
@@ -815,9 +813,67 @@ func (n *Node) onAppendEntriesResp(from types.NodeID, m types.AppendEntriesResp)
 	}
 }
 
+// onCommitNotify is how a remote proposer learns that its proposal
+// committed. Where this site already holds the entry it also commits it, on
+// receipt (commitNotified); otherwise only the proposal resolves and the
+// site's commit index follows with the leader's next AppendEntries.
 func (n *Node) onCommitNotify(m types.CommitNotify) {
-	// The notification is how a remote proposer learns of the commit; its
-	// own commit index follows with the next AppendEntries.
+	if n.commitNotified(m) {
+		return // commitTo stamped the stage and resolved the proposal
+	}
 	n.rec.SpanStage(n.now, m.PID, trace.StageCommit, m.Index)
 	n.resolvePending(m.PID, m.Index)
+}
+
+// commitNotified commits index k = m.Index on the strength of the
+// notification alone and reports whether it did.
+//
+// Safety: a commit is permanent and every replica's committed prefix is the
+// same log, so "(k, PID, term) is committed" + "I have committed through
+// k-1" + "my slot k holds that proposal" ⇒ my log through k is the committed
+// log. Nothing in that needs the sender's identity or a fresh term, which is
+// why a late or duplicated notification is harmless and why the message
+// carries no more than the entry's term. A PID names an entry only within
+// one proposer lifetime, so "holds that proposal" means the PID and the
+// payload of the proposal this lifetime still has pending.
+//
+// Everything else — a gap before k, something else in the slot, a
+// leader-approved slot of another term, Term 0 (the sender does not name the
+// entry), receipt on a leader (which commits by its own rules) — is left to
+// the AppendEntries path. An early notification is counted, not stashed:
+// fastraft.notify_ahead says whether a stash would be worth building.
+func (n *Node) commitNotified(m types.CommitNotify) bool {
+	k := m.Index
+	p := n.pending[m.PID]
+	if m.Term == 0 || p == nil || n.role == types.RoleLeader || k <= n.commitIndex {
+		return false
+	}
+	if k != n.commitIndex+1 {
+		n.metrics.Inc("fastraft.notify_ahead")
+		return false
+	}
+	e := n.log.Peek(k)
+	if e == nil || e.PID != m.PID || !bytes.Equal(e.Data, p.entry.Data) ||
+		(e.Approval == types.ApprovedLeader && e.Term != m.Term) {
+		n.metrics.Inc("fastraft.notify_mismatch")
+		return false
+	}
+	if e.Approval == types.ApprovedSelf {
+		// Keep the log the shape AppendEntries keeps it: terms never fall
+		// along the leader-approved prefix (a late notification from before
+		// the term that approved k-1) and never exceed this site's own (one
+		// from a term it has yet to hear of).
+		if m.Term < n.log.LastLeaderTerm() || m.Term > n.term {
+			return false
+		}
+		// k-1 is committed, hence leader-approved: k extends the prefix.
+		if err := n.log.PromoteToLeader(k, m.Term); err != nil {
+			panic(fmt.Sprintf("fastraft %s: promote notified: %v", n.cfg.ID, err))
+		}
+		n.persistEntry(k)
+	}
+	n.metrics.Inc("fastraft.commits_notified")
+	n.commitTo(k)
+	n.reads.Flush(n.now)
+	return true
 }

@@ -455,6 +455,31 @@ func TestCommitPrefixRestrictedToLeaderApproved(t *testing.T) {
 	}
 }
 
+// TestFollowerCommitsOnlyWhatTheMessageVouchesFor: term 1 replicates 1..3 to
+// n2 and commits 1; n3 then wins term 2 without them, commits its own 2..3
+// and heartbeats n2 at PrevLogIndex 1 with LeaderCommit 3. The heartbeat
+// vouches for n2's log through index 1 only: n2's 2..3 are the deposed
+// leader's and must not commit.
+func TestFollowerCommitsOnlyWhatTheMessageVouchesFor(t *testing.T) {
+	n := newTestNode(t, "n2", "n1", "n2", "n3")
+	var suffix []types.Entry
+	for i := types.Index(1); i <= 3; i++ {
+		e := proposal("n1", uint64(i))
+		e.Index, e.Term, e.Approval = i, 1, types.ApprovedLeader
+		suffix = append(suffix, e)
+	}
+	n.Step(time.Second, types.Envelope{From: "n1", To: "n2", Layer: types.LayerLocal,
+		Msg: types.AppendEntries{Term: 1, LeaderID: "n1", Entries: suffix, LeaderCommit: 1}})
+	if n.CommitIndex() != 1 || n.LastLeaderIndex() != 3 {
+		t.Fatalf("setup: commit=%d head=%d, want 1 and 3", n.CommitIndex(), n.LastLeaderIndex())
+	}
+	n.Step(2*time.Second, types.Envelope{From: "n3", To: "n2", Layer: types.LayerLocal,
+		Msg: types.AppendEntries{Term: 2, LeaderID: "n3", PrevLogIndex: 1, PrevLogTerm: 1, LeaderCommit: 3}})
+	if n.CommitIndex() != 1 {
+		t.Fatalf("commitIndex = %d: committed a deposed leader's suffix the heartbeat did not cover", n.CommitIndex())
+	}
+}
+
 func TestStaleTermMessagesRejected(t *testing.T) {
 	peers := []types.NodeID{"n1", "n2", "n3"}
 	n := newTestNode(t, "n2", peers...)

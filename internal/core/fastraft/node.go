@@ -27,8 +27,9 @@
 //
 // The spec refinements this implementation pins down are documented where
 // they live: proposer index selection (broadcastProposal), the follower's
-// commit-prefix restriction (onAppendEntries), recovery no-ops
-// (recoverDecide) and loser re-sequencing (decideLoop).
+// commit rule (onAppendEntries), the proposer site's commit on notification
+// (commitNotified), recovery no-ops (recoverDecide) and loser re-sequencing
+// (decideLoop).
 package fastraft
 
 import (
@@ -270,11 +271,13 @@ func New(cfg Config) (*Node, error) {
 		installHist: stats.NewTimingHist("hist.snapshot_install", stats.DefaultLatencyBounds()...),
 		rec:         cfg.Recorder,
 	}
-	// The fast-track counters exist from the first scrape: a ratio over
-	// them (hraft-top's FAST%) should read 0 of 0, not absent.
+	// The commit-path counters exist from the first scrape: a ratio over
+	// them (hraft-top's FAST%, notified ÷ committed at a proposer) should
+	// read 0 of 0, not absent.
 	for _, name := range []string{
 		"fastraft.commits_fast", "fastraft.commits_classic",
 		"fastraft.decisions_on_arrival", "fastraft.decisions_on_tick",
+		"fastraft.commits_notified", "fastraft.notify_ahead", "fastraft.notify_mismatch",
 	} {
 		n.metrics.Add(name, 0)
 	}

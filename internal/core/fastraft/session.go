@@ -98,7 +98,9 @@ func (n *Node) applySessionCommit(e types.Entry) (skip bool) {
 // otherwise. Remote notification is leader-only unless direct is set (the
 // direct path mirrors the existing any-site duplicate notification on
 // ProposeEntry receipt; the apply path is leader-only so one commit does
-// not trigger a notification from every replica).
+// not trigger a notification from every replica). The notification carries
+// no Term: idx is where the session's original committed, which need not be
+// an entry under this pid, so the proposer resolves and commits nothing.
 func (n *Node) answerProposer(pid types.ProposalID, idx types.Index, direct bool) {
 	if pid.IsZero() {
 		return

@@ -116,6 +116,9 @@ type CraftHost struct {
 	// OnCommit, when set, observes every locally applied entry (session
 	// duplicates never appear here).
 	OnCommit func(e types.Entry)
+	// OnGlobalCommit, when set, observes this site's global replay stream:
+	// every global-log entry, in the order the site delivers it.
+	OnGlobalCommit func(e types.Entry)
 }
 
 // ReadResult returns the resolution of a tracked read, if it resolved.
@@ -292,6 +295,9 @@ func (c *CraftCluster) drain(h *CraftHost) {
 	}
 	for _, e := range h.node.TakeGlobalCommitted() {
 		c.Safety.RecordCommit("global", h.id, e)
+		if h.OnGlobalCommit != nil {
+			h.OnGlobalCommit(e)
+		}
 		if !c.globalSeen[e.Index] {
 			c.globalSeen[e.Index] = true
 			items := 0

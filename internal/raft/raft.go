@@ -1053,7 +1053,7 @@ func (n *Node) queueNotify(pid types.ProposalID, idx types.Index) {
 	}
 	n.notifyQueue = append(n.notifyQueue, types.Envelope{
 		From: n.cfg.ID, To: pid.Proposer, Layer: types.LayerLocal,
-		Msg: types.CommitNotify{PID: pid, Index: idx},
+		Msg: types.CommitNotify{PID: pid, Index: idx, Term: n.log.Term(idx)},
 	})
 }
 
@@ -1176,15 +1176,12 @@ func (n *Node) onAppendEntries(from types.NodeID, m types.AppendEntries) {
 		n.persistEntry(stored)
 		n.rec.TraceHop(n.now, e.TraceID, trace.HopReplicate, from, e.Index)
 	}
+	// Commit up to the index of the last new entry, not our last index: the
+	// message vouches for our log through match only, and a suffix beyond it
+	// may be a deposed leader's that the sender's term has since replaced.
 	match := m.PrevLogIndex + types.Index(len(m.Entries))
-	if m.LeaderCommit > n.commitIndex {
-		k := m.LeaderCommit
-		if last := n.log.LastIndex(); k > last {
-			k = last
-		}
-		if k > n.commitIndex {
-			n.commitTo(k)
-		}
+	if k := min(m.LeaderCommit, match); k > n.commitIndex {
+		n.commitTo(k)
 	}
 	resp.Success = true
 	resp.MatchIndex = match
@@ -1234,8 +1231,10 @@ func (n *Node) onAppendEntriesResp(from types.NodeID, m types.AppendEntriesResp)
 func (n *Node) onCommitNotify(m types.CommitNotify) {
 	if _, ok := n.pending[m.PID]; ok {
 		delete(n.pending, m.PID)
-		// The notification is how a remote proposer learns of the commit; its
-		// own commit index follows with the next AppendEntries.
+		// The notification is how a remote proposer learns of the commit. A
+		// classic Raft proposer forwarded the entry and does not hold it, so
+		// its own commit index follows with the next AppendEntries (Fast
+		// Raft's proposer commits here: fastraft.commitNotified).
 		n.rec.SpanStage(n.now, m.PID, trace.StageCommit, m.Index)
 		n.rec.SpanEnd(n.now, m.PID, m.Index)
 		n.resolved = append(n.resolved, types.Resolution{PID: m.PID, Index: m.Index})

@@ -219,6 +219,31 @@ func TestFollowerTruncatesConflicts(t *testing.T) {
 	}
 }
 
+// TestFollowerCommitsOnlyWhatTheMessageVouchesFor: term 1 replicates 1..3 to
+// n2 and commits 1; n3 then wins term 2 without them, commits its own 2..3
+// and heartbeats n2 at PrevLogIndex 1 with LeaderCommit 3. The heartbeat
+// vouches for n2's log through index 1 only: n2's 2..3 are the deposed
+// leader's and must not commit.
+func TestFollowerCommitsOnlyWhatTheMessageVouchesFor(t *testing.T) {
+	n := newTestNode(t, "n2", "n1", "n2", "n3")
+	var suffix []types.Entry
+	for i := types.Index(1); i <= 3; i++ {
+		suffix = append(suffix, types.Entry{Index: i, Term: 1, Kind: types.KindNormal,
+			Approval: types.ApprovedLeader,
+			PID:      types.ProposalID{Proposer: "n1", Seq: uint64(i)}, Data: []byte("old")})
+	}
+	n.Step(time.Second, types.Envelope{From: "n1", To: "n2", Layer: types.LayerLocal,
+		Msg: types.AppendEntries{Term: 1, LeaderID: "n1", Entries: suffix, LeaderCommit: 1}})
+	if n.CommitIndex() != 1 || n.log.LastIndex() != 3 {
+		t.Fatalf("setup: commit=%d last=%d, want 1 and 3", n.CommitIndex(), n.log.LastIndex())
+	}
+	n.Step(2*time.Second, types.Envelope{From: "n3", To: "n2", Layer: types.LayerLocal,
+		Msg: types.AppendEntries{Term: 2, LeaderID: "n3", PrevLogIndex: 1, PrevLogTerm: 1, LeaderCommit: 3}})
+	if n.CommitIndex() != 1 {
+		t.Fatalf("commitIndex = %d: committed a deposed leader's suffix the heartbeat did not cover", n.CommitIndex())
+	}
+}
+
 func TestProposalForwardingToLeader(t *testing.T) {
 	n := newTestNode(t, "n2", "n1", "n2", "n3")
 	// Learn the leader.

@@ -121,6 +121,10 @@ func NewFrontend(nv NodeView, seqStart uint64, counters *stats.Counters, rec *tr
 	if counters == nil {
 		counters = stats.NewCounters()
 	}
+	// Present from the first scrape, so that held ÷ served reads 0 of 0
+	// rather than absent on a node that has forwarded nothing yet.
+	counters.Add(CounterFollowerReads, 0)
+	counters.Add(CounterFollowerHeld, 0)
 	return &Frontend{
 		nv:         nv,
 		counters:   counters,
@@ -434,6 +438,9 @@ func (f *Frontend) OnReadReply(m types.ReadReply, now time.Duration) {
 				// covers it (releaseHeld), so the caller may serve it from
 				// local state. The refreshed deadline re-forwards it if the
 				// catch-up stalls (a later confirmed index is still correct).
+				if !p.held {
+					f.counters.Inc(CounterFollowerHeld)
+				}
 				p.held = true
 				p.confirmedIdx = r.Index
 				p.deadline = now + f.nv.RetryTimeout

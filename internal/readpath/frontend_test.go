@@ -78,6 +78,9 @@ func TestFollowerLocalReadHeldUntilCommitCatchUp(t *testing.T) {
 	if got := ff.c.Get(CounterFollowerReads); got != 1 {
 		t.Fatalf("reads_follower_local = %d, want 1", got)
 	}
+	if got := ff.c.Get(CounterFollowerHeld); got != 1 {
+		t.Fatalf("follower_held = %d, want 1", got)
+	}
 	if ff.f.PendingCount() != 0 {
 		t.Fatal("read still pending after release")
 	}
@@ -95,6 +98,9 @@ func TestFollowerLocalReadResolvesImmediatelyWhenCaughtUp(t *testing.T) {
 	}
 	if got := ff.c.Get(CounterFollowerReads); got != 1 {
 		t.Fatalf("reads_follower_local = %d, want 1", got)
+	}
+	if got := ff.c.Get(CounterFollowerHeld); got != 0 {
+		t.Fatalf("follower_held = %d, want 0 (never parked)", got)
 	}
 }
 

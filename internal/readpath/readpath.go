@@ -82,6 +82,12 @@ const (
 	// receiving node's state machine after its commit index covered the
 	// leader-confirmed index (incremented on the origin side).
 	CounterFollowerReads = "readpath.reads_follower_local"
+	// CounterFollowerHeld counts follower-local reads whose confirmed index
+	// the origin's commit index had not reached when the reply arrived, so
+	// they were parked until it did (incremented on the origin side). Over
+	// CounterFollowerReads it is the share of follower reads that wait for
+	// local commit learning rather than for the leader's confirmation.
+	CounterFollowerHeld = "readpath.follower_held"
 )
 
 // Config parametrizes a Manager.

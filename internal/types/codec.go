@@ -40,8 +40,10 @@ const (
 	// a presence bit (wireTraceFlag) stolen from an existing small-valued
 	// byte, so unsampled v8 bodies are byte-identical to v7 bodies — zero
 	// trace-context bytes and zero extra allocations on the unsampled
-	// path. v6/v7 frames decode with TraceID zero.
-	wireVersion = 8
+	// path. v6/v7 frames decode with TraceID zero. Version 9 added the
+	// committed entry's Term to CommitNotify (a v8 frame decodes with Term
+	// zero, "notification only"); every other body is unchanged from v8.
+	wireVersion = 9
 	// wireVersionMin is the oldest frame version this decoder accepts: v2
 	// frames (no chunk fields) decode as whole-image transfers, v3 frames
 	// (no ack/continuation fields) and v4 frames (no read-batch fields)
@@ -252,6 +254,7 @@ func encodeBody(w *writer, m Message) {
 		w.str(string(v.PID.Proposer))
 		w.u64(v.PID.Seq)
 		w.u64(uint64(v.Index))
+		w.u64(uint64(v.Term))
 	case JoinRequest:
 		w.str(string(v.Site))
 	case JoinRedirect:
@@ -419,6 +422,9 @@ func decodeBody(r *reader, tag uint8) (Message, error) {
 		v.PID.Proposer = NodeID(r.str())
 		v.PID.Seq = r.u64()
 		v.Index = Index(r.u64())
+		if r.ver >= 9 {
+			v.Term = Term(r.u64())
+		}
 		return v, r.err
 	case tagJoinRequest:
 		var v JoinRequest

@@ -55,6 +55,7 @@ func sampleMessages() []Message {
 		RequestVoteResp{Term: 4, Granted: true, SelfApproved: es[1:2]},
 		RequestVoteResp{Term: 4},
 		CommitNotify{PID: ProposalID{Proposer: "p", Seq: 77}, Index: 5},
+		CommitNotify{PID: ProposalID{Proposer: "p", Seq: 78}, Index: 6, Term: 4},
 		JoinRequest{Site: "newbie"},
 		JoinRedirect{Leader: "lead"},
 		JoinAccepted{ConfigIndex: 30},
@@ -601,7 +602,7 @@ func TestDecodeEnvelopeRejectsUnknownVersions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, ver := range []byte{0, 1, 9, 10, 255} {
+	for _, ver := range []byte{0, 1, 10, 11, 255} {
 		bad := append([]byte(nil), buf...)
 		bad[2] = ver
 		if _, err := DecodeEnvelope(bad); err == nil {

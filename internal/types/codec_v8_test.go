@@ -154,7 +154,7 @@ func TestUnsampledV8BodiesByteIdenticalToV7(t *testing.T) {
 			t.Fatalf("%s: encode: %v", env.Msg.MsgName(), err)
 		}
 		v7 := encodeV7Envelope(t, env)
-		if v8[2] != 8 || v7[2] != 7 {
+		if v8[2] != wireVersion || v7[2] != 7 {
 			t.Fatalf("%s: version bytes %d/%d", env.Msg.MsgName(), v8[2], v7[2])
 		}
 		if !bytes.Equal(v8[3:], v7[3:]) {

@@ -208,6 +208,12 @@ type CommitNotify struct {
 	PID ProposalID
 	// Index is the log position at which the proposal committed.
 	Index Index
+	// Term is the term of the committed entry at Index, which lets a Fast
+	// Raft proposer that already holds the entry commit it on receipt
+	// (fastraft.commitNotified). Zero means "notification only": the sender
+	// does not name the entry at Index (a session duplicate answered with the
+	// original's index, a compacted entry, a pre-v9 sender).
+	Term Term
 }
 
 // MsgName implements Message.

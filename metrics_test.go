@@ -232,6 +232,8 @@ func TestMetricsFastTrackCounters(t *testing.T) {
 	names := []string{
 		"fastraft.commits_fast", "fastraft.commits_classic",
 		"fastraft.decisions_on_arrival", "fastraft.decisions_on_tick",
+		"fastraft.commits_notified", "fastraft.notify_ahead", "fastraft.notify_mismatch",
+		"readpath.follower_held",
 	}
 	m := node.Metrics()
 	for _, name := range names {
