@@ -581,6 +581,9 @@ func (n *Node) Step(now time.Duration, env types.Envelope) {
 	// A vote or an append ack may have completed a quorum (so may the
 	// leader's own vote on a proposal it just received): commit on arrival.
 	n.evaluate(false)
+	// The message may have revealed a new leader or stepped this node down:
+	// forwarded reads follow the leader now, not at their retry deadline.
+	n.reads.Forward(n.now)
 }
 
 // acceptFrom applies the paper's membership filter: consensus messages from

@@ -187,6 +187,145 @@ func TestReadLinearizableAcrossFailover(t *testing.T) {
 	}
 }
 
+// TestReadsFollowNewLeader: reads issued on the surviving members after the
+// leader crashed, before the election, resolve within two heartbeats of
+// the new leader's first AppendEntries — they re-address as soon as a
+// member learns the new leader, not at their retry deadline
+// (ProposalTimeout after issue). Every survivor reads, so at least three of
+// them are followers of the new leader.
+func TestReadsFollowNewLeader(t *testing.T) {
+	const (
+		hb = 100 * time.Millisecond
+		// retryWindow (the ProposalTimeout) is stretched well past any
+		// election so a retry at the deadline cannot pass for re-addressing.
+		retryWindow = 3 * time.Second
+	)
+	for _, kind := range []Kind{KindRaft, KindFastRaft} {
+		t.Run(kind.String(), func(t *testing.T) {
+			c, err := NewCluster(Options{
+				Kind: kind, Nodes: fiveNodes(), Seed: 71, HeartbeatInterval: hb,
+				ProposalTimeout: retryWindow, MemberTimeoutRounds: 1000,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			oldLeader, ok := c.WaitForLeader(10 * time.Second)
+			if !ok {
+				t.Fatal("no leader")
+			}
+			pid, _ := c.Propose(oldLeader, []byte("w"))
+			w, ok := c.AwaitResolution(oldLeader, pid, c.Sched.Now()+10*time.Second)
+			if !ok {
+				t.Fatal("write never resolved")
+			}
+			c.RunFor(2 * hb) // every follower learns the write's commit
+			oldTerm := c.Host(oldLeader).Machine().Term()
+			var firstAppend time.Duration
+			c.Net.OnDeliver = func(env types.Envelope) {
+				if m, ok := env.Msg.(types.AppendEntries); ok && m.Term > oldTerm && firstAppend == 0 {
+					firstAppend = c.Sched.Now()
+				}
+			}
+			defer func() { c.Net.OnDeliver = nil }()
+			c.Crash(oldLeader)
+			issued := c.Sched.Now()
+			type read struct {
+				node types.NodeID
+				tok  uint64
+				at   time.Duration // resolution instant (0 = pending)
+			}
+			var reads []*read
+			for _, id := range fiveNodes() {
+				if id == oldLeader {
+					continue
+				}
+				for _, cons := range []types.ReadConsistency{types.ReadLinearizable, types.ReadFollowerLocal} {
+					tok, err := c.Read(id, cons)
+					if err != nil {
+						t.Fatal(err)
+					}
+					reads = append(reads, &read{node: id, tok: tok})
+				}
+			}
+			c.RunUntil(func() bool {
+				done := true
+				for _, r := range reads {
+					if _, ok := c.Host(r.node).ReadResult(r.tok); ok && r.at == 0 {
+						r.at = c.Sched.Now()
+					}
+					done = done && r.at != 0
+				}
+				return done
+			}, issued+retryWindow)
+			if firstAppend == 0 {
+				t.Fatal("no new leader within the retry window")
+			}
+			for _, r := range reads {
+				d, _ := c.Host(r.node).ReadResult(r.tok)
+				if r.at == 0 {
+					t.Fatalf("read %d on %s unresolved at issue + ProposalTimeout (new leader's first append at +%v)",
+						r.tok, r.node, firstAppend-issued)
+				}
+				if !d.OK || d.Index < w {
+					t.Fatalf("read %d on %s = %+v, want OK at index >= %d", r.tok, r.node, d, w)
+				}
+				if late := r.at - firstAppend; late > 2*hb {
+					t.Fatalf("read %d on %s resolved %v after the new leader's first append, want <= %v",
+						r.tok, r.node, late, 2*hb)
+				}
+			}
+			t.Logf("new leader's first append at +%v; all %d reads resolved by +%v", firstAppend-issued, len(reads), c.Sched.Now()-issued)
+			if err := c.Safety.Err(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestCRaftForwardRequestsCounted: follower sites forward site-local reads
+// on the local ring and a cluster leader that does not lead the global
+// ring forwards ReadGlobal there; both count readpath.forward_requests
+// under their layer's prefix.
+func TestCRaftForwardRequestsCounted(t *testing.T) {
+	c := newCraft(t, twoClusterSpecs(), 7, 0)
+	if !c.WaitForLeaders(30 * time.Second) {
+		t.Fatal("no leaders")
+	}
+	gl, ok := c.GlobalLeaderCluster()
+	if !ok {
+		t.Fatal("no global leader")
+	}
+	spec := twoClusterSpecs()[0]
+	if spec.ID == gl {
+		spec = twoClusterSpecs()[1]
+	}
+	lead, ok := c.LocalLeader(spec.ID)
+	if !ok {
+		t.Fatalf("no %s leader", spec.ID)
+	}
+	follower := spec.Sites[0]
+	if follower == lead.ID() {
+		follower = spec.Sites[1]
+	}
+	tok, _ := c.Read(follower, types.ReadLinearizable)
+	if d, ok := c.AwaitRead(follower, tok, c.Sched.Now()+10*time.Second); !ok || !d.OK {
+		t.Fatalf("site-local read on %s = %+v ok=%v", follower, d, ok)
+	}
+	gtok, _ := c.ReadGlobal(lead.ID(), types.ReadLinearizable)
+	if d, ok := c.AwaitRead(lead.ID(), gtok, c.Sched.Now()+30*time.Second); !ok || !d.OK {
+		t.Fatalf("global read on %s = %+v ok=%v", lead.ID(), d, ok)
+	}
+	if got := c.Host(follower).Node().Metrics()["local.readpath.forward_requests"]; got == 0 {
+		t.Fatalf("%s: local.readpath.forward_requests = 0 after a forwarded read", follower)
+	}
+	if got := lead.Node().Metrics()["global.readpath.forward_requests"]; got == 0 {
+		t.Fatalf("%s: global.readpath.forward_requests = 0 after a forwarded global read", lead.ID())
+	}
+	if err := c.Safety.Err(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestLeaseReadRefusedByDeposedLeader is acceptance test (b): after a
 // forced failover, the deposed leader's lease has lapsed, so a
 // lease-based read on it is never served from stale local state — it

@@ -611,6 +611,9 @@ func (n *Node) Step(now time.Duration, env types.Envelope) {
 	}
 	// An append ack may have completed a quorum: commit on arrival.
 	n.evaluate(false)
+	// The message may have revealed a new leader or stepped this node down:
+	// forwarded reads follow the leader now, not at their retry deadline.
+	n.reads.Forward(n.now)
 }
 
 func (n *Node) send(to types.NodeID, msg types.Message) {

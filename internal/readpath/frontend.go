@@ -17,6 +17,8 @@ import (
 // resolutions. Exactly like the replica package's dispatch hoist, the
 // NodeView accessor set is the only per-core variation, so the protocol
 // cannot diverge between classic Raft and Fast Raft.
+// Reads batch at the leader only (its next confirmation round): a
+// forwarded read ships in the entry point that produced it.
 type Frontend struct {
 	nv       NodeView
 	counters *stats.Counters
@@ -35,11 +37,13 @@ type Frontend struct {
 	pending    map[uint64]*pendingRead
 	done       []types.ReadDone
 
-	// inFlight is true while a forwarded batch awaits its ReadReply: reads
-	// arriving meanwhile queue up (pending, sent=false) and ship together
-	// when the reply lands — one ReadRequest per leader round-trip instead
-	// of one per read.
-	inFlight bool
+	// unsent lists queued reads in order; entries of reads resolved or
+	// held since they were queued are skipped.
+	unsent []uint64
+	// addressed is where every forwarded, unanswered read went: reads ship
+	// only to the current leader and a leader change re-queues them all,
+	// so one field stands in for a per-read destination.
+	addressed types.NodeID
 	// replyQ buffers leader-side resolutions per origin within one entry
 	// point, so reads resolving together (a ReadIndex batch confirming, a
 	// forwarded batch served off a valid lease) coalesce into one
@@ -99,9 +103,9 @@ type remoteReadKey struct {
 type pendingRead struct {
 	consistency types.ReadConsistency
 	deadline    time.Duration
-	// sent marks the read as part of an already-forwarded batch; unsent
-	// reads ship on the next flush (reply received, or retry deadline).
-	sent bool
+	// queued marks the read as listed in unsent, waiting to ship. A read
+	// neither queued nor held is out at the addressed leader.
+	queued bool
 	// held marks a follower-local read whose index the leader confirmed
 	// (confirmedIdx) but the local commit index has not reached yet; it
 	// resolves from Flush once commit catches up, or re-forwards if the
@@ -125,6 +129,7 @@ func NewFrontend(nv NodeView, seqStart uint64, counters *stats.Counters, rec *tr
 	// rather than absent on a node that has forwarded nothing yet.
 	counters.Add(CounterFollowerReads, 0)
 	counters.Add(CounterFollowerHeld, 0)
+	counters.Add(CounterForwardRequests, 0)
 	return &Frontend{
 		nv:         nv,
 		counters:   counters,
@@ -160,7 +165,8 @@ func (f *Frontend) Read(now time.Duration, c types.ReadConsistency) uint64 {
 		return id
 	}
 	f.pending[id] = &pendingRead{consistency: c, deadline: now + f.nv.RetryTimeout, trace: tid}
-	f.flushForwards(now)
+	f.queue(id)
+	f.Forward(now)
 	return id
 }
 
@@ -182,39 +188,64 @@ func (f *Frontend) EachDeadline(visit func(time.Duration)) {
 	}
 }
 
-// flushForwards ships every not-yet-sent pending read to the leader in a
-// single ReadRequest — unless a batch is already in flight, in which case
-// the reads wait and ride the next round-trip (or their retry deadline).
-func (f *Frontend) flushForwards(now time.Duration) {
-	if f.inFlight || len(f.pending) == 0 {
-		return
+// queue lists a pending read for the next Forward, once; a held read
+// queued this way re-confirms from scratch.
+func (f *Frontend) queue(id uint64) {
+	p := f.pending[id]
+	p.held = false
+	if !p.queued {
+		p.queued = true
+		f.unsent = append(f.unsent, id)
 	}
+}
+
+// pendingIDs returns the IDs of the pending reads keep selects, ascending
+// (map order must not leak into messages or resolutions).
+func (f *Frontend) pendingIDs(keep func(*pendingRead) bool) []uint64 {
+	var ids []uint64
+	for id, p := range f.pending {
+		if keep(p) {
+			ids = append(ids, id)
+		}
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	return ids
+}
+
+// Forward ships every queued read to the leader in one ReadRequest; with
+// no known leader, or while leading, the queue waits. If the leader moved
+// since the last shipment, the reads still out at the old one queue first
+// (the leader's (origin, ID) de-duplication makes a re-send safe). Read
+// and Retry call it, and the cores at the end of Step, so reads follow a
+// new leader as soon as a message reveals it.
+func (f *Frontend) Forward(now time.Duration) {
 	leader := f.nv.LeaderID()
 	if leader == types.None || leader == f.nv.Self {
 		return
 	}
-	var ids []uint64
-	for id, p := range f.pending {
-		if !p.sent {
-			ids = append(ids, id)
+	if leader != f.addressed {
+		f.addressed = leader
+		for _, id := range f.pendingIDs(func(p *pendingRead) bool { return !p.queued && !p.held }) {
+			f.queue(id)
 		}
 	}
-	if len(ids) == 0 {
-		return
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	specs := make([]types.ReadSpec, 0, len(ids))
-	for _, id := range ids {
-		p := f.pending[id]
-		p.sent = true
+	specs := make([]types.ReadSpec, 0, len(f.unsent))
+	for _, id := range f.unsent {
+		p, ok := f.pending[id]
+		if !ok || !p.queued {
+			continue
+		}
+		p.queued = false
 		f.counters.Inc(CounterForwarded)
 		specs = append(specs, types.ReadSpec{ID: id, Consistency: p.consistency, Trace: p.trace})
-		if p.trace != 0 {
-			f.rec.TraceHop(now, p.trace, trace.HopReadForward, leader, 0)
-		}
+		f.rec.TraceHop(now, p.trace, trace.HopReadForward, leader, 0)
 	}
+	f.unsent = f.unsent[:0]
+	if len(specs) == 0 {
+		return
+	}
+	f.counters.Inc(CounterForwardRequests)
 	f.nv.Send(leader, types.ReadRequest{Reads: specs})
-	f.inFlight = true
 }
 
 // queueReply buffers one remote resolution; flushReplies ships the per-
@@ -298,8 +329,8 @@ func (f *Frontend) Flush(now time.Duration) {
 }
 
 // FailLeaderReads fails every leader-side read on step-down: local reads
-// fall back to the pending/forward path (they retry against the
-// successor), remote origins get a negative reply so they re-forward
+// fall back to the forward path (queued for the successor, trace context
+// kept), remote origins get a negative reply so they re-forward
 // themselves. Call it before discarding the Manager.
 func (f *Frontend) FailLeaderReads(now time.Duration) {
 	mgr := f.nv.Manager()
@@ -309,10 +340,8 @@ func (f *Frontend) FailLeaderReads(now time.Duration) {
 	for _, d := range mgr.FailAll() {
 		o := f.origins[d.Token]
 		if o.origin == f.nv.Self {
-			f.pending[o.id] = &pendingRead{
-				consistency: o.consistency,
-				deadline:    now + f.nv.RetrySoon,
-			}
+			f.pending[o.id] = &pendingRead{consistency: o.consistency, deadline: now + f.nv.RetrySoon, trace: o.trace}
+			f.queue(o.id)
 			continue
 		}
 		f.queueReply(o.origin, types.ReadResult{ID: o.id, OK: false})
@@ -326,38 +355,21 @@ func (f *Frontend) FailLeaderReads(now time.Duration) {
 // request or reply, deposed leader); a node that just became leader
 // serves every pending read itself, deadline or not.
 func (f *Frontend) Retry(now time.Duration) {
-	if len(f.pending) == 0 {
+	if f.nv.IsLeader() && f.nv.Manager() != nil {
+		for _, id := range f.pendingIDs(func(*pendingRead) bool { return true }) {
+			p := f.pending[id]
+			delete(f.pending, id)
+			f.serve(readOrigin{origin: f.nv.Self, id: id, consistency: p.consistency, trace: p.trace}, now)
+		}
 		return
 	}
-	isLeader := f.nv.IsLeader() && f.nv.Manager() != nil
-	var due []uint64
-	for id, p := range f.pending {
-		if isLeader || now >= p.deadline {
-			due = append(due, id)
-		}
+	// Due reads (request lost or refused, or held with catch-up stalled)
+	// re-confirm from scratch in one fresh request.
+	for _, id := range f.pendingIDs(func(p *pendingRead) bool { return now >= p.deadline }) {
+		f.pending[id].deadline = now + f.nv.RetryTimeout
+		f.queue(id)
 	}
-	sort.Slice(due, func(i, j int) bool { return due[i] < due[j] })
-	refresh := false
-	for _, id := range due {
-		p := f.pending[id]
-		if isLeader {
-			delete(f.pending, id)
-			f.serve(readOrigin{origin: f.nv.Self, id: id, consistency: p.consistency}, now)
-			continue
-		}
-		// A due read's batch (if any) is lost or was refused: clear its
-		// sent mark and let one fresh batch carry every due read. A held
-		// follower-local read whose catch-up stalled re-confirms from
-		// scratch the same way.
-		p.deadline = now + f.nv.RetryTimeout
-		p.sent = false
-		p.held = false
-		refresh = true
-	}
-	if refresh {
-		f.inFlight = false
-		f.flushForwards(now)
-	}
+	f.Forward(now)
 }
 
 // OnReadRequest serves a forwarded read, or refuses it when this node
@@ -378,9 +390,7 @@ func (f *Frontend) OnReadRequest(from types.NodeID, m types.ReadRequest, now tim
 			// read.
 			c = types.ReadLinearizable
 		}
-		if spec.Trace != 0 {
-			f.rec.TraceHop(now, spec.Trace, trace.HopReadServe, from, 0)
-		}
+		f.rec.TraceHop(now, spec.Trace, trace.HopReadServe, from, 0)
 		if tok, dup := f.remoteKeys[remoteReadKey{from, spec.ID}]; dup {
 			// A retry supersedes the original registration: re-record at
 			// the current commit index instead of answering with the old
@@ -403,18 +413,8 @@ func (f *Frontend) OnReadRequest(from types.NodeID, m types.ReadRequest, now tim
 // local commit index has reached: the state machine here now covers every
 // write the read must observe, so the follower serves it locally.
 func (f *Frontend) releaseHeld(now time.Duration) {
-	if len(f.pending) == 0 {
-		return
-	}
 	commit := f.nv.CommitIndex()
-	var due []uint64
-	for id, p := range f.pending {
-		if p.held && p.confirmedIdx <= commit {
-			due = append(due, id)
-		}
-	}
-	sort.Slice(due, func(i, j int) bool { return due[i] < due[j] })
-	for _, id := range due {
+	for _, id := range f.pendingIDs(func(p *pendingRead) bool { return p.held && p.confirmedIdx <= commit }) {
 		p := f.pending[id]
 		delete(f.pending, id)
 		f.counters.Inc(CounterFollowerReads)
@@ -423,8 +423,8 @@ func (f *Frontend) releaseHeld(now time.Duration) {
 	}
 }
 
-// OnReadReply resolves a forwarded batch, then ships the reads that queued
-// up while it was in flight.
+// OnReadReply resolves the reads of one forwarded request, whichever of
+// several outstanding requests it answers.
 func (f *Frontend) OnReadReply(m types.ReadReply, now time.Duration) {
 	for _, r := range m.Results {
 		p, ok := f.pending[r.ID]
@@ -442,6 +442,7 @@ func (f *Frontend) OnReadReply(m types.ReadReply, now time.Duration) {
 					f.counters.Inc(CounterFollowerHeld)
 				}
 				p.held = true
+				p.queued = false
 				p.confirmedIdx = r.Index
 				p.deadline = now + f.nv.RetryTimeout
 				continue
@@ -458,6 +459,4 @@ func (f *Frontend) OnReadReply(m types.ReadReply, now time.Duration) {
 		// soon, by when a fresh leader may be known.
 		p.deadline = now + f.nv.RetrySoon
 	}
-	f.inFlight = false
-	f.flushForwards(now)
 }

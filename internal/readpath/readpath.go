@@ -59,6 +59,9 @@ const (
 	// CounterForwarded counts reads forwarded to the leader (incremented by
 	// the cores on the follower side).
 	CounterForwarded = "readpath.reads_forwarded"
+	// CounterForwardRequests counts ReadRequest messages the follower side
+	// sent; CounterForwarded over it is how many reads one request carries.
+	CounterForwardRequests = "readpath.forward_requests"
 	// CounterReadBatches counts confirmation batches that carried at least
 	// one read (the batching collapse metric: N concurrent reads should
 	// move this by 1).

@@ -210,9 +210,9 @@ func TestMetricsHandlerPeerStatus(t *testing.T) {
 }
 
 // TestMetricsFastTrackCounters pins the fast-track counters on a live node:
-// the four names are in Metrics() from the start, move with commits, reach
-// the Prometheus exposition, and feed the fast-track ratio of
-// /debug/hraft/top.
+// they (and the read-path counters registered the same way) are in
+// Metrics() from the start, move with commits, reach the Prometheus
+// exposition, and feed the fast-track ratio of /debug/hraft/top.
 func TestMetricsFastTrackCounters(t *testing.T) {
 	net := NewInProcNetwork(1)
 	defer net.Close()
@@ -233,7 +233,7 @@ func TestMetricsFastTrackCounters(t *testing.T) {
 		"fastraft.commits_fast", "fastraft.commits_classic",
 		"fastraft.decisions_on_arrival", "fastraft.decisions_on_tick",
 		"fastraft.commits_notified", "fastraft.notify_ahead", "fastraft.notify_mismatch",
-		"readpath.follower_held",
+		"readpath.follower_held", "readpath.forward_requests",
 	}
 	m := node.Metrics()
 	for _, name := range names {
@@ -270,5 +270,49 @@ func TestMetricsFastTrackCounters(t *testing.T) {
 	}
 	if g := node.DebugTop().Groups[0]; g.CommitsFast != 1 || g.CommitsClassic != 1 {
 		t.Fatalf("top commits fast/classic = %d/%d, want 1/1", g.CommitsFast, g.CommitsClassic)
+	}
+}
+
+// TestMetricsCRaftForwardRequests pins readpath.forward_requests on a C-Raft
+// site: present under "local." from the first scrape and under "global."
+// once the site runs the global instance, and on the Prometheus exposition.
+func TestMetricsCRaftForwardRequests(t *testing.T) {
+	net := NewInProcNetwork(1)
+	defer net.Close()
+	node, err := NewCRaftNode(CRaftOptions{
+		ID:              "a1",
+		Cluster:         "cA",
+		ClusterPeers:    []NodeID{"a1"},
+		GlobalClusters:  []NodeID{"cA"},
+		Transport:       net.Endpoint("a1"),
+		LocalHeartbeat:  10 * time.Millisecond,
+		GlobalHeartbeat: 10 * time.Millisecond,
+		Seed:            1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Stop()
+	const local, global = "local.readpath.forward_requests", "global.readpath.forward_requests"
+	if _, ok := node.Metrics()[local]; !ok {
+		t.Fatalf("Metrics() lacks %q before any read", local)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		if _, ok := node.Metrics()[global]; ok {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("Metrics() never gained %q", global)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	rec := httptest.NewRecorder()
+	MetricsHandler("a1", node).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	for _, name := range []string{local, global} {
+		want := "hraft_" + strings.ReplaceAll(name, ".", "_") + `{node="a1"} `
+		if !strings.Contains(rec.Body.String(), want) {
+			t.Fatalf("exposition missing %q", want)
+		}
 	}
 }
