@@ -35,7 +35,7 @@
 //
 // The deterministic discrete-event simulator and the experiment harness
 // that regenerate the paper's figures live under internal/ and are driven
-// by `go test -bench .` and cmd/hraft-bench.
+// by cmd/hraft-bench.
 package hraft
 
 import (

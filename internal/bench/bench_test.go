@@ -1,14 +1,56 @@
 package bench
 
 import (
+	"bytes"
+	"flag"
+	"io"
+	"os"
 	"strings"
 	"testing"
 	"time"
 )
 
 // Small parameterizations keep these correctness tests fast; the full
-// paper-scale sweeps run from bench_test.go at the repo root and from
-// cmd/hraft-bench.
+// paper-scale sweeps run from cmd/hraft-bench.
+
+var update = flag.Bool("update", false, "rewrite testdata/quick.txt from the current figures")
+
+// TestQuickFiguresMatchBaseline pins every virtual-time figure byte for
+// byte: the -quick output of Fig 3, Fig 4, Fig 5 and the read sweep must
+// equal the committed baseline. After a change that moves a figure on
+// purpose, regenerate it with `go test ./internal/bench -run Baseline -update`.
+func TestQuickFiguresMatchBaseline(t *testing.T) {
+	const path = "testdata/quick.txt"
+	var out bytes.Buffer
+	for _, e := range []string{"fig3", "fig4", "fig5", "reads"} {
+		if err := Run(&out, io.Discard, e, 0, 1, true); err != nil {
+			t.Fatalf("%s: %v", e, err)
+		}
+	}
+	if *update {
+		if err := os.WriteFile(path, out.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, wantLines := strings.Split(out.String(), "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(got) || i < len(wantLines); i++ {
+		var g, w string
+		if i < len(got) {
+			g = got[i]
+		}
+		if i < len(wantLines) {
+			w = wantLines[i]
+		}
+		if g != w {
+			t.Fatalf("figures moved from %s at line %d:\n got: %q\nwant: %q", path, i+1, g, w)
+		}
+	}
+}
 
 func TestFig3ShapeAtLowLoss(t *testing.T) {
 	rows, err := Fig3CommitLatency(Fig3Options{

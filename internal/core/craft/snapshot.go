@@ -110,7 +110,7 @@ func (n *Node) encodeReplayState(appData []byte) []byte {
 	sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
 	w.u64(uint64(len(idxs)))
 	for _, idx := range idxs {
-		w.bytes(types.EncodeEntry(n.gLog[idx]))
+		w.bytes(types.AppendEntryTo(nil, n.gLog[idx]))
 	}
 
 	seqs := make([]uint64, 0, len(n.replayBuf))
@@ -133,7 +133,7 @@ func (n *Node) encodeReplayState(appData []byte) []byte {
 	for _, seq := range bseqs {
 		rec := n.ourBatches[seq]
 		w.u64(seq)
-		w.bytes(types.EncodeEntry(rec.entry))
+		w.bytes(types.AppendEntryTo(nil, rec.entry))
 		w.u64(uint64(rec.items))
 	}
 

@@ -1,9 +1,7 @@
 package storage
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -203,46 +201,6 @@ func TestShardWALSegmentGCWaitsForEveryGroup(t *testing.T) {
 		if _, entries, _ := w2.Group(gid).Load(); len(entries) != 0 {
 			t.Fatalf("group %s: %d entries survived full compaction", gid, len(entries))
 		}
-	}
-}
-
-// TestShardWALOpensV4Directories: a directory written before the group
-// format (manifest version 4, no group records) opens unchanged.
-func TestShardWALOpensV4Directories(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "v4.wal")
-	w, err := OpenWALOptions(path, smallSegOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	storageScenario(t, w)
-	// Enough bulk to seal a 256-byte segment, so a manifest exists.
-	for i := types.Index(5); i <= 24; i++ {
-		if err := w.AppendEntry(entry(i, 3, "0123456789abcdef0123456789abcdef")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Rewrite the manifest claiming format 4 (the pre-group directory
-	// format); record-level layouts are identical for flat records.
-	man, ok, err := readManifest(path)
-	if err != nil || !ok {
-		t.Fatalf("manifest: ok=%v err=%v", ok, err)
-	}
-	man.Version = 4
-	data, _ := json.Marshal(man)
-	if err := os.WriteFile(manifestPath(path), data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	w2, err := OpenWAL(path)
-	if err != nil {
-		t.Fatalf("v4 directory rejected: %v", err)
-	}
-	defer w2.Close()
-	hs, entries, err := w2.Load()
-	if err != nil || hs.Term != 3 || len(entries) != 24 {
-		t.Fatalf("v4 reopen: hs=%+v entries=%d err=%v", hs, len(entries), err)
 	}
 }
 

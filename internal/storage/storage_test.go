@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"math/rand"
@@ -9,6 +8,8 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
+	"sync/atomic"
 	"syscall"
 	"testing"
 	"testing/quick"
@@ -163,20 +164,27 @@ func TestWALTornTailRecovery(t *testing.T) {
 	}
 }
 
-// TestWALRejectsPreVersioningFormat: a log whose first record is not the
-// format record was written by a build with the old entry encoding; it must
-// be refused with a clear error, not misdecoded.
+// writeSegment lays down dir/00000001.seg holding the given record bodies,
+// framed as the WAL frames them, with no manifest.
+func writeSegment(t *testing.T, dir string, bodies ...[]byte) {
+	t.Helper()
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	var buf []byte
+	for _, b := range bodies {
+		buf = appendFrame(buf, b)
+	}
+	if err := os.WriteFile(filepath.Join(dir, segName(1)), buf, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestWALRejectsPreVersioningFormat: a segment whose first record is not the
+// format record must be refused with a clear error, not misdecoded.
 func TestWALRejectsPreVersioningFormat(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "old.wal")
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A well-framed v1-style log starting directly with a hard-state record.
-	if err := writeRecord(f, hardStateBody(HardState{Term: 3, VotedFor: "a"})); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
+	writeSegment(t, path, hardStateBody(HardState{Term: 3, VotedFor: "a"}))
 	if _, err := OpenWAL(path); err == nil || !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("pre-versioning WAL opened: err=%v", err)
 	}
@@ -186,16 +194,55 @@ func TestWALRejectsPreVersioningFormat(t *testing.T) {
 // must be refused.
 func TestWALRejectsFutureFormatVersion(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "future.wal")
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY, 0o644)
+	writeSegment(t, path, []byte{recFormat, walFormatVersion + 1})
+	if _, err := OpenWAL(path); err == nil || !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("future-format WAL opened: err=%v", err)
+	}
+}
+
+// TestWALRejectsFormat4Segment: a segment recorded in the previous format is
+// refused, and the error names the version found.
+func TestWALRejectsFormat4Segment(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "v4.wal")
+	writeSegment(t, path, []byte{recFormat, 4}, hardStateBody(HardState{Term: 3, VotedFor: "a"}))
+	_, err := OpenWAL(path)
+	if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "format version 4") {
+		t.Fatalf("format-4 segment: err=%v, want ErrCorrupt naming version 4", err)
+	}
+}
+
+// TestWALRejectsFormat4Manifest: a manifest claiming the previous format is
+// refused, and the error names the version found.
+func TestWALRejectsFormat4Manifest(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "v4.wal")
+	w, err := OpenWALOptions(path, smallSegOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := writeRecord(f, []byte{recFormat, walFormatVersion + 1}); err != nil {
+	// Enough bulk to seal a 256-byte segment, so a manifest exists.
+	for i := types.Index(1); i <= 20; i++ {
+		if err := w.AppendEntry(entry(i, 3, "0123456789abcdef0123456789abcdef")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	f.Close()
-	if _, err := OpenWAL(path); err == nil || !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("future-format WAL opened: err=%v", err)
+	man, ok, err := readManifest(path)
+	if err != nil || !ok {
+		t.Fatalf("manifest: ok=%v err=%v", ok, err)
+	}
+	man.Version = 4
+	data, err := json.Marshal(man)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(manifestPath(path), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = OpenWAL(path)
+	if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "format version 4") {
+		t.Fatalf("format-4 manifest: err=%v, want ErrCorrupt naming version 4", err)
 	}
 }
 
@@ -707,8 +754,17 @@ func TestWALGroupCommitHorizon(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var notified uint64
-	w.OnDurable(func(lsn uint64) { notified = lsn })
+	// OnDurable runs on the flusher goroutine, which releases Sync's waiter
+	// before it calls back: the test waits for the callback itself.
+	var notified atomic.Uint64
+	called := make(chan struct{}, 1)
+	w.OnDurable(func(lsn uint64) {
+		notified.Store(lsn)
+		select {
+		case called <- struct{}{}:
+		default:
+		}
+	})
 	if err := w.SetHardState(HardState{Term: 1, VotedFor: "a"}); err != nil {
 		t.Fatal(err)
 	}
@@ -726,8 +782,13 @@ func TestWALGroupCommitHorizon(t *testing.T) {
 	if err := w.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if w.DurableLSN() != 4 || notified != 4 {
-		t.Fatalf("after Sync: durable=%d notified=%d", w.DurableLSN(), notified)
+	select {
+	case <-called:
+	case <-time.After(5 * time.Second):
+		t.Fatal("OnDurable not called after Sync")
+	}
+	if w.DurableLSN() != 4 || notified.Load() != 4 {
+		t.Fatalf("after Sync: durable=%d notified=%d", w.DurableLSN(), notified.Load())
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
@@ -805,213 +866,4 @@ func TestGroupedMemoryCrashDropsUnsynced(t *testing.T) {
 	if len(entries) != 1 || string(entries[0].Data) != "durable" {
 		t.Fatalf("post-crash state: %v", entries)
 	}
-}
-
-// writeOldSingleFileWAL lays down a pre-segment (single-file) WAL at path.
-// encode renders one entry body at that format's entry layout.
-func writeOldSingleFileWAL(t *testing.T, path string, ver byte, hs HardState, entries []types.Entry, encode func(types.Entry) []byte) {
-	t.Helper()
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	if err := writeRecord(f, []byte{recFormat, ver}); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeRecord(f, hardStateBody(hs)); err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		if err := writeRecord(f, append([]byte{recEntry}, encode(e)...)); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-// encodeEntryV2 renders the pre-SessionAck entry layout that format-2
-// single-file WALs recorded.
-func encodeEntryV2(e types.Entry) []byte {
-	var b []byte
-	b = binary.AppendUvarint(b, uint64(e.Index))
-	b = binary.AppendUvarint(b, uint64(e.Term))
-	b = append(b, byte(e.Kind), byte(e.Approval))
-	b = binary.AppendUvarint(b, uint64(len(e.PID.Proposer)))
-	b = append(b, e.PID.Proposer...)
-	b = binary.AppendUvarint(b, e.PID.Seq)
-	b = binary.AppendUvarint(b, uint64(e.Session))
-	b = binary.AppendUvarint(b, e.SessionSeq)
-	b = binary.AppendUvarint(b, uint64(len(e.Data)))
-	b = append(b, e.Data...)
-	b = append(b, 0) // no config
-	return b
-}
-
-func testWALMigration(t *testing.T, ver byte, encode func(types.Entry) []byte) {
-	path := filepath.Join(t.TempDir(), "old.wal")
-	es := []types.Entry{entry(1, 1, "one"), entry(2, 1, "two"), entry(3, 2, "three")}
-	writeOldSingleFileWAL(t, path, ver, HardState{Term: 2, VotedFor: "n2"}, es, encode)
-	w, err := OpenWAL(path)
-	if err != nil {
-		t.Fatalf("migration open: %v", err)
-	}
-	hs, entries, err := w.Load()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hs.Term != 2 || hs.VotedFor != "n2" {
-		t.Fatalf("migrated hard state: %+v", hs)
-	}
-	if len(entries) != 3 || string(entries[2].Data) != "three" || entries[2].Term != 2 {
-		t.Fatalf("migrated entries: %v", entries)
-	}
-	// The WAL is now a directory; the old artifacts are gone; appends work.
-	fi, err := os.Stat(path)
-	if err != nil || !fi.IsDir() {
-		t.Fatalf("migrated WAL not a directory: %v %v", fi, err)
-	}
-	for _, leftover := range []string{path + ".old", path + ".snap", path + ".migrating"} {
-		if _, err := os.Stat(leftover); !os.IsNotExist(err) {
-			t.Fatalf("migration leftover %s", leftover)
-		}
-	}
-	if err := w.AppendEntry(entry(4, 2, "post")); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	w2, err := OpenWAL(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w2.Close()
-	_, entries, _ = w2.Load()
-	if len(entries) != 4 {
-		t.Fatalf("post-migration reopen: %v", entries)
-	}
-}
-
-func TestWALMigratesV3SingleFile(t *testing.T) {
-	testWALMigration(t, 3, func(e types.Entry) []byte { return types.AppendEntryTo(nil, e) })
-}
-
-func TestWALMigratesV2SingleFile(t *testing.T) {
-	testWALMigration(t, 2, encodeEntryV2)
-}
-
-// TestWALMigrationWithSnapshotSidecar: the old sidecar moves into the
-// directory and stale prefix entries are dropped during migration.
-func TestWALMigrationWithSnapshotSidecar(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "olds.wal")
-	es := []types.Entry{entry(1, 1, "stale"), entry(2, 1, "stale"), entry(3, 2, "live")}
-	writeOldSingleFileWAL(t, path, 3, HardState{Term: 2, VotedFor: "n1"}, es,
-		func(e types.Entry) []byte { return types.AppendEntryTo(nil, e) })
-	if err := writeSnapshotFile(path+".snap", snap(2, 1, "state@2")); err != nil {
-		t.Fatal(err)
-	}
-	// Old layout: the marker record follows the sidecar write.
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	marker := types.Snapshot{Meta: snap(2, 1, "").Meta}
-	if err := writeRecord(f, append([]byte{recSnapshot}, types.EncodeSnapshot(marker)...)); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	w, err := OpenWAL(path)
-	if err != nil {
-		t.Fatalf("migration with snapshot: %v", err)
-	}
-	defer w.Close()
-	got, ok, err := w.LoadSnapshot()
-	if err != nil || !ok || got.Meta.LastIndex != 2 || string(got.Data) != "state@2" {
-		t.Fatalf("migrated snapshot: ok=%v err=%v %v", ok, err, got)
-	}
-	_, entries, _ := w.Load()
-	if len(entries) != 1 || entries[0].Index != 3 {
-		t.Fatalf("stale prefix survived migration: %v", entries)
-	}
-	if _, err := os.Stat(path + ".snap"); !os.IsNotExist(err) {
-		t.Fatal("old sidecar not removed")
-	}
-}
-
-// TestWALMigrationCrashPoints drives recovery through each interruption
-// window of the rename dance.
-func TestWALMigrationCrashPoints(t *testing.T) {
-	build := func(t *testing.T) (dir, path string) {
-		dir = t.TempDir()
-		path = filepath.Join(dir, "node.wal")
-		writeOldSingleFileWAL(t, path, 3, HardState{Term: 1, VotedFor: "a"},
-			[]types.Entry{entry(1, 1, "v")},
-			func(e types.Entry) []byte { return types.AppendEntryTo(nil, e) })
-		return dir, path
-	}
-	check := func(t *testing.T, path string) {
-		t.Helper()
-		w, err := OpenWAL(path)
-		if err != nil {
-			t.Fatalf("crash-point recovery: %v", err)
-		}
-		defer w.Close()
-		hs, entries, err := w.Load()
-		if err != nil || hs.Term != 1 || len(entries) != 1 {
-			t.Fatalf("recovered state: hs=%+v entries=%v err=%v", hs, entries, err)
-		}
-		for _, leftover := range []string{path + ".old", path + ".migrating"} {
-			if _, err := os.Stat(leftover); !os.IsNotExist(err) {
-				t.Fatalf("leftover %s", leftover)
-			}
-		}
-	}
-
-	t.Run("partial-build", func(t *testing.T) {
-		_, path := build(t)
-		// Crash mid-build: a junk .migrating directory next to the intact
-		// old file. The build must restart from scratch.
-		if err := os.MkdirAll(path+".migrating", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(path+".migrating", "00000001.seg"), []byte("junk"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		check(t, path)
-	})
-
-	t.Run("between-renames", func(t *testing.T) {
-		_, path := build(t)
-		// Run the build for real, then freeze the state between the two
-		// renames: original stashed at .old, built dir still at .migrating.
-		hs, entries, snap, haveSnap, err := replaySingleFile(path, path+".snap")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := buildMigrationDir(path+".migrating", hs, entries, snap, haveSnap); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.Rename(path, path+".old"); err != nil {
-			t.Fatal(err)
-		}
-		check(t, path)
-	})
-
-	t.Run("before-cleanup", func(t *testing.T) {
-		_, path := build(t)
-		hs, entries, snap, haveSnap, err := replaySingleFile(path, path+".snap")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := buildMigrationDir(path+".migrating", hs, entries, snap, haveSnap); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.Rename(path, path+".old"); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.Rename(path+".migrating", path); err != nil {
-			t.Fatal(err)
-		}
-		check(t, path)
-	})
 }

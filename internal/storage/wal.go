@@ -17,7 +17,7 @@ import (
 	"github.com/hraft-io/hraft/internal/types"
 )
 
-// WAL layout (format version 4): a directory of fixed-size segments plus a
+// WAL layout (format version 5): a directory of fixed-size segments plus a
 // manifest and a snapshot sidecar.
 //
 //	<path>/
@@ -27,7 +27,7 @@ import (
 //	  00000003.seg    active segment (not listed in the manifest)
 //	  snap            snapshot sidecar (atomically replaced)
 //
-// Record framing inside a segment is unchanged from the single-file format:
+// Record framing inside a segment:
 //
 //	len(u32 LE) | crc32c(u32 LE, over kind+payload) | kind(1) | payload
 //
@@ -71,38 +71,25 @@ const (
 	recTruncate  byte = 3
 	recSnapshot  byte = 4
 	// recFormat is the first record of every segment and carries the
-	// format version, so logs written with an older entry encoding are
-	// migrated (or rejected) instead of misdecoded.
+	// format version, so a log written in any other format is rejected
+	// instead of misdecoded.
 	recFormat byte = 5
-	// Group-prefixed record kinds (format version 5): the same mutations as
-	// above, carrying the ID of the consensus group they belong to. A shard
-	// manager multiplexes many groups over one WAL directory; their records
+	// Group-prefixed record kinds: the same mutations as above, carrying
+	// the ID of the consensus group they belong to. A shard manager
+	// multiplexes many groups over one WAL directory; their records
 	// interleave in the shared segments (and the shared group-commit
-	// buffer, so one fsync covers every group's batch) and are demultiplexed
-	// by this prefix on replay.
+	// buffer, so one fsync covers every group's batch) and are
+	// demultiplexed by this prefix on replay.
 	recGroupHardState byte = 6
 	recGroupEntry     byte = 7
 	recGroupTruncate  byte = 8
 	recGroupSnapshot  byte = 9
 )
 
-// walFormatVersion is the current on-disk format: 2 added the session
-// fields to the entry encoding, 3 added the session-ack field, 4 moved the
-// log from a single rewritten file to segmented directories, 5 added the
-// group-prefixed record kinds and the per-group segment metadata for
-// multi-group (sharded) processes. Version 4 directories open unchanged
-// (they simply contain no group records); version 2 and 3 single-file logs
-// are migrated in place on open (entries re-encoded at the current layout);
-// version 1 logs (no format record) predate versioning and are rejected.
+// walFormatVersion is the one on-disk format this build reads and writes,
+// in every segment's format record and in the manifest. Any other version
+// is ErrCorrupt.
 const walFormatVersion = 5
-
-// oldestDirFormat is the oldest segmented-directory format openable without
-// migration.
-const oldestDirFormat = 4
-
-// oldestMigratable is the oldest single-file format migrateIfNeeded can
-// re-encode.
-const oldestMigratable = 2
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
@@ -233,8 +220,7 @@ func manifestPath(dir string) string { return filepath.Join(dir, "MANIFEST") }
 
 // OpenWAL opens (or creates) a fully synchronous WAL at path, recovering
 // existing state. A torn final record in the active segment is repaired by
-// truncation; stale temporaries from interrupted saves are removed; logs in
-// the pre-segment single-file format are migrated in place.
+// truncation; stale temporaries from interrupted saves are removed.
 func OpenWAL(path string) (*WAL, error) {
 	return OpenWALOptions(path, WALOptions{})
 }
@@ -242,9 +228,6 @@ func OpenWAL(path string) (*WAL, error) {
 // OpenWALOptions opens a WAL with explicit tuning (see WALOptions).
 func OpenWALOptions(path string, opt WALOptions) (*WAL, error) {
 	opt.defaults()
-	if err := migrateIfNeeded(path); err != nil {
-		return nil, err
-	}
 	if err := os.MkdirAll(path, 0o755); err != nil {
 		return nil, fmt.Errorf("storage: create wal dir: %w", err)
 	}
@@ -308,9 +291,9 @@ func readManifest(dir string) (manifest, bool, error) {
 	if err := json.Unmarshal(data, &man); err != nil {
 		return manifest{}, false, fmt.Errorf("%w: manifest: %v", ErrCorrupt, err)
 	}
-	if man.Version < oldestDirFormat || man.Version > walFormatVersion {
-		return manifest{}, false, fmt.Errorf("%w: manifest format version %d, this build reads %d..%d",
-			ErrCorrupt, man.Version, oldestDirFormat, walFormatVersion)
+	if man.Version != walFormatVersion {
+		return manifest{}, false, fmt.Errorf("%w: manifest format version %d, this build reads %d",
+			ErrCorrupt, man.Version, walFormatVersion)
 	}
 	sort.Slice(man.Segments, func(i, j int) bool { return man.Segments[i].Seq < man.Segments[j].Seq })
 	return man, true, nil
@@ -450,7 +433,6 @@ func (w *WAL) replaySegment(seq uint64, strict bool) (int64, types.Index, error)
 	off := 0
 	valid := 0
 	var segMax types.Index
-	var ver byte
 	first := true
 	w.replayGLast = make(map[types.GroupID]types.Index)
 	for {
@@ -470,14 +452,13 @@ func (w *WAL) replaySegment(seq uint64, strict bool) (int64, types.Index, error)
 			if len(body) != 2 || body[0] != recFormat {
 				return 0, 0, fmt.Errorf("%w: segment %d has no format record", ErrCorrupt, seq)
 			}
-			ver = body[1]
-			if ver < oldestMigratable || ver > walFormatVersion {
-				return 0, 0, fmt.Errorf("%w: segment %d format version %d, this build reads %d; remove the WAL (and its snap sidecar) or migrate it",
+			if ver := body[1]; ver != walFormatVersion {
+				return 0, 0, fmt.Errorf("%w: segment %d format version %d, this build reads %d",
 					ErrCorrupt, seq, ver, walFormatVersion)
 			}
 			first = false
 		}
-		idx, err := w.apply(body, ver)
+		idx, err := w.apply(body)
 		if err != nil {
 			return 0, 0, err
 		}
@@ -498,10 +479,9 @@ func (w *WAL) replaySegment(seq uint64, strict bool) (int64, types.Index, error)
 	return int64(valid), segMax, nil
 }
 
-// apply dispatches one replayed record body. ver is the segment's recorded
-// format version; old entry layouts decode accordingly. Returns the entry
-// index for entry records (0 otherwise).
-func (w *WAL) apply(body []byte, ver byte) (types.Index, error) {
+// apply dispatches one replayed record body. Returns the entry index for
+// entry records (0 otherwise).
+func (w *WAL) apply(body []byte) (types.Index, error) {
 	if len(body) == 0 {
 		return 0, ErrCorrupt
 	}
@@ -520,7 +500,7 @@ func (w *WAL) apply(body []byte, ver byte) (types.Index, error) {
 		w.hs = HardState{Term: types.Term(term), VotedFor: types.NodeID(r[n:])}
 		return 0, nil
 	case recEntry:
-		e, err := types.DecodeEntryAt(body[1:], entryLayoutFor(ver))
+		e, err := types.DecodeEntry(body[1:])
 		if err != nil {
 			return 0, fmt.Errorf("%w: %v", ErrCorrupt, err)
 		}
@@ -547,7 +527,7 @@ func (w *WAL) apply(body []byte, ver byte) (types.Index, error) {
 		}
 		return 0, nil
 	case recGroupHardState, recGroupEntry, recGroupTruncate, recGroupSnapshot:
-		return 0, w.applyGroup(body, ver)
+		return 0, w.applyGroup(body)
 	default:
 		return 0, fmt.Errorf("%w: unknown record kind %d", ErrCorrupt, body[0])
 	}
@@ -556,7 +536,7 @@ func (w *WAL) apply(body []byte, ver byte) (types.Index, error) {
 // applyGroup dispatches one replayed group-prefixed record body. Group
 // entries never count toward the flat namespace's segment maxima; they
 // feed replayGLast instead.
-func (w *WAL) applyGroup(body []byte, ver byte) error {
+func (w *WAL) applyGroup(body []byte) error {
 	kind := body[0]
 	r := body[1:]
 	glen, n := binary.Uvarint(r)
@@ -577,7 +557,7 @@ func (w *WAL) applyGroup(body []byte, ver byte) error {
 		}
 		g.hs = HardState{Term: types.Term(term), VotedFor: types.NodeID(rest[n:])}
 	case recGroupEntry:
-		e, err := types.DecodeEntryAt(rest, entryLayoutFor(ver))
+		e, err := types.DecodeEntry(rest)
 		if err != nil {
 			return fmt.Errorf("%w: %v", ErrCorrupt, err)
 		}
@@ -619,16 +599,6 @@ func (w *WAL) ensureGroupLocked(gid types.GroupID) *WALGroup {
 		w.groups[gid] = g
 	}
 	return g
-}
-
-// entryLayoutFor maps a WAL format version to the entry wire layout it
-// recorded: format 2 predates the session-ack field (wire layout v3),
-// everything since uses the current unversioned layout.
-func entryLayoutFor(walVer byte) uint8 {
-	if walVer == 2 {
-		return 3
-	}
-	return 0
 }
 
 // writeBootstrap stamps a fresh segment with the format record, the current

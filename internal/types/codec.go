@@ -10,61 +10,27 @@ import (
 //
 // Messages cross the UDP transport as a single datagram:
 //
-//	magic(2) version(1) msgType(1) | from | to | layer(1) | body
+//	magic(2) version(1) msgType(1) | from | to | layer(1) | group | body
 //
 // All integers are unsigned varints; strings and byte slices are
-// length-prefixed. The codec is hand-rolled (stdlib-only constraint) and
-// fully round-trip tested, including fuzz-style corpus checks.
+// length-prefixed. Every message type has exactly one body layout
+// (encodeBody). The codec is hand-rolled (stdlib-only constraint) and
+// round-trip and fuzz tested.
 
 const (
 	wireMagic = 0xC4AF
-	// wireVersion 2 added the session fields to the entry encoding and the
-	// session-state section to the snapshot encoding. Version 3 added the
-	// chunked-snapshot fields (Boundary/Offset/Data/Done) to
-	// InstallSnapshot and the ack fields (Boundary/Offset) to
-	// InstallSnapshotReply. Version 4 added the SessionAck field to the
-	// entry encoding, the pending-stream fields
-	// (PendingBoundary/PendingOffset) to AppendEntriesResp and the stream
-	// checksum (Check) to InstallSnapshot. Version 5 added the read-batch
-	// ID (ReadCtx) to AppendEntries and AppendEntriesResp plus the
-	// ReadRequest/ReadReply message pair (linearizable read subsystem).
-	// Version 6 made ReadRequest/ReadReply vector messages: a forwarding
-	// follower coalesces every queued read into one ReadRequest per leader
-	// round-trip, and the leader batches the resolutions it releases
-	// together into one ReadReply. Version 7 added the group tag to the
-	// envelope header (multi-group sharding: v6 frames decode with Group
-	// empty), the ShardBatch cross-group coalescing message, the TimeoutNow
-	// leadership-transfer order and the Transfer flag on RequestVote.
-	// Version 8 added optional trace-context propagation: a sampled
-	// TraceID rides entries, read specs/results and snapshot chunks behind
-	// a presence bit (wireTraceFlag) stolen from an existing small-valued
-	// byte, so unsampled v8 bodies are byte-identical to v7 bodies — zero
-	// trace-context bytes and zero extra allocations on the unsampled
-	// path. v6/v7 frames decode with TraceID zero. Version 9 added the
-	// committed entry's Term to CommitNotify (a v8 frame decodes with Term
-	// zero, "notification only"); every other body is unchanged from v8.
+	// wireVersion is the one frame version this codec reads and writes. A
+	// frame carrying any other version byte is ErrBadFrame, never a guess at
+	// another layout; a body layout change replaces the version.
 	wireVersion = 9
-	// wireVersionMin is the oldest frame version this decoder accepts: v2
-	// frames (no chunk fields) decode as whole-image transfers, v3 frames
-	// (no ack/continuation fields) and v4 frames (no read-batch fields)
-	// decode with those features zero, and v5 singleton ReadRequest/
-	// ReadReply frames decode as one-element batches, so a v6 node
-	// understands everything older senders emit — a v4 responder simply
-	// never confirms read batches. Note the compatibility is
-	// one-directional — this encoder always writes v6, which older
-	// decoders reject as a bad frame — so mixed clusters need the upgraded
-	// side rolled out last on the decode path. Unknown versions are
-	// rejected loudly as ErrBadFrame rather than misdecoded.
-	wireVersionMin = 2
 )
 
 // wireTraceFlag marks a trace-context varint following the byte it is set
 // on: the entry Kind byte, a ReadSpec's Consistency byte, a ReadResult's
 // OK byte, or an InstallSnapshot's Done byte. All four fields use fewer
-// than 7 bits of their byte, so stealing the top bit keeps unsampled
-// encodes byte-identical to the v7 layout. Encoders set it only when the
-// TraceID is nonzero; decoders reject it on pre-v8 frames (legitimate old
-// senders never set it).
+// than 7 bits of their byte, so an unsampled encode carries no
+// trace-context bytes at all. Encoders set it only when the TraceID is
+// nonzero.
 const wireTraceFlag = 0x80
 
 // Message type tags. The values are part of the wire format; never reorder.
@@ -92,16 +58,11 @@ const (
 // ErrBadFrame reports a datagram that is not a valid hraft frame.
 var ErrBadFrame = errors.New("types: bad frame")
 
-// EncodeEnvelope serializes an envelope into a fresh buffer.
-func EncodeEnvelope(env Envelope) ([]byte, error) {
-	return AppendEnvelope(nil, env)
-}
-
-// AppendEnvelope serializes an envelope onto buf (which may be nil or a
-// recycled buffer) and returns the extended slice. With a reused buffer of
-// sufficient capacity the encode performs zero heap allocations; transports
-// on the send hot path keep one scratch buffer per sender goroutine and
-// re-encode into it.
+// AppendEnvelope serializes an envelope onto buf (nil for a fresh buffer,
+// or a recycled one) and returns the extended slice. With a reused buffer
+// of sufficient capacity the encode performs zero heap allocations;
+// transports on the send hot path keep one scratch buffer per sender
+// goroutine and re-encode into it.
 func AppendEnvelope(buf []byte, env Envelope) ([]byte, error) {
 	tag, err := msgTag(env.Msg)
 	if err != nil {
@@ -124,18 +85,13 @@ func AppendEnvelope(buf []byte, env Envelope) ([]byte, error) {
 	return w.buf, nil
 }
 
-// DecodeEnvelope parses a datagram produced by EncodeEnvelope.
+// DecodeEnvelope parses a datagram produced by AppendEnvelope.
 func DecodeEnvelope(data []byte) (Envelope, error) {
-	if len(data) < 4 {
-		return Envelope{}, ErrBadFrame
-	}
-	ver := data[2]
-	if binary.BigEndian.Uint16(data[:2]) != wireMagic ||
-		ver < wireVersionMin || ver > wireVersion {
+	if len(data) < 4 || binary.BigEndian.Uint16(data[:2]) != wireMagic || data[2] != wireVersion {
 		return Envelope{}, ErrBadFrame
 	}
 	tag := data[3]
-	r := reader{buf: data[4:], ver: ver}
+	r := reader{buf: data[4:]}
 	var env Envelope
 	env.From = NodeID(r.str())
 	env.To = NodeID(r.str())
@@ -147,9 +103,7 @@ func DecodeEnvelope(data []byte) (Envelope, error) {
 			r.off++
 		}
 	}
-	if ver >= 7 {
-		env.Group = GroupID(r.str())
-	}
+	env.Group = GroupID(r.str())
 	msg, err := decodeBody(&r, tag)
 	if err != nil {
 		return Envelope{}, err
@@ -376,9 +330,7 @@ func decodeBody(r *reader, tag uint8) (Message, error) {
 		}
 		v.LeaderCommit = Index(r.u64())
 		v.Round = r.u64()
-		if r.ver >= 5 {
-			v.ReadCtx = r.u64()
-		}
+		v.ReadCtx = r.u64()
 		return v, r.err
 	case tagAppendEntriesResp:
 		var v AppendEntriesResp
@@ -386,14 +338,10 @@ func decodeBody(r *reader, tag uint8) (Message, error) {
 		v.Success = r.bool()
 		v.MatchIndex = Index(r.u64())
 		v.LastLogIndex = Index(r.u64())
-		if r.ver >= 4 {
-			v.PendingBoundary = Index(r.u64())
-			v.PendingOffset = r.u64()
-		}
+		v.PendingBoundary = Index(r.u64())
+		v.PendingOffset = r.u64()
 		v.Round = r.u64()
-		if r.ver >= 5 {
-			v.ReadCtx = r.u64()
-		}
+		v.ReadCtx = r.u64()
 		return v, r.err
 	case tagRequestVote:
 		var v RequestVote
@@ -401,9 +349,7 @@ func decodeBody(r *reader, tag uint8) (Message, error) {
 		v.CandidateID = NodeID(r.str())
 		v.LastLogIndex = Index(r.u64())
 		v.LastLogTerm = Term(r.u64())
-		if r.ver >= 7 {
-			v.Transfer = r.bool()
-		}
+		v.Transfer = r.bool()
 		return v, r.err
 	case tagRequestVoteResp:
 		var v RequestVoteResp
@@ -422,9 +368,7 @@ func decodeBody(r *reader, tag uint8) (Message, error) {
 		v.PID.Proposer = NodeID(r.str())
 		v.PID.Seq = r.u64()
 		v.Index = Index(r.u64())
-		if r.ver >= 9 {
-			v.Term = Term(r.u64())
-		}
+		v.Term = Term(r.u64())
 		return v, r.err
 	case tagJoinRequest:
 		var v JoinRequest
@@ -447,45 +391,30 @@ func decodeBody(r *reader, tag uint8) (Message, error) {
 		v.Term = Term(r.u64())
 		v.LeaderID = NodeID(r.str())
 		v.Snapshot = r.snapshot()
-		if r.ver >= 3 {
-			v.Boundary = Index(r.u64())
-			v.Offset = r.u64()
-			v.Data = r.bytes()
-			if r.ver >= 4 {
-				v.Check = uint32(r.u64())
-			}
-			done, trace := r.flaggedByte()
-			v.Done = done != 0
-			v.Trace = trace
-		} else {
-			// v2 sender: always a whole-image transfer.
-			v.Boundary = v.Snapshot.Meta.LastIndex
-			v.Done = true
-		}
+		v.Boundary = Index(r.u64())
+		v.Offset = r.u64()
+		v.Data = r.bytes()
+		v.Check = uint32(r.u64())
+		done, trace := r.flaggedByte()
+		v.Done = done != 0
+		v.Trace = trace
 		v.Round = r.u64()
 		return v, r.err
 	case tagInstallSnapshotReply:
 		var v InstallSnapshotReply
 		v.Term = Term(r.u64())
 		v.LastIndex = Index(r.u64())
-		if r.ver >= 3 {
-			v.Boundary = Index(r.u64())
-			v.Offset = r.u64()
-		}
+		v.Boundary = Index(r.u64())
+		v.Offset = r.u64()
 		v.Round = r.u64()
 		return v, r.err
 	case tagReadRequest:
 		var v ReadRequest
-		n := uint64(1)
-		if r.ver >= 6 {
-			n = r.u64()
-			if r.err == nil && n > uint64(len(r.buf)) {
-				return nil, ErrBadFrame
-			}
+		n := r.u64()
+		if r.err == nil && n > uint64(len(r.buf)) {
+			return nil, ErrBadFrame
 		}
 		for i := uint64(0); i < n && r.err == nil; i++ {
-			// v5 senders carry exactly one (ID, Consistency) pair; the
-			// vector layout repeats it.
 			var s ReadSpec
 			s.ID = r.u64()
 			c, trace := r.flaggedByte()
@@ -498,12 +427,9 @@ func decodeBody(r *reader, tag uint8) (Message, error) {
 		return v, r.err
 	case tagReadReply:
 		var v ReadReply
-		n := uint64(1)
-		if r.ver >= 6 {
-			n = r.u64()
-			if r.err == nil && n > uint64(len(r.buf)) {
-				return nil, ErrBadFrame
-			}
+		n := r.u64()
+		if r.err == nil && n > uint64(len(r.buf)) {
+			return nil, ErrBadFrame
 		}
 		for i := uint64(0); i < n && r.err == nil; i++ {
 			var res ReadResult
@@ -620,14 +546,11 @@ func (w *writer) entry(e Entry) {
 	}
 }
 
-// reader consumes an encoded buffer, latching the first error. ver is the
-// frame version being decoded (0 outside envelope decoding, where layouts
-// are unversioned).
+// reader consumes an encoded buffer, latching the first error.
 type reader struct {
 	buf []byte
 	off int
 	err error
-	ver uint8
 }
 
 func (r *reader) u64() uint64 {
@@ -657,9 +580,8 @@ func (r *reader) bool() bool {
 }
 
 // flaggedByte reads one raw byte that may carry wireTraceFlag plus the
-// trace-context varint behind it (frame v8+, or the unversioned layouts).
-// Returns the byte with the flag cleared and the trace ID (0 when absent).
-// The flag on a pre-v8 frame is a corrupt frame, not a feature.
+// trace-context varint behind it. Returns the byte with the flag cleared
+// and the trace ID (0 when absent).
 func (r *reader) flaggedByte() (byte, uint64) {
 	if r.err != nil {
 		return 0, 0
@@ -672,10 +594,6 @@ func (r *reader) flaggedByte() (byte, uint64) {
 	r.off++
 	if b&wireTraceFlag == 0 {
 		return b, 0
-	}
-	if r.ver != 0 && r.ver < 8 {
-		r.err = ErrBadFrame
-		return 0, 0
 	}
 	return b &^ wireTraceFlag, r.u64()
 }
@@ -715,13 +633,6 @@ func (r *reader) entry() Entry {
 		e.Approval = Approval(r.buf[r.off+1])
 		r.off += 2
 		if kind&wireTraceFlag != 0 {
-			// Trace context joined the entry layout with frame v8 (the
-			// unversioned WAL layout carries it unconditionally behind the
-			// same bit; pre-v8 WALs never set it).
-			if r.ver != 0 && r.ver < 8 {
-				r.err = ErrBadFrame
-				return e
-			}
 			kind &^= wireTraceFlag
 			e.TraceID = r.u64()
 		}
@@ -731,12 +642,7 @@ func (r *reader) entry() Entry {
 	e.PID.Seq = r.u64()
 	e.Session = SessionID(r.u64())
 	e.SessionSeq = r.u64()
-	// SessionAck joined the entry layout with frame v4. Unversioned
-	// readers (ver 0: EncodeEntry/DecodeEntry pairs, i.e. the WAL, which
-	// gates compatibility through its own format record) always carry it.
-	if r.ver == 0 || r.ver >= 4 {
-		e.SessionAck = r.u64()
-	}
+	e.SessionAck = r.u64()
 	e.Data = r.bytes()
 	if r.bool() {
 		n := r.u64()
@@ -753,34 +659,14 @@ func (r *reader) entry() Entry {
 	return e
 }
 
-// EncodeEntry serializes a single log entry (used by the WAL).
-func EncodeEntry(e Entry) []byte {
-	var w writer
-	w.entry(e)
-	return w.buf
-}
-
-// AppendEntryTo serializes a single log entry onto buf and returns the
-// extended slice. With a reused buffer of sufficient capacity the encode is
-// allocation-free; the WAL record writer encodes every record through one
-// scratch buffer this way.
+// AppendEntryTo serializes a single log entry onto buf (nil for a fresh
+// buffer) and returns the extended slice. With a reused buffer of
+// sufficient capacity the encode is allocation-free; the WAL record writer
+// encodes every record through one scratch buffer this way.
 func AppendEntryTo(buf []byte, e Entry) []byte {
 	w := writer{buf: buf}
 	w.entry(e)
 	return w.buf
-}
-
-// DecodeEntryAt parses an entry encoded under the given frame version: 0 is
-// the current unversioned layout (EncodeEntry output), 3 is the layout
-// before SessionAck was added. The WAL uses it to migrate logs recorded
-// under older format versions.
-func DecodeEntryAt(data []byte, ver uint8) (Entry, error) {
-	r := reader{buf: data, ver: ver}
-	e := r.entry()
-	if r.err != nil {
-		return Entry{}, fmt.Errorf("types: decode entry (layout v%d): %w", ver, r.err)
-	}
-	return e, nil
 }
 
 // uvarintLen returns the encoded size of v as an unsigned varint.
@@ -793,7 +679,7 @@ func uvarintLen(v uint64) int {
 	return n
 }
 
-// EntryWireSize returns len(EncodeEntry(e)) without allocating. The
+// EntryWireSize returns len(AppendEntryTo(nil, e)) without allocating. The
 // replication engine uses it to budget AppendEntries payloads in bytes;
 // keep it in lockstep with writer.entry.
 func EntryWireSize(e Entry) int {
@@ -815,7 +701,7 @@ func EntryWireSize(e Entry) int {
 	return n
 }
 
-// DecodeEntry parses an entry produced by EncodeEntry.
+// DecodeEntry parses an entry produced by AppendEntryTo.
 func DecodeEntry(data []byte) (Entry, error) {
 	r := reader{buf: data}
 	e := r.entry()

@@ -2,6 +2,7 @@ package types
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -113,7 +114,7 @@ func sampleMessages() []Message {
 func TestEnvelopeRoundTripAllMessages(t *testing.T) {
 	for _, msg := range sampleMessages() {
 		env := Envelope{From: "a", To: "b", Layer: LayerGlobal, Group: "g7", Msg: msg}
-		buf, err := EncodeEnvelope(env)
+		buf, err := AppendEnvelope(nil, env)
 		if err != nil {
 			t.Fatalf("%s: encode: %v", msg.MsgName(), err)
 		}
@@ -198,8 +199,7 @@ func canonEntry(e Entry) Entry {
 
 func TestEntryRoundTrip(t *testing.T) {
 	for _, e := range sampleEntries() {
-		buf := EncodeEntry(e)
-		got, err := DecodeEntry(buf)
+		got, err := DecodeEntry(AppendEntryTo(nil, e))
 		if err != nil {
 			t.Fatalf("decode %v: %v", e, err)
 		}
@@ -209,295 +209,17 @@ func TestEntryRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDecodeSnapshotWithoutSessionsSection checks that snapshots written
-// before the session subsystem (no trailing Sessions field) still load,
-// with an empty registry.
-func TestDecodeSnapshotWithoutSessionsSection(t *testing.T) {
-	s := Snapshot{
-		Meta: SnapshotMeta{LastIndex: 5, LastTerm: 2,
-			Config: NewConfig("a", "b"), ConfigIndex: 1},
-		Data: []byte("state"),
-	}
-	buf := EncodeSnapshot(s)
-	// The empty Sessions field encodes as a single trailing zero-length
-	// varint; dropping it reproduces the pre-session format.
-	got, err := DecodeSnapshot(buf[:len(buf)-1])
-	if err != nil {
-		t.Fatalf("old-format snapshot failed to decode: %v", err)
-	}
-	if got.Sessions != nil {
-		t.Fatalf("old-format snapshot decoded with sessions: %x", got.Sessions)
-	}
-	if !reflect.DeepEqual(canonSnapshot(s.Clone()), canonSnapshot(got)) {
-		t.Fatalf("roundtrip mismatch:\n in: %#v\nout: %#v", s, got)
-	}
-}
-
-// encodeV2Envelope reproduces the wire-version-2 frame layout (no chunk
-// fields on InstallSnapshot / InstallSnapshotReply) so mixed-version
-// clusters can be tested against the v3 decoder.
-func encodeV2Envelope(t *testing.T, env Envelope) []byte {
-	t.Helper()
-	var w writer
-	w.buf = append(w.buf, 0xC4, 0xAF, 2)
-	tag, err := msgTag(env.Msg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.buf = append(w.buf, tag)
-	w.str(string(env.From))
-	w.str(string(env.To))
-	w.buf = append(w.buf, byte(env.Layer))
-	switch v := env.Msg.(type) {
-	case InstallSnapshot:
-		w.u64(uint64(v.Term))
-		w.str(string(v.LeaderID))
-		w.snapshot(v.Snapshot)
-		w.u64(v.Round)
-	case InstallSnapshotReply:
-		w.u64(uint64(v.Term))
-		w.u64(uint64(v.LastIndex))
-		w.u64(v.Round)
-	default:
-		t.Fatalf("encodeV2Envelope: unsupported %T", env.Msg)
-	}
-	return w.buf
-}
-
-// TestDecodeV2InstallSnapshotUnderV3 checks that a frame from a v2 sender
-// (whole-image transfer, no chunk fields) decodes under the v3 codec as a
-// completed legacy transfer rather than misdecoding trailing fields.
-func TestDecodeV2InstallSnapshotUnderV3(t *testing.T) {
-	snap := Snapshot{
-		Meta: SnapshotMeta{LastIndex: 88, LastTerm: 5,
-			Config: NewConfig("a", "b", "c"), ConfigIndex: 37},
-		Data:     []byte("whole image"),
-		Sessions: []byte{1, 2, 3},
-	}
-	env := Envelope{From: "lead", To: "n2", Layer: LayerLocal,
-		Msg: InstallSnapshot{Term: 9, LeaderID: "lead", Snapshot: snap, Round: 3}}
-	got, err := DecodeEnvelope(encodeV2Envelope(t, env))
-	if err != nil {
-		t.Fatalf("v2 frame rejected by v3 decoder: %v", err)
-	}
-	m, ok := got.Msg.(InstallSnapshot)
-	if !ok {
-		t.Fatalf("decoded %T", got.Msg)
-	}
-	if !m.Done || m.Boundary != 88 || m.Offset != 0 || m.Data != nil {
-		t.Fatalf("v2 frame not normalized to a whole-image transfer: %+v", m)
-	}
-	if m.Round != 3 || m.Term != 9 {
-		t.Fatalf("v2 trailing fields misdecoded: %+v", m)
-	}
-	if !reflect.DeepEqual(canonSnapshot(snap.Clone()), canonSnapshot(m.Snapshot)) {
-		t.Fatalf("snapshot mismatch:\n in: %#v\nout: %#v", snap, m.Snapshot)
-	}
-}
-
-// TestDecodeV2InstallSnapshotReplyUnderV3 is the reply-direction compat
-// case: v2 replies carry no ack fields; they must decode with zero
-// Boundary/Offset and an intact Round.
-func TestDecodeV2InstallSnapshotReplyUnderV3(t *testing.T) {
-	env := Envelope{From: "n2", To: "lead", Layer: LayerLocal,
-		Msg: InstallSnapshotReply{Term: 9, LastIndex: 88, Round: 3}}
-	got, err := DecodeEnvelope(encodeV2Envelope(t, env))
-	if err != nil {
-		t.Fatalf("v2 reply rejected: %v", err)
-	}
-	m, ok := got.Msg.(InstallSnapshotReply)
-	if !ok {
-		t.Fatalf("decoded %T", got.Msg)
-	}
-	if m.Term != 9 || m.LastIndex != 88 || m.Round != 3 || m.Boundary != 0 || m.Offset != 0 {
-		t.Fatalf("v2 reply misdecoded: %+v", m)
-	}
-}
-
-// encodeV3Envelope hand-encodes a frame in the v3 layout (chunk fields,
-// but no session-ack, pending-stream or checksum fields) so the v4
-// decoder's backward compatibility can be pinned without keeping an old
-// encoder around.
-func encodeV3Envelope(t *testing.T, env Envelope) []byte {
-	t.Helper()
-	var w writer
-	w.buf = append(w.buf, 0xC4, 0xAF, 3)
-	tag, err := msgTag(env.Msg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.buf = append(w.buf, tag)
-	w.str(string(env.From))
-	w.str(string(env.To))
-	w.buf = append(w.buf, byte(env.Layer))
-	v3entry := func(e Entry) {
-		w.u64(uint64(e.Index))
-		w.u64(uint64(e.Term))
-		w.buf = append(w.buf, byte(e.Kind), byte(e.Approval))
-		w.str(string(e.PID.Proposer))
-		w.u64(e.PID.Seq)
-		w.u64(uint64(e.Session))
-		w.u64(e.SessionSeq)
-		w.bytes(e.Data)
-		w.bool(false) // no config
-	}
-	switch v := env.Msg.(type) {
-	case AppendEntries:
-		w.u64(uint64(v.Term))
-		w.str(string(v.LeaderID))
-		w.u64(uint64(v.PrevLogIndex))
-		w.u64(uint64(v.PrevLogTerm))
-		w.u64(uint64(len(v.Entries)))
-		for i := range v.Entries {
-			v3entry(v.Entries[i])
-		}
-		w.u64(uint64(v.LeaderCommit))
-		w.u64(v.Round)
-	case AppendEntriesResp:
-		w.u64(uint64(v.Term))
-		w.bool(v.Success)
-		w.u64(uint64(v.MatchIndex))
-		w.u64(uint64(v.LastLogIndex))
-		w.u64(v.Round)
-	case InstallSnapshot:
-		w.u64(uint64(v.Term))
-		w.str(string(v.LeaderID))
-		w.snapshot(v.Snapshot)
-		w.u64(uint64(v.Boundary))
-		w.u64(v.Offset)
-		w.bytes(v.Data)
-		w.bool(v.Done)
-		w.u64(v.Round)
-	default:
-		t.Fatalf("encodeV3Envelope: unsupported %T", env.Msg)
-	}
-	return w.buf
-}
-
-// TestDecodeV3FramesUnderV4 pins decode compatibility with v3 senders:
-// entries without the session-ack field, responses without the
-// pending-stream fields and chunks without the checksum must decode with
-// those features zero and every trailing field intact.
-func TestDecodeV3FramesUnderV4(t *testing.T) {
-	ae := AppendEntries{Term: 9, LeaderID: "lead", PrevLogIndex: 8, PrevLogTerm: 7,
-		Entries: []Entry{{Index: 9, Term: 9, Kind: KindNormal, Approval: ApprovedLeader,
-			PID: ProposalID{Proposer: "p", Seq: 2}, Session: 3, SessionSeq: 7,
-			Data: []byte("v3")}},
-		LeaderCommit: 6, Round: 11}
-	got, err := DecodeEnvelope(encodeV3Envelope(t, Envelope{From: "l", To: "f", Layer: LayerLocal, Msg: ae}))
-	if err != nil {
-		t.Fatalf("v3 AppendEntries rejected: %v", err)
-	}
-	if m := got.Msg.(AppendEntries); m.Round != 11 || m.LeaderCommit != 6 ||
-		len(m.Entries) != 1 || m.Entries[0].SessionAck != 0 ||
-		string(m.Entries[0].Data) != "v3" {
-		t.Fatalf("v3 AppendEntries misdecoded: %+v", got.Msg)
-	}
-
-	resp := AppendEntriesResp{Term: 9, Success: true, MatchIndex: 12, LastLogIndex: 14, Round: 11}
-	got, err = DecodeEnvelope(encodeV3Envelope(t, Envelope{From: "f", To: "l", Layer: LayerLocal, Msg: resp}))
-	if err != nil {
-		t.Fatalf("v3 AppendEntriesResp rejected: %v", err)
-	}
-	if m := got.Msg.(AppendEntriesResp); m.Round != 11 || m.MatchIndex != 12 ||
-		m.PendingBoundary != 0 || m.PendingOffset != 0 {
-		t.Fatalf("v3 AppendEntriesResp misdecoded: %+v", got.Msg)
-	}
-
-	is := InstallSnapshot{Term: 13, LeaderID: "lead", Boundary: 100, Offset: 4096,
-		Data: []byte{0x7E, 0x7F}, Done: true, Round: 6}
-	got, err = DecodeEnvelope(encodeV3Envelope(t, Envelope{From: "l", To: "f", Layer: LayerLocal, Msg: is}))
-	if err != nil {
-		t.Fatalf("v3 InstallSnapshot rejected: %v", err)
-	}
-	if m := got.Msg.(InstallSnapshot); m.Round != 6 || m.Offset != 4096 ||
-		m.Check != 0 || !m.Done || len(m.Data) != 2 {
-		t.Fatalf("v3 InstallSnapshot misdecoded: %+v", got.Msg)
-	}
-}
-
-// encodeV6Envelope hand-encodes a frame in the v6 layout (no group tag in
-// the envelope header, no transfer flag on RequestVote) so the v7 decoder's
-// backward compatibility can be pinned without keeping an old encoder
-// around.
-func encodeV6Envelope(t *testing.T, env Envelope) []byte {
-	t.Helper()
-	var w writer
-	w.buf = append(w.buf, 0xC4, 0xAF, 6)
-	tag, err := msgTag(env.Msg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.buf = append(w.buf, tag)
-	w.str(string(env.From))
-	w.str(string(env.To))
-	w.buf = append(w.buf, byte(env.Layer))
-	switch v := env.Msg.(type) {
-	case RequestVote:
-		w.u64(uint64(v.Term))
-		w.str(string(v.CandidateID))
-		w.u64(uint64(v.LastLogIndex))
-		w.u64(uint64(v.LastLogTerm))
-	case AppendEntries:
-		w.u64(uint64(v.Term))
-		w.str(string(v.LeaderID))
-		w.u64(uint64(v.PrevLogIndex))
-		w.u64(uint64(v.PrevLogTerm))
-		w.u64(uint64(len(v.Entries)))
-		for i := range v.Entries {
-			w.entry(v.Entries[i])
-		}
-		w.u64(uint64(v.LeaderCommit))
-		w.u64(v.Round)
-		w.u64(v.ReadCtx)
-	default:
-		t.Fatalf("encodeV6Envelope: unsupported %T", env.Msg)
-	}
-	return w.buf
-}
-
-// TestDecodeV6FramesUnderV7 pins decode compatibility with v6 senders:
-// ungrouped frames decode with Group empty (the flat single-group
-// namespace) and votes without the transfer flag decode as ordinary
-// elections.
-func TestDecodeV6FramesUnderV7(t *testing.T) {
-	rv := RequestVote{Term: 4, CandidateID: "cand", LastLogIndex: 10, LastLogTerm: 3}
-	got, err := DecodeEnvelope(encodeV6Envelope(t, Envelope{From: "c", To: "v", Layer: LayerLocal, Msg: rv}))
-	if err != nil {
-		t.Fatalf("v6 RequestVote rejected: %v", err)
-	}
-	if got.Group != "" {
-		t.Fatalf("v6 frame decoded with group %q", got.Group)
-	}
-	if m := got.Msg.(RequestVote); m.Transfer || m.Term != 4 || m.CandidateID != "cand" {
-		t.Fatalf("v6 RequestVote misdecoded: %+v", got.Msg)
-	}
-
-	ae := AppendEntries{Term: 9, LeaderID: "lead", PrevLogIndex: 8, PrevLogTerm: 7,
-		Entries: []Entry{{Index: 9, Term: 9, Kind: KindNormal, Approval: ApprovedLeader,
-			PID: ProposalID{Proposer: "p", Seq: 2}, Data: []byte("v6")}},
-		LeaderCommit: 6, Round: 11, ReadCtx: 42}
-	got, err = DecodeEnvelope(encodeV6Envelope(t, Envelope{From: "l", To: "f", Layer: LayerLocal, Msg: ae}))
-	if err != nil {
-		t.Fatalf("v6 AppendEntries rejected: %v", err)
-	}
-	if m := got.Msg.(AppendEntries); got.Group != "" || m.ReadCtx != 42 ||
-		len(m.Entries) != 1 || string(m.Entries[0].Data) != "v6" {
-		t.Fatalf("v6 AppendEntries misdecoded: %+v", got.Msg)
-	}
-}
-
 // TestDecodeShardBatchRejectsNesting pins the no-recursion contract: a
 // frame claiming to contain a ShardBatch inside a ShardBatch is rejected.
 func TestDecodeShardBatchRejectsNesting(t *testing.T) {
-	if _, err := EncodeEnvelope(Envelope{From: "a", To: "b", Layer: LayerLocal,
+	if _, err := AppendEnvelope(nil, Envelope{From: "a", To: "b", Layer: LayerLocal,
 		Msg: ShardBatch{Frames: []ShardFrame{{Group: "g", Layer: LayerLocal,
 			Msg: ShardBatch{}}}}}); err == nil {
 		t.Fatal("nested ShardBatch encoded without error")
 	}
 	// Hand-build the hostile frame the encoder refuses to produce.
 	var w writer
-	w.buf = append(w.buf, 0xC4, 0xAF, 7, tagShardBatch)
+	w.buf = append(w.buf, 0xC4, 0xAF, wireVersion, tagShardBatch)
 	w.str("a")
 	w.str("b")
 	w.buf = append(w.buf, byte(LayerLocal))
@@ -513,100 +235,35 @@ func TestDecodeShardBatchRejectsNesting(t *testing.T) {
 
 // TestEntryWireSizeMatchesEncoding pins the size function the byte-budget
 // flow control uses to the actual encoder output.
-// encodeV4Envelope hand-encodes an AppendEntries/AppendEntriesResp frame
-// in the v4 layout (session-ack and pending-stream fields, but no
-// read-batch ID) so the v5 decoder's backward compatibility can be pinned
-// without keeping an old encoder around.
-func encodeV4Envelope(t *testing.T, env Envelope) []byte {
-	t.Helper()
-	var w writer
-	w.buf = append(w.buf, 0xC4, 0xAF, 4)
-	tag, err := msgTag(env.Msg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.buf = append(w.buf, tag)
-	w.str(string(env.From))
-	w.str(string(env.To))
-	w.buf = append(w.buf, byte(env.Layer))
-	switch v := env.Msg.(type) {
-	case AppendEntries:
-		w.u64(uint64(v.Term))
-		w.str(string(v.LeaderID))
-		w.u64(uint64(v.PrevLogIndex))
-		w.u64(uint64(v.PrevLogTerm))
-		w.u64(uint64(len(v.Entries)))
-		for i := range v.Entries {
-			w.entry(v.Entries[i])
-		}
-		w.u64(uint64(v.LeaderCommit))
-		w.u64(v.Round)
-	case AppendEntriesResp:
-		w.u64(uint64(v.Term))
-		w.bool(v.Success)
-		w.u64(uint64(v.MatchIndex))
-		w.u64(uint64(v.LastLogIndex))
-		w.u64(uint64(v.PendingBoundary))
-		w.u64(v.PendingOffset)
-		w.u64(v.Round)
-	default:
-		t.Fatalf("encodeV4Envelope: unsupported %T", env.Msg)
-	}
-	return w.buf
-}
-
-// TestDecodeV4FramesUnderV5 pins decode compatibility with v4 senders:
-// heartbeats and acks without the read-batch ID decode with ReadCtx zero
-// (such responders simply never confirm read batches).
-func TestDecodeV4FramesUnderV5(t *testing.T) {
-	ae := AppendEntries{Term: 9, LeaderID: "lead", PrevLogIndex: 8, PrevLogTerm: 7,
-		Entries: []Entry{{Index: 9, Term: 9, Kind: KindNormal, Approval: ApprovedLeader,
-			PID: ProposalID{Proposer: "p", Seq: 2}, SessionAck: 3, Data: []byte("v4")}},
-		LeaderCommit: 6, Round: 11}
-	got, err := DecodeEnvelope(encodeV4Envelope(t, Envelope{From: "l", To: "f", Layer: LayerLocal, Msg: ae}))
-	if err != nil {
-		t.Fatalf("v4 AppendEntries rejected: %v", err)
-	}
-	if m := got.Msg.(AppendEntries); m.Round != 11 || m.ReadCtx != 0 ||
-		len(m.Entries) != 1 || m.Entries[0].SessionAck != 3 {
-		t.Fatalf("v4 AppendEntries misdecoded: %+v", got.Msg)
-	}
-
-	resp := AppendEntriesResp{Term: 9, Success: true, MatchIndex: 12, LastLogIndex: 14,
-		PendingBoundary: 40, PendingOffset: 1024, Round: 11}
-	got, err = DecodeEnvelope(encodeV4Envelope(t, Envelope{From: "f", To: "l", Layer: LayerLocal, Msg: resp}))
-	if err != nil {
-		t.Fatalf("v4 AppendEntriesResp rejected: %v", err)
-	}
-	if m := got.Msg.(AppendEntriesResp); m.Round != 11 || m.ReadCtx != 0 ||
-		m.PendingBoundary != 40 || m.PendingOffset != 1024 {
-		t.Fatalf("v4 AppendEntriesResp misdecoded: %+v", got.Msg)
-	}
-}
-
 func TestEntryWireSizeMatchesEncoding(t *testing.T) {
 	for i, e := range sampleEntries() {
-		if got, want := EntryWireSize(e), len(EncodeEntry(e)); got != want {
-			t.Fatalf("entry %d: EntryWireSize = %d, len(EncodeEntry) = %d", i, got, want)
+		if got, want := EntryWireSize(e), len(AppendEntryTo(nil, e)); got != want {
+			t.Fatalf("entry %d: EntryWireSize = %d, encoded length = %d", i, got, want)
 		}
 	}
 }
 
-// TestDecodeEnvelopeRejectsUnknownVersions pins the loud-failure contract:
-// versions below the compatibility floor or above the current version are
-// ErrBadFrame, never a silent misdecode.
+// TestDecodeEnvelopeRejectsUnknownVersions pins the one-version contract: a
+// valid body behind any version byte but the current one is ErrBadFrame,
+// never a decode under some other layout.
 func TestDecodeEnvelopeRejectsUnknownVersions(t *testing.T) {
 	env := Envelope{From: "a", To: "b", Layer: LayerLocal,
-		Msg: CommitNotify{PID: ProposalID{Proposer: "p", Seq: 1}, Index: 2}}
-	buf, err := EncodeEnvelope(env)
+		Msg: CommitNotify{PID: ProposalID{Proposer: "p", Seq: 1}, Index: 2, Term: 1}}
+	buf, err := AppendEnvelope(nil, env)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, ver := range []byte{0, 1, 10, 11, 255} {
+	if buf[2] != 9 {
+		t.Fatalf("version byte = %d, want 9", buf[2])
+	}
+	if _, err := DecodeEnvelope(buf); err != nil {
+		t.Fatalf("current frame rejected: %v", err)
+	}
+	for _, ver := range []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 10, 255} {
 		bad := append([]byte(nil), buf...)
 		bad[2] = ver
-		if _, err := DecodeEnvelope(bad); err == nil {
-			t.Fatalf("version %d decoded without error", ver)
+		if _, err := DecodeEnvelope(bad); !errors.Is(err, ErrBadFrame) {
+			t.Fatalf("version %d: err = %v, want ErrBadFrame", ver, err)
 		}
 	}
 }
@@ -616,9 +273,9 @@ func TestDecodeEnvelopeRejectsGarbage(t *testing.T) {
 		nil,
 		{},
 		{1, 2, 3},
-		{0xC4, 0xAF, 1},              // truncated after header
-		{0xC4, 0xAF, 9, 1, 0, 0, 0},  // wrong version
-		{0xC4, 0xAF, 1, 99, 0, 0, 0}, // unknown tag
+		{0xC4, 0xAF, 1},                       // truncated after header
+		{0xC4, 0xAF, wireVersion, 1, 0, 0, 0}, // truncated body
+		{0xC4, 0xAF, wireVersion, 99, 0, 0, 0, 0}, // unknown tag after a complete header
 		bytes.Repeat([]byte{0xFF}, 64),
 	}
 	for i, c := range cases {
@@ -631,7 +288,7 @@ func TestDecodeEnvelopeRejectsGarbage(t *testing.T) {
 func TestDecodeEnvelopeTruncationNeverPanics(t *testing.T) {
 	for _, msg := range sampleMessages() {
 		env := Envelope{From: "from", To: "to", Layer: LayerLocal, Msg: msg}
-		buf, err := EncodeEnvelope(env)
+		buf, err := AppendEnvelope(nil, env)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -646,7 +303,7 @@ func TestDecodeEnvelopeBitFlipsNeverPanic(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for _, msg := range sampleMessages() {
 		env := Envelope{From: "from", To: "to", Layer: LayerLocal, Msg: msg}
-		buf, err := EncodeEnvelope(env)
+		buf, err := AppendEnvelope(nil, env)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -698,7 +355,7 @@ func TestQuickEntryRoundTrip(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		e := quickEntry(rng)
-		got, err := DecodeEntry(EncodeEntry(e))
+		got, err := DecodeEntry(AppendEntryTo(nil, e))
 		if err != nil {
 			return false
 		}
@@ -800,4 +457,167 @@ func TestQuickGlobalStateDeltaRoundTrip(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// tracedCarriers returns one message per trace-context carrier (an entry, a
+// read spec, a read result, a snapshot chunk), each with its trace ID set.
+func tracedCarriers() []Message {
+	const tid = 0xAB54A98CEB1F0A
+	return []Message{
+		AppendEntries{Term: 9, LeaderID: "lead", PrevLogIndex: 8, PrevLogTerm: 7,
+			Entries: []Entry{{Index: 9, Term: 9, Kind: KindNormal, Approval: ApprovedSelf,
+				PID: ProposalID{Proposer: "p", Seq: 2}, TraceID: tid, Data: []byte("x")}},
+			LeaderCommit: 6, Round: 11},
+		ReadRequest{Reads: []ReadSpec{{ID: 7, Consistency: ReadLeaseBased, Trace: tid}}},
+		ReadReply{Results: []ReadResult{{ID: 7, Index: 99, OK: true, Trace: tid}}},
+		InstallSnapshot{Term: 13, LeaderID: "lead", Boundary: 100,
+			Offset: 4096, Data: []byte{0x7E}, Done: true, Round: 6, Trace: tid},
+	}
+}
+
+// TestTracedCarriersRoundTrip checks that the trace ID on every carrier, and
+// the field whose byte carries the trace flag, survive an encode/decode
+// cycle end to end.
+func TestTracedCarriersRoundTrip(t *testing.T) {
+	for _, msg := range tracedCarriers() {
+		env := Envelope{From: "f", To: "l", Layer: LayerLocal, Msg: msg}
+		buf, err := AppendEnvelope(nil, env)
+		if err != nil {
+			t.Fatalf("%s: encode: %v", msg.MsgName(), err)
+		}
+		got, err := DecodeEnvelope(buf)
+		if err != nil {
+			t.Fatalf("%s: decode: %v", msg.MsgName(), err)
+		}
+		if !reflect.DeepEqual(normalize(env), normalize(got)) {
+			t.Fatalf("%s: trace context lost:\n in: %#v\nout: %#v", msg.MsgName(), env, got)
+		}
+	}
+	e := tracedCarriers()[0].(AppendEntries).Entries[0]
+	got, err := DecodeEntry(AppendEntryTo(nil, e))
+	if err != nil || got.TraceID != e.TraceID || got.Kind != KindNormal {
+		t.Fatalf("entry trace lost: %+v, %v", got, err)
+	}
+}
+
+// TestBatchTraceSection pins the batch payload's trailing trace section:
+// sampled items round-trip their context, and an unsampled batch carries no
+// trace section at all (re-encoding its decode reproduces it bit for bit).
+func TestBatchTraceSection(t *testing.T) {
+	traced := Batch{Cluster: "cA", Seq: 3, Items: []BatchItem{
+		{PID: ProposalID{Proposer: "a1", Seq: 1}, Data: []byte("one")},
+		{PID: ProposalID{Proposer: "a2", Seq: 2}, Data: []byte("two"), Trace: 0xFEED},
+		{PID: ProposalID{Proposer: "a3", Seq: 3}, Data: []byte("three"), Trace: 0xBEEF},
+	}}
+	got, err := DecodeBatch(EncodeBatch(traced))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Items[0].Trace != 0 || got.Items[1].Trace != 0xFEED || got.Items[2].Trace != 0xBEEF {
+		t.Fatalf("batch traces misdecoded: %+v", got.Items)
+	}
+
+	plain := traced
+	plain.Items = []BatchItem{
+		{PID: ProposalID{Proposer: "a1", Seq: 1}, Data: []byte("one")},
+		{PID: ProposalID{Proposer: "a2", Seq: 2}, Data: []byte("two")},
+	}
+	buf := EncodeBatch(plain)
+	rt, err := DecodeBatch(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(EncodeBatch(rt), buf) {
+		t.Fatal("unsampled batch re-encode diverged")
+	}
+	for _, it := range rt.Items {
+		if it.Trace != 0 {
+			t.Fatalf("unsampled batch decoded with trace: %+v", it)
+		}
+	}
+}
+
+func TestCommitNotifyTermRoundTrip(t *testing.T) {
+	in := CommitNotify{PID: ProposalID{Proposer: "p", Seq: 77}, Index: 5, Term: 3}
+	buf, err := AppendEnvelope(nil, Envelope{From: "l", To: "p", Layer: LayerLocal, Msg: in})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodeEnvelope(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Msg.(CommitNotify) != in {
+		t.Fatalf("round trip = %+v, want %+v", got.Msg, in)
+	}
+	// Nested in a ShardBatch the body decodes the same way.
+	buf, err = AppendEnvelope(nil, Envelope{From: "l", To: "p", Layer: LayerLocal,
+		Msg: ShardBatch{Frames: []ShardFrame{{Group: "g", Layer: LayerLocal, Msg: in}}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err = DecodeEnvelope(buf); err != nil {
+		t.Fatal(err)
+	}
+	if m := got.Msg.(ShardBatch).Frames[0].Msg.(CommitNotify); m != in {
+		t.Fatalf("nested round trip = %+v, want %+v", m, in)
+	}
+}
+
+// TestAppendEnvelopeReusedBufferAllocs pins the transport's steady-state
+// encode: a 10-entry AppendEntries re-encoded into a reused buffer
+// allocates nothing.
+func TestAppendEnvelopeReusedBufferAllocs(t *testing.T) {
+	entries := make([]Entry, 10)
+	for i := range entries {
+		entries[i] = Entry{Index: Index(i + 1), Term: 3, Kind: KindNormal, Approval: ApprovedLeader,
+			PID: ProposalID{Proposer: "n2", Seq: uint64(i + 1)}, Data: []byte("payload-payload-payload")}
+	}
+	env := Envelope{From: "n1", To: "n2", Layer: LayerLocal, Msg: AppendEntries{
+		Term: 3, LeaderID: "n1", PrevLogIndex: 10, PrevLogTerm: 3,
+		Entries: entries, LeaderCommit: 9, Round: 77}}
+	buf, err := AppendEnvelope(nil, env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		buf, err = AppendEnvelope(buf[:0], env)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 {
+		t.Fatalf("reused-buffer AppendEntries encode: %.1f allocs, want 0", allocs)
+	}
+}
+
+// FuzzDecodeEnvelope feeds arbitrary datagrams to the decoder. It must never
+// panic, and any envelope it accepts must re-encode and decode to a
+// deep-equal envelope. The seeds are every sample frame and traced carrier,
+// so plain `go test` replays them.
+func FuzzDecodeEnvelope(f *testing.F) {
+	for _, msg := range append(sampleMessages(), tracedCarriers()...) {
+		buf, err := AppendEnvelope(nil, Envelope{From: "a", To: "b", Layer: LayerGlobal, Group: "g7", Msg: msg})
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		env, err := DecodeEnvelope(data)
+		if err != nil {
+			return
+		}
+		buf, err := AppendEnvelope(nil, env)
+		if err != nil {
+			t.Fatalf("decoded %s does not re-encode: %v", env.Msg.MsgName(), err)
+		}
+		again, err := DecodeEnvelope(buf)
+		if err != nil {
+			t.Fatalf("re-encoded %s does not decode: %v", env.Msg.MsgName(), err)
+		}
+		if !reflect.DeepEqual(env, again) {
+			t.Fatalf("re-encode changed the envelope:\n first: %#v\nsecond: %#v", env, again)
+		}
+	})
 }

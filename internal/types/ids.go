@@ -18,9 +18,8 @@ type NodeID string
 const None NodeID = ""
 
 // GroupID names one consensus group inside a multi-group (sharded) process.
-// The empty GroupID is the flat single-group namespace every pre-shard
-// deployment lives in; shard managers assign non-empty IDs and the codec
-// tags frames with them (wire v7).
+// The empty GroupID is the flat single-group namespace; shard managers
+// assign non-empty IDs and the codec tags frames with them.
 type GroupID string
 
 // Term is a Raft term number. Terms increase monotonically; each term has

@@ -43,7 +43,7 @@ type Envelope struct {
 	Layer Layer
 	// Group names the consensus group the message belongs to in a
 	// multi-group (sharded) process; empty for flat single-group
-	// deployments (wire v7 — v6 frames decode with Group empty).
+	// deployments.
 	Group GroupID
 	// Msg is the payload.
 	Msg Message
@@ -121,7 +121,7 @@ type AppendEntries struct {
 	// ReadCtx is the read-batch ID of the broadcast round (0 = none): every
 	// ReadIndex read registered before the round was dispatched is batched
 	// under it, and a quorum of responses echoing a ReadCtx at or above it
-	// confirms the whole batch with this single heartbeat exchange (wire v5).
+	// confirms the whole batch with this single heartbeat exchange.
 	ReadCtx uint64
 }
 
@@ -154,8 +154,7 @@ type AppendEntriesResp struct {
 	// Round echoes AppendEntries.Round.
 	Round uint64
 	// ReadCtx echoes AppendEntries.ReadCtx, acknowledging every read batch
-	// at or below it (wire v5; zero from older responders, which therefore
-	// never confirm reads).
+	// at or below it.
 	ReadCtx uint64
 }
 
@@ -178,7 +177,7 @@ type RequestVote struct {
 	// (leadership transfer). Voters skip the election-stickiness check for
 	// transfer elections: the old leader is known-live and stepping aside
 	// deliberately, so refusing "a fresh leader exists" votes would make
-	// every transfer time out (wire v7; zero from older senders).
+	// every transfer time out.
 	Transfer bool
 }
 
@@ -212,7 +211,7 @@ type CommitNotify struct {
 	// Raft proposer that already holds the entry commit it on receipt
 	// (fastraft.commitNotified). Zero means "notification only": the sender
 	// does not name the entry at Index (a session duplicate answered with the
-	// original's index, a compacted entry, a pre-v9 sender).
+	// original's index, a compacted entry).
 	Term Term
 }
 
@@ -264,12 +263,11 @@ func (LeaveRequest) MsgName() string { return "LeaveRequest" }
 // replaces its state machine and log prefix with the snapshot and resumes
 // replication from the boundary + 1.
 //
-// Two transfer modes share this message. In the legacy whole-image mode
-// (wire v2, or v3 with chunking disabled) Snapshot carries the complete
-// image and Done is true. In chunked mode (wire v3, MaxSnapshotChunk set)
-// Snapshot is zero and each message carries one Data slice of the encoded
-// snapshot (EncodeSnapshot output, sessions section included) at Offset;
-// Done marks the final chunk. Boundary identifies the stream in both
+// Two transfer modes share this message. In whole-image mode (chunking
+// disabled) Snapshot carries the complete image and Done is true. In
+// chunked mode (MaxSnapshotChunk set) Snapshot is zero and each message
+// carries one Data slice of the encoded snapshot (EncodeSnapshot output,
+// sessions section included) at Offset; Done marks the final chunk. Boundary identifies the stream in both
 // modes, so a follower reassembling chunks can discard a superseded
 // stream when the leader compacts again mid-transfer.
 type InstallSnapshot struct {
@@ -277,13 +275,13 @@ type InstallSnapshot struct {
 	Term Term
 	// LeaderID lets followers redirect proposers and joiners.
 	LeaderID NodeID
-	// Snapshot is the whole image in legacy mode; zero when chunked.
+	// Snapshot is the complete image in whole-image mode; zero when chunked.
 	Snapshot Snapshot
 	// Boundary is the snapshot's last covered log index (stream identity).
 	Boundary Index
 	// Offset is the byte offset of Data within the encoded snapshot.
 	Offset uint64
-	// Data is one chunk of the encoded snapshot (nil in legacy mode).
+	// Data is one chunk of the encoded snapshot (nil in whole-image mode).
 	Data []byte
 	// Check is the IEEE CRC-32 of the entire encoded snapshot the chunks
 	// slice (chunked mode only). It names the stream's content: a follower
@@ -291,7 +289,7 @@ type InstallSnapshot struct {
 	// changes — successor leaders of the same boundary encode byte-identical
 	// snapshots — and restarts cleanly if a sender's encoding diverges.
 	Check uint32
-	// Done marks the final chunk (always true in legacy mode).
+	// Done marks the final chunk (always true in whole-image mode).
 	Done bool
 	// Trace is the stream's sampled trace context (0 = unsampled): minted
 	// when the leader opens the stream, constant across its chunks, so a
@@ -405,7 +403,7 @@ type ShardFrame struct {
 // ShardBatch coalesces the outbound frames of many consensus groups headed
 // to the same destination process into one datagram: a shard manager drains
 // every group's outbox per tick window and packs all frames sharing a
-// destination under one envelope (wire v7). Batches never nest.
+// destination under one envelope. Batches never nest.
 type ShardBatch struct {
 	// Frames are the coalesced messages, in per-group send order.
 	Frames []ShardFrame

@@ -119,10 +119,6 @@ func (r *reader) snapshot() Snapshot {
 	}
 	s.Meta.Config = Config{Members: members}
 	s.Data = r.bytes()
-	// Snapshots written before the session subsystem end here; treat a
-	// cleanly exhausted buffer as "no sessions" so old WAL sidecars load.
-	if r.err == nil && r.off < len(r.buf) {
-		s.Sessions = r.bytes()
-	}
+	s.Sessions = r.bytes()
 	return s
 }
