@@ -101,7 +101,8 @@ type CRaftOptions struct {
 
 // CRaftNode is a C-Raft site running on real time: a Fast Raft member of
 // its cluster that, while leading the cluster, also represents it in
-// inter-cluster consensus.
+// inter-cluster consensus. Propose copies the caller's buffer; committed
+// entries, local and global, share the log's Data, read-only.
 type CRaftNode struct {
 	host          *runtime.Host
 	cn            *craft.Node
@@ -213,7 +214,8 @@ func (n *CRaftNode) GlobalCommitIndex() Index {
 	return i
 }
 
-// Commits streams locally committed entries; it must be consumed.
+// Commits streams locally committed entries (Data read-only); it must be
+// consumed.
 func (n *CRaftNode) Commits() <-chan Entry { return n.commits }
 
 // Metrics returns a snapshot of the site's monotonic counters: the local
@@ -226,8 +228,8 @@ func (n *CRaftNode) Metrics() map[string]uint64 {
 	return m
 }
 
-// GlobalCommits streams entries committed to the global log; it must be
-// consumed.
+// GlobalCommits streams entries committed to the global log (Data
+// read-only); it must be consumed.
 func (n *CRaftNode) GlobalCommits() <-chan Entry { return n.globalCommits }
 
 // Propose submits an application entry to intra-cluster consensus and

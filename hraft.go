@@ -54,7 +54,8 @@ type (
 	Index = types.Index
 	// Term is a Raft term number.
 	Term = types.Term
-	// Entry is one slot of the replicated log.
+	// Entry is one slot of the replicated log. Its Data is read-only:
+	// a committed entry shares its payload with the node's log.
 	Entry = types.Entry
 	// ProposalID identifies a proposal across re-proposals.
 	ProposalID = types.ProposalID
@@ -157,5 +158,6 @@ func OpenWALOptions(path string, opt WALOptions) (Storage, error) {
 	return storage.OpenWALOptions(path, opt)
 }
 
-// DecodeBatch parses a Batch from an EntryBatch entry's Data.
+// DecodeBatch parses a Batch from an EntryBatch entry's Data. Item
+// payloads share that Data and are read-only like it.
 func DecodeBatch(data []byte) (Batch, error) { return types.DecodeBatch(data) }

@@ -303,10 +303,7 @@ func (n *Node) GlobalPeerStatus() []replica.PeerStatus {
 // GlobalLogEntry returns the replayed global-log entry at idx, if known.
 func (n *Node) GlobalLogEntry(idx types.Index) (types.Entry, bool) {
 	e, ok := n.gLog[idx]
-	if !ok {
-		return types.Entry{}, false
-	}
-	return e.Clone(), true
+	return e, ok
 }
 
 // GlobalConfig returns the global configuration as known to the global
@@ -323,7 +320,7 @@ func (n *Node) GlobalConfig() types.Config {
 			cfg = *e.Config
 		}
 	}
-	return cfg.Clone()
+	return cfg
 }
 
 // TakeOutbox drains outgoing messages (both layers; global messages only
@@ -592,7 +589,7 @@ func (n *Node) startGlobal(now time.Duration) {
 				continue // globally committed
 			}
 		}
-		e := rec.entry.Clone()
+		e := rec.entry
 		e.Index = 0
 		e.Approval = 0
 		n.global.ProposeEntryPID(now, e, pid)

@@ -155,7 +155,7 @@ func (n *Node) bufferReplay(d types.GlobalStateDelta) {
 func (n *Node) applyDelta(d types.GlobalStateDelta) {
 	n.gTerm, n.gVote = d.Term, d.VotedFor
 	for _, ge := range d.Entries {
-		n.gLog[ge.Index] = ge.Clone()
+		n.gLog[ge.Index] = ge
 		n.trackBatch(ge)
 	}
 	if d.CommitIndex > n.gCommit {
@@ -171,7 +171,7 @@ func (n *Node) applyDelta(d types.GlobalStateDelta) {
 			if !ok {
 				panic(fmt.Sprintf("craft %s: replayed commit %d missing from global log", n.cfg.ID, i))
 			}
-			n.globalCommitted = append(n.globalCommitted, ge.Clone())
+			n.globalCommitted = append(n.globalCommitted, ge)
 			n.gsRec.CommitEntry(n.now, n.gTerm, ge)
 			// Sampled batches carry their first traced item's context; the
 			// replay hop decodes only such batches (the common, unsampled
@@ -210,7 +210,7 @@ func (n *Node) trackBatch(ge types.Entry) {
 			n.cfg.Recorder.TraceHop(n.now, it.Trace, trace.HopGlobalOrder, "", ge.Index)
 		}
 	}
-	n.ourBatches[b.Seq] = batchRecord{entry: ge.Clone(), items: len(b.Items)}
+	n.ourBatches[b.Seq] = batchRecord{entry: ge, items: len(b.Items)}
 }
 
 // makeBatches forms new batches from unbatched locally committed entries
@@ -278,7 +278,7 @@ func (n *Node) proposeBatch(now time.Duration, size int) {
 		}
 	}
 	pid := types.ProposalID{Proposer: n.cfg.Cluster, Seq: seq}
-	n.ourBatches[seq] = batchRecord{entry: entry.Clone(), items: size}
+	n.ourBatches[seq] = batchRecord{entry: entry, items: size}
 	n.global.ProposeEntryPID(now, entry, pid)
 	n.cfg.Recorder.BatchPropose(now, pid, size)
 	if n.oldestWait != 0 && len(n.appLog) == n.batchedItems {

@@ -52,7 +52,7 @@ func (n *Node) ProposeEntryPID(now time.Duration, e types.Entry, pid types.Propo
 		e.TraceID = n.rec.MintTrace()
 	}
 	p := &pendingProposal{
-		entry: e.Clone(),
+		entry: e,
 		size:  types.EntryWireSize(e),
 	}
 	n.pending[pid] = p
@@ -177,7 +177,7 @@ func (n *Node) admitProposals() {
 // the decide loop indefinitely. Skipping occupied slots lets proposal
 // bursts pipeline instead of colliding with their own predecessors.
 func (n *Node) broadcastProposal(p *pendingProposal) {
-	cfg := n.log.ConfigView()
+	cfg := n.Config()
 	if cfg.Size() == 0 {
 		return // not part of any group yet; retry later
 	}
@@ -190,9 +190,10 @@ func (n *Node) broadcastProposal(p *pendingProposal) {
 	}
 	p.index = idx
 	n.rec.SpanStage(n.now, p.entry.PID, trace.StageReplicate, idx)
-	msg := types.ProposeEntry{Index: idx, Entry: p.entry.Clone()}
+	msg := types.ProposeEntry{Index: idx, Entry: p.entry}
+	var boxed types.Message = msg // one interface allocation for every peer
 	for _, peer := range cfg.Members {
-		n.send(peer, msg) // send skips this site itself
+		n.send(peer, boxed) // send skips this site itself
 	}
 	if cfg.Contains(n.cfg.ID) {
 		n.handleProposeLocally(msg)
@@ -254,7 +255,7 @@ func (n *Node) handleProposeLocally(m types.ProposeEntry) {
 		// (handles lost vote messages on re-proposals). The vote waits for
 		// the insert's record to be durable; voteFor re-reads the slot at
 		// release time, so voting for whatever occupies it then is safe.
-		n.acts.After(n.gate, func() { n.voteFor(existing) })
+		n.voteDurable(existing)
 		return
 	}
 	idx := m.Index
@@ -264,7 +265,7 @@ func (n *Node) handleProposeLocally(m types.ProposeEntry) {
 		return
 	}
 	if !n.log.Has(idx) {
-		e := m.Entry.Clone()
+		e := m.Entry
 		e.Term = n.term
 		if err := n.log.InsertSelf(idx, e); err != nil {
 			panic(fmt.Sprintf("fastraft %s: insert self: %v", n.cfg.ID, err))
@@ -276,6 +277,16 @@ func (n *Node) handleProposeLocally(m types.ProposeEntry) {
 	// commit it is deferred until the insert's record is on disk. A follower
 	// vote rides the gated outbox anyway; the leader's own vote feeding its
 	// tally directly is what this defers.
+	n.voteDurable(idx)
+}
+
+// voteDurable runs voteFor(idx) once every record accepted so far is on
+// disk: inline, and without a heap closure, on synchronous storage.
+func (n *Node) voteDurable(idx types.Index) {
+	if n.gate.Ready() {
+		n.voteFor(idx)
+		return
+	}
 	n.acts.After(n.gate, func() { n.voteFor(idx) })
 }
 
@@ -398,7 +409,7 @@ func (n *Node) evaluate(tick bool) {
 // It reports whether it decided entries that it left uncommitted.
 func (n *Node) decideLoop(tick bool) bool {
 	head := n.log.LastLeaderIndex()
-	cfg := n.log.ConfigView()
+	cfg := n.Config()
 	classicQ := quorum.ClassicSize(cfg.Size())
 	fastQ := quorum.FastSize(cfg.Size())
 	for {
@@ -455,7 +466,7 @@ func (n *Node) decideLoop(tick bool) bool {
 				return false // committing a config entry removed this leader
 			}
 			n.tally.Clear(k)
-			cfg = n.log.ConfigView()
+			cfg = n.Config()
 			classicQ = quorum.ClassicSize(cfg.Size())
 			fastQ = quorum.FastSize(cfg.Size())
 		}
@@ -472,7 +483,6 @@ func (n *Node) appendLeaderEntry(e types.Entry) {
 // at idx (which must extend the prefix by exactly one; any self-approved
 // occupant is replaced).
 func (n *Node) appendLeaderEntryAt(idx types.Index, e types.Entry) {
-	e = e.Clone()
 	e.Term = n.term
 	if err := n.log.AppendLeader(idx, e); err != nil {
 		panic(fmt.Sprintf("fastraft %s: append leader: %v", n.cfg.ID, err))
@@ -515,7 +525,7 @@ func (n *Node) leaderTick() {
 // advanceClassicCommit applies the classic-track commit rule over
 // matchIndex.
 func (n *Node) advanceClassicCommit() {
-	cfg := n.log.ConfigView()
+	cfg := n.Config()
 	classicQ := quorum.ClassicSize(cfg.Size())
 	for k := n.commitIndex + 1; k <= n.log.LastLeaderIndex(); k++ {
 		if n.log.Term(k) != n.term {
@@ -534,7 +544,7 @@ func (n *Node) advanceClassicCommit() {
 		n.tally.Clear(k)
 		// A committed configuration entry changes quorum sizes from here
 		// on.
-		cfg = n.log.ConfigView()
+		cfg = n.Config()
 		classicQ = quorum.ClassicSize(cfg.Size())
 	}
 }
@@ -603,7 +613,7 @@ func (n *Node) logView() replica.LogView {
 	return replica.LogView{
 		LastIndex:     n.log.LastLeaderIndex,
 		Term:          n.log.Term,
-		Entries:       n.log.LeaderRange,
+		Entries:       n.log.AppendLeaderRange,
 		SnapshotIndex: n.log.SnapshotIndex,
 	}
 }

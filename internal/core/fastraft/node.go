@@ -34,6 +34,7 @@ package fastraft
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/hraft-io/hraft/internal/durable"
@@ -325,7 +326,8 @@ func (n *Node) CommitIndex() types.Index { return n.commitIndex }
 // leaders committed (meaningful while leading).
 func (n *Node) LeaderFloor() types.Index { return n.readFloor }
 
-// Config returns the node's active membership configuration.
+// Config returns the node's active membership configuration (the log's
+// own, read-only).
 func (n *Node) Config() types.Config {
 	cfg, _ := n.log.Config()
 	return cfg
@@ -411,40 +413,40 @@ func (n *Node) PeerStatus() []replica.PeerStatus {
 // and diagnostics; callers must not mutate it).
 func (n *Node) Sessions() *session.Registry { return n.sessions }
 
-// Entry returns a copy of the log entry at idx.
+// Entry returns the log entry at idx (its Data is read-only).
 func (n *Node) Entry(idx types.Index) (types.Entry, bool) { return n.log.Get(idx) }
 
 // TakeOutbox drains messages to send. With group-commit storage only the
 // durable prefix is released; the rest follows after SyncDone.
 func (n *Node) TakeOutbox() []types.Envelope {
-	n.outboxQ.Hold(n.gate.Tag(), n.outbox)
+	out := n.outboxQ.Take(n.gate, n.outbox)
 	n.outbox = nil
-	return n.outboxQ.Release(n.gate.Durable(), nil)
+	return out
 }
 
 // TakeCommitted drains newly committed entries, in log order. With
 // group-commit storage only the durable prefix is released.
 func (n *Node) TakeCommitted() []types.Entry {
-	n.committedQ.Hold(n.gate.Tag(), n.committed)
+	out := n.committedQ.Take(n.gate, n.committed)
 	n.committed = nil
-	return n.committedQ.Release(n.gate.Durable(), nil)
+	return out
 }
 
 // TakeResolved drains resolutions of locally originated proposals. With
 // group-commit storage only the durable prefix is released.
 func (n *Node) TakeResolved() []types.Resolution {
-	n.resolvedQ.Hold(n.gate.Tag(), n.resolved)
+	out := n.resolvedQ.Take(n.gate, n.resolved)
 	n.resolved = nil
-	return n.resolvedQ.Release(n.gate.Durable(), nil)
+	return out
 }
 
 // TakeChangedEntries drains the entries inserted or overwritten since the
 // last call, used by C-Raft to build global state deltas. With group-commit
 // storage only the durable prefix is released.
 func (n *Node) TakeChangedEntries() []types.Entry {
-	n.changedQ.Hold(n.gate.Tag(), n.changed)
+	out := n.changedQ.Take(n.gate, n.changed)
 	n.changed = nil
-	return n.changedQ.Release(n.gate.Durable(), nil)
+	return out
 }
 
 // SyncDone advances the durability horizon after a storage sync: deferred
@@ -466,13 +468,18 @@ func (n *Node) SyncDone(now time.Duration, durableLSN uint64) {
 // dropped (RecordSelf is monotonic, so replaying a lower head is harmless
 // but a cross-term replay would seed a fresh tracker).
 func (n *Node) recordSelfDurable() {
-	idx := n.log.LastLeaderIndex()
-	term := n.term
-	n.acts.After(n.gate, func() {
-		if n.role == types.RoleLeader && n.term == term && n.progress != nil {
-			n.progress.RecordSelf(n.cfg.ID, idx)
-		}
-	})
+	idx, term := n.log.LastLeaderIndex(), n.term
+	if n.gate.Ready() {
+		n.recordSelf(idx, term) // inline: no heap closure on synchronous storage
+		return
+	}
+	n.acts.After(n.gate, func() { n.recordSelf(idx, term) })
+}
+
+func (n *Node) recordSelf(idx types.Index, term types.Term) {
+	if n.role == types.RoleLeader && n.term == term && n.progress != nil {
+		n.progress.RecordSelf(n.cfg.ID, idx)
+	}
 }
 
 // HardState returns the node's persistent term and vote (C-Raft replicates
@@ -599,7 +606,7 @@ func (n *Node) acceptFrom(from types.NodeID, msg types.Message) bool {
 		types.LeaveRequest, types.CommitNotify, types.InstallSnapshot:
 		return true
 	}
-	cfg := n.log.ConfigView()
+	cfg := n.Config()
 	if cfg.Size() == 0 || !cfg.Contains(n.cfg.ID) {
 		return true
 	}
@@ -858,7 +865,7 @@ func (n *Node) onRequestVoteResp(from types.NodeID, m types.RequestVoteResp) {
 		return
 	}
 	n.votes[from] = true
-	n.recoveryVotes[from] = types.CloneEntries(m.SelfApproved)
+	n.recoveryVotes[from] = slices.Clone(m.SelfApproved) // the transport may recycle the message's slice
 	n.maybeWinElection()
 }
 

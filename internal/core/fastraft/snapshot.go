@@ -1,6 +1,7 @@
 package fastraft
 
 import (
+	"bytes"
 	"fmt"
 
 	"github.com/hraft-io/hraft/internal/replica"
@@ -36,7 +37,7 @@ func (n *Node) maybeCompact() {
 		if err != nil {
 			return // transient application failure; retry at a later tick
 		}
-		data = d
+		data = bytes.Clone(d) // the application's buffer: copied once, read-only after
 		if applied < point {
 			point = applied
 		}
@@ -207,7 +208,7 @@ func (n *Node) installSnapshot(snap types.Snapshot) {
 	if err := n.cfg.Storage.TruncatePrefix(snap.Meta.LastIndex); err != nil {
 		panic(fmt.Sprintf("fastraft %s: truncate storage prefix: %v", n.cfg.ID, err))
 	}
-	n.snap = snap.Clone()
+	n.snap = snap
 	n.commitIndex = snap.Meta.LastIndex
 	if err := n.sessions.Restore(snap.Sessions); err != nil {
 		panic(fmt.Sprintf("fastraft %s: restore sessions: %v", n.cfg.ID, err))

@@ -53,6 +53,11 @@ func (g *Gate) Durable() uint64 {
 // Open reports whether outputs tagged tag may be released now.
 func (g *Gate) Open(tag uint64) bool { return g == nil || tag <= g.g.DurableLSN() }
 
+// Ready reports whether an output depending on every mutation accepted so
+// far may be released now: always with a nil gate. Cores test it before
+// Acts.After so the synchronous path runs inline without a heap closure.
+func (g *Gate) Ready() bool { return g.Open(g.Tag()) }
+
 // batch is one held output batch.
 type batch[T any] struct {
 	tag   uint64
@@ -66,26 +71,25 @@ type Queue[T any] struct {
 	held []batch[T]
 }
 
-// Hold appends a batch tagged with the LSN it depends on. Empty batches are
-// dropped. The queue takes ownership of items.
-func (q *Queue[T]) Hold(tag uint64, items []T) {
-	if len(items) == 0 {
-		return
+// Take holds items (a core's outputs since its last drain) under the LSN
+// they depend on and returns every held item now durable, in order. The
+// queue takes ownership of items; when nothing is held and the gate is open
+// it hands items straight back, so synchronous storage costs nothing.
+func (q *Queue[T]) Take(g *Gate, items []T) []T {
+	tag, durable := g.Tag(), g.Durable()
+	if len(q.held) == 0 && tag <= durable {
+		return items
 	}
-	q.held = append(q.held, batch[T]{tag: tag, items: items})
-}
-
-// Release returns (appended to out) every held item whose tag is at or
-// below durable, preserving order.
-func (q *Queue[T]) Release(durable uint64, out []T) []T {
+	if len(items) > 0 {
+		q.held = append(q.held, batch[T]{tag: tag, items: items})
+	}
+	var out []T
 	n := 0
-	for n < len(q.held) && q.held[n].tag <= durable {
+	for ; n < len(q.held) && q.held[n].tag <= durable; n++ {
 		out = append(out, q.held[n].items...)
 		q.held[n] = batch[T]{}
-		n++
 	}
-	q.held = q.held[n:]
-	if len(q.held) == 0 {
+	if q.held = q.held[n:]; len(q.held) == 0 {
 		q.held = nil
 	}
 	return out

@@ -57,33 +57,59 @@ func TestGateTracksStore(t *testing.T) {
 }
 
 func TestQueueReleasesDurablePrefixInOrder(t *testing.T) {
+	s := gstore(t, 1)
+	g := NewGate(s)
 	var q Queue[int]
-	q.Hold(1, []int{10, 11})
-	q.Hold(2, nil) // empty batches are dropped
-	q.Hold(3, []int{30})
-	q.Hold(5, []int{50})
-
-	if got := q.Release(0, nil); len(got) != 0 {
+	appendTo := func(n int) { // the store accepts mutations up to LSN n
+		for s.LastLSN() < uint64(n) {
+			if err := s.AppendEntry(types.Entry{Index: types.Index(s.LastLSN() + 1), Term: 1}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if got := q.Take(g, []int{10, 11}); len(got) != 0 { // tag 1
 		t.Fatalf("nothing durable yet, got %v", got)
 	}
-	got := q.Release(3, nil)
-	want := []int{10, 11, 30}
+	appendTo(2)
+	q.Take(g, nil) // empty batches are dropped
+	appendTo(3)
+	q.Take(g, []int{30})
+	appendTo(5)
+	q.Take(g, []int{50})
+	appendTo(6)
+	if err := s.Sync(); err != nil { // durable through 6; the next Take carries tag 7
+		t.Fatal(err)
+	}
+	appendTo(7)
+	got := q.Take(g, []int{70})
+	want := []int{10, 11, 30, 50}
 	if len(got) != len(want) {
-		t.Fatalf("Release(3) = %v, want %v", got, want)
+		t.Fatalf("Take = %v, want %v", got, want)
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("Release(3) = %v, want %v", got, want)
+			t.Fatalf("Take = %v, want %v", got, want)
 		}
 	}
 	if !q.Pending() {
-		t.Fatal("tag-5 batch should still be held")
+		t.Fatal("tag-7 batch should still be held")
 	}
-	if got := q.Release(5, nil); len(got) != 1 || got[0] != 50 {
-		t.Fatalf("Release(5) = %v, want [50]", got)
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if got := q.Take(g, nil); len(got) != 1 || got[0] != 70 {
+		t.Fatalf("Take after Sync = %v, want [70]", got)
 	}
 	if q.Pending() {
 		t.Fatal("queue should be drained")
+	}
+	// Nothing held and the gate open: the batch comes straight back.
+	in := []int{80}
+	if got := q.Take(g, in); &got[0] != &in[0] {
+		t.Fatal("an open gate with nothing held must hand the batch back")
+	}
+	if got := q.Take(nil, in); &got[0] != &in[0] {
+		t.Fatal("a nil gate must hand the batch back")
 	}
 }
 

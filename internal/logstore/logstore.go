@@ -46,8 +46,9 @@ var ErrCompacted = errors.New("logstore: invalid compaction boundary")
 // into a snapshot. It is not safe for concurrent use; the consensus cores
 // are single-threaded per node.
 type Log struct {
-	// entries[i - snapIndex - 1] holds index i; nil means a hole.
-	entries []*types.Entry
+	// entries[i - snapIndex - 1] holds index i by value, so an insert costs
+	// no allocation of its own; Index 0 marks a hole.
+	entries []types.Entry
 	// snapIndex/snapTerm are the snapshot boundary: the index and term of
 	// the last compacted entry (0/0 when the log starts at 1).
 	snapIndex types.Index
@@ -165,24 +166,25 @@ func (w *pidWindow) len() int {
 func New(bootstrap types.Config) *Log {
 	return &Log{
 		byPID:  make(map[types.ProposalID]types.Index),
-		config: bootstrap.Clone(),
-		base:   bootstrap.Clone(),
+		config: bootstrap,
+		base:   bootstrap,
 	}
 }
 
 // Get returns the entry at idx, or ok=false for a hole, a compacted index
-// or an out-of-range index. The returned entry is a copy.
+// or an out-of-range index. The returned struct is a copy; its Data and
+// Config are the log's own and read-only (see types.Entry).
 func (l *Log) Get(idx types.Index) (types.Entry, bool) {
 	if e := l.at(idx); e != nil {
-		return e.Clone(), true
+		return *e, true
 	}
 	return types.Entry{}, false
 }
 
-// Peek is Get without the copy, for callers that only compare or read
-// fields: it returns the log's own entry (nil for a hole, a compacted index
-// or an out-of-range index), which must be neither modified nor kept past
-// the next mutation of the log.
+// Peek is Get without copying the struct, for callers that only compare or
+// read fields: it returns the log's own entry (nil for a hole, a compacted
+// index or an out-of-range index), which must be neither modified nor kept
+// past the next mutation of the log.
 func (l *Log) Peek(idx types.Index) *types.Entry { return l.at(idx) }
 
 // Has reports whether idx holds an entry.
@@ -225,32 +227,27 @@ func (l *Log) LastLeaderTerm() types.Term { return l.Term(l.lastLeader) }
 
 // Config returns the active configuration (last config entry in the log,
 // or the snapshot/bootstrap base) and the index it came from (0 for
-// bootstrap).
+// bootstrap). Configurations are read-only like entry payloads: the log
+// replaces its configuration wholesale and never edits one in place.
 func (l *Log) Config() (types.Config, types.Index) {
-	return l.config.Clone(), l.configIndex
+	return l.config, l.configIndex
 }
-
-// ConfigView is Config without the copy, for per-message membership and
-// quorum checks. The log replaces its configuration wholesale and never
-// edits one in place, so a view stays valid (as the configuration it was
-// taken from) but must not be modified.
-func (l *Log) ConfigView() types.Config { return l.config }
 
 // ConfigAt returns the configuration in effect at idx: the last config
 // entry at or below idx, falling back to the snapshot/bootstrap base. It is
 // what a snapshot taken at idx must record.
 func (l *Log) ConfigAt(idx types.Index) (types.Config, types.Index) {
 	if l.configIndex <= idx {
-		return l.config.Clone(), l.configIndex
+		return l.config, l.configIndex
 	}
 	for i := idx; i >= l.FirstIndex(); i-- {
 		if e := l.at(i); e != nil && e.Kind == types.KindConfig && e.Config != nil {
-			return e.Config.Clone(), i
+			return *e.Config, i
 		}
 	}
 	// No config entry in (boundary, idx]: the base configuration
 	// (bootstrap, or the snapshot's) is still in effect at idx.
-	return l.base.Clone(), l.baseIndex
+	return l.base, l.baseIndex
 }
 
 // FindProposal returns the index at which the proposal identified by pid is
@@ -307,10 +304,9 @@ func (l *Log) InsertSelf(idx types.Index, e types.Entry) error {
 	if l.at(idx) != nil {
 		return ErrOccupied
 	}
-	e = e.Clone()
 	e.Index = idx
 	e.Approval = types.ApprovedSelf
-	l.place(idx, &e)
+	l.place(idx, e)
 	return nil
 }
 
@@ -323,11 +319,10 @@ func (l *Log) AppendLeader(idx types.Index, e types.Entry) error {
 	if idx != l.lastLeader+1 {
 		return fmt.Errorf("%w: append %d after leader prefix %d", ErrGap, idx, l.lastLeader)
 	}
-	e = e.Clone()
 	e.Index = idx
 	e.Approval = types.ApprovedLeader
 	l.remove(idx)
-	l.place(idx, &e)
+	l.place(idx, e)
 	l.lastLeader = idx
 	return nil
 }
@@ -344,11 +339,10 @@ func (l *Log) OverwriteLeader(idx types.Index, e types.Entry) error {
 	if idx < l.FirstIndex() {
 		return fmt.Errorf("logstore: overwrite compacted index %d (first %d)", idx, l.FirstIndex())
 	}
-	e = e.Clone()
 	e.Index = idx
 	e.Approval = types.ApprovedLeader
 	l.remove(idx)
-	l.place(idx, &e)
+	l.place(idx, e)
 	if idx > l.lastLeader {
 		l.lastLeader = idx
 	}
@@ -414,7 +408,7 @@ func (l *Log) CompactTo(idx types.Index, term types.Term) error {
 	}
 	l.base, l.baseIndex = l.ConfigAt(idx)
 	l.windowCompacted(idx)
-	l.entries = append([]*types.Entry(nil), l.entries[idx-l.snapIndex:]...)
+	l.entries = append([]types.Entry(nil), l.entries[idx-l.snapIndex:]...)
 	l.snapIndex = idx
 	l.snapTerm = term
 	if l.lastIndex < idx {
@@ -471,7 +465,7 @@ func (l *Log) InstallSnapshot(meta types.SnapshotMeta) error {
 	l.windowCompacted(meta.LastIndex)
 	if meta.LastIndex <= types.Index(len(l.entries))+l.snapIndex {
 		// Boundary inside the retained range: drop the covered prefix.
-		l.entries = append([]*types.Entry(nil), l.entries[meta.LastIndex-l.snapIndex:]...)
+		l.entries = append([]types.Entry(nil), l.entries[meta.LastIndex-l.snapIndex:]...)
 	} else {
 		l.entries = nil
 	}
@@ -485,56 +479,43 @@ func (l *Log) InstallSnapshot(meta types.SnapshotMeta) error {
 	}
 	// Adopt the snapshot's configuration unless a config entry above the
 	// boundary (already consistent with the leader) overrides it.
-	l.base = meta.Config.Clone()
+	l.base = meta.Config
 	l.baseIndex = meta.ConfigIndex
 	l.recomputeConfig()
 	return nil
 }
 
-// SelfApproved returns copies of all self-approved entries, ascending by
-// index. They are what a voter ships to a candidate for recovery.
+// SelfApproved returns all self-approved entries, ascending by index.
+// They are what a voter ships to a candidate for recovery.
 func (l *Log) SelfApproved() []types.Entry {
 	var out []types.Entry
 	for i := l.FirstIndex(); i <= l.lastIndex; i++ {
 		if e := l.at(i); e != nil && e.Approval == types.ApprovedSelf {
-			out = append(out, e.Clone())
+			out = append(out, *e)
 		}
 	}
 	return out
 }
 
-// Range returns copies of the entries in [lo, hi] (inclusive), skipping
-// holes and the compacted prefix. Used to build AppendEntries payloads and
-// catch-up batches.
-func (l *Log) Range(lo, hi types.Index) []types.Entry {
-	if lo < l.FirstIndex() {
-		lo = l.FirstIndex()
-	}
-	if hi > l.lastIndex {
-		hi = l.lastIndex
-	}
-	var out []types.Entry
-	for i := lo; i <= hi; i++ {
+// Range returns the entries in [lo, hi] (inclusive), skipping holes and the
+// compacted prefix.
+func (l *Log) Range(lo, hi types.Index) []types.Entry { return l.AppendRange(nil, lo, hi) }
+
+// AppendRange is Range appending to dst: the replication engine fills its
+// pooled AppendEntries slices with it.
+func (l *Log) AppendRange(dst []types.Entry, lo, hi types.Index) []types.Entry {
+	for i, top := max(lo, l.FirstIndex()), min(hi, l.lastIndex); i <= top; i++ {
 		if e := l.at(i); e != nil {
-			out = append(out, e.Clone())
+			dst = append(dst, *e)
 		}
 	}
-	return out
+	return dst
 }
 
-// LeaderRange returns copies of leader-approved entries in
-// [lo, min(hi, LastLeaderIndex)]; the result is contiguous by construction.
-func (l *Log) LeaderRange(lo, hi types.Index) []types.Entry {
-	if hi > l.lastLeader {
-		hi = l.lastLeader
-	}
-	return l.Range(lo, hi)
-}
-
-// Snapshot returns copies of every retained entry in the log, ascending.
-// Used by stable storage and tests.
-func (l *Log) Snapshot() []types.Entry {
-	return l.Range(l.FirstIndex(), l.lastIndex)
+// AppendLeaderRange is AppendRange over the leader-approved entries in
+// [lo, min(hi, LastLeaderIndex)], which are contiguous by construction.
+func (l *Log) AppendLeaderRange(dst []types.Entry, lo, hi types.Index) []types.Entry {
+	return l.AppendRange(dst, lo, min(hi, l.lastLeader))
 }
 
 // CheckInvariants verifies structural invariants; tests call it after every
@@ -570,15 +551,18 @@ func (l *Log) at(idx types.Index) *types.Entry {
 	if idx <= l.snapIndex || idx > l.snapIndex+types.Index(len(l.entries)) {
 		return nil
 	}
-	return l.entries[idx-l.snapIndex-1]
+	if e := &l.entries[idx-l.snapIndex-1]; e.Index != 0 {
+		return e
+	}
+	return nil
 }
 
-func (l *Log) place(idx types.Index, e *types.Entry) {
+func (l *Log) place(idx types.Index, e types.Entry) {
 	if idx <= l.snapIndex {
 		panic(fmt.Sprintf("logstore: place at compacted index %d (boundary %d)", idx, l.snapIndex))
 	}
-	for l.snapIndex+types.Index(len(l.entries)) < idx {
-		l.entries = append(l.entries, nil)
+	if n := int(idx - l.snapIndex); n > len(l.entries) {
+		l.entries = append(l.entries, make([]types.Entry, n-len(l.entries))...)
 	}
 	l.entries[idx-l.snapIndex-1] = e
 	if idx > l.lastIndex {
@@ -588,7 +572,7 @@ func (l *Log) place(idx types.Index, e *types.Entry) {
 		l.byPID[e.PID] = idx
 	}
 	if e.Kind == types.KindConfig && e.Config != nil && idx >= l.configIndex {
-		l.adoptConfig(*e)
+		l.adoptConfig(e)
 	}
 }
 
@@ -601,14 +585,14 @@ func (l *Log) remove(idx types.Index) {
 		delete(l.byPID, e.PID)
 	}
 	wasConfig := e.Kind == types.KindConfig
-	l.entries[idx-l.snapIndex-1] = nil
+	l.entries[idx-l.snapIndex-1] = types.Entry{}
 	if wasConfig && idx == l.configIndex {
 		l.recomputeConfig()
 	}
 }
 
 func (l *Log) adoptConfig(e types.Entry) {
-	l.config = e.Config.Clone()
+	l.config = *e.Config
 	l.configIndex = e.Index
 }
 
@@ -618,12 +602,12 @@ func (l *Log) adoptConfig(e types.Entry) {
 func (l *Log) recomputeConfig() {
 	for i := l.lastIndex; i >= l.FirstIndex(); i-- {
 		if e := l.at(i); e != nil && e.Kind == types.KindConfig && e.Config != nil {
-			l.config = e.Config.Clone()
+			l.config = *e.Config
 			l.configIndex = i
 			return
 		}
 	}
-	l.config = l.base.Clone()
+	l.config = l.base
 	l.configIndex = l.baseIndex
 }
 
@@ -645,10 +629,8 @@ func RestoreSnapshot(bootstrap types.Config, meta types.SnapshotMeta, entries []
 	l.lastIndex = meta.LastIndex
 	l.lastLeader = meta.LastIndex
 	if meta.LastIndex > 0 {
-		l.config = meta.Config.Clone()
-		l.configIndex = meta.ConfigIndex
-		l.base = meta.Config.Clone()
-		l.baseIndex = meta.ConfigIndex
+		l.config, l.configIndex = meta.Config, meta.ConfigIndex
+		l.base, l.baseIndex = meta.Config, meta.ConfigIndex
 	}
 	for _, e := range entries {
 		if e.Index == 0 {
@@ -657,8 +639,7 @@ func RestoreSnapshot(bootstrap types.Config, meta types.SnapshotMeta, entries []
 		if e.Index <= meta.LastIndex {
 			continue
 		}
-		ec := e.Clone()
-		l.place(e.Index, &ec)
+		l.place(e.Index, e)
 	}
 	// Recompute the leader prefix above the boundary.
 	for i := l.FirstIndex(); ; i++ {

@@ -215,7 +215,7 @@ func TestRangeAndLeaderRange(t *testing.T) {
 	if len(all) != 4 {
 		t.Fatalf("Range = %d entries", len(all))
 	}
-	lr := l.LeaderRange(2, 10)
+	lr := l.AppendLeaderRange(nil, 2, 10)
 	if len(lr) != 2 || lr[0].Index != 2 || lr[1].Index != 3 {
 		t.Fatalf("LeaderRange = %v", lr)
 	}
@@ -232,7 +232,7 @@ func TestRestoreRoundTrip(t *testing.T) {
 	if err := l.InsertSelf(6, normal("q", 1)); err != nil {
 		t.Fatal(err)
 	}
-	snap := l.Snapshot()
+	snap := l.Range(l.FirstIndex(), l.LastIndex())
 	r, err := Restore(boot, snap)
 	if err != nil {
 		t.Fatal(err)
@@ -296,7 +296,7 @@ func TestQuickRandomOpsKeepInvariants(t *testing.T) {
 			}
 		}
 		// Snapshot/restore must reproduce the same structure.
-		r, err := Restore(boot, l.Snapshot())
+		r, err := Restore(boot, l.Range(l.FirstIndex(), l.LastIndex()))
 		if err != nil {
 			t.Logf("restore: %v", err)
 			return false
@@ -493,7 +493,8 @@ func TestCompactedPIDWindowEvictsInLogOrder(t *testing.T) {
 	}
 }
 
-// TestPeekSharesTheLogsEntry pins Peek against Get: same entry, no copy.
+// TestPeekSharesTheLogsEntry pins Peek against Get: Peek is the log's own
+// entry; Get copies the struct and shares the read-only payload.
 func TestPeekSharesTheLogsEntry(t *testing.T) {
 	l := New(types.NewConfig("a", "b", "c"))
 	if err := l.InsertSelf(3, leaderEntry(1, "p", 1)); err != nil {
@@ -507,8 +508,12 @@ func TestPeekSharesTheLogsEntry(t *testing.T) {
 	if e == nil || e.PID != got.PID || e.Index != 3 || e.Approval != types.ApprovedSelf {
 		t.Fatalf("Peek(3) = %v, Get(3) = %v", e, got)
 	}
-	if len(e.Data) > 0 && &e.Data[0] == &got.Data[0] {
-		t.Fatal("Get shares the log's payload")
+	if len(e.Data) == 0 || &e.Data[0] != &got.Data[0] {
+		t.Fatal("Get copied the log's payload")
+	}
+	got.Approval = types.ApprovedLeader
+	if e.Approval != types.ApprovedSelf {
+		t.Fatal("Get shares the log's struct")
 	}
 	if l.Peek(3) != e {
 		t.Fatal("Peek copies")

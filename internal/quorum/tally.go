@@ -1,7 +1,8 @@
 package quorum
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"github.com/hraft-io/hraft/internal/types"
 )
@@ -11,30 +12,40 @@ import (
 // Fast Raft leader feeds follower votes (and recovered self-approved
 // entries after an election) into the tally and reads decisions out of it.
 //
-// The leader consults the tally on every vote it receives, so the queries
-// on that path are bounded by the work at hand, never by the number of
-// indexes tracked: FastCandidate rejects with one field read, and
-// NullProposal and Clear touch only the indexes concerned.
+// The leader consults the tally on every vote it receives, so that path
+// allocates nothing once an index is tracked and FastCandidate rejects with
+// one field read. Groups are small (at most nine members in every
+// deployment here), so each index keeps its candidates and votes in short
+// slices, inline for the common case of one candidate, and the tracked
+// indexes (the few above the commit point) sit in one sorted slice.
 type Tally struct {
-	byIndex map[types.Index]*indexTally
-	// where lists, per proposal identity, the indexes holding a candidate
-	// for it; NullProposal walks it instead of every tracked index.
-	where map[candidateKey][]types.Index
+	// pending holds the tracked indexes in ascending order.
+	pending []*indexTally
 	// floor is the highest index Clear has discarded through; nothing at or
 	// below it is tracked.
 	floor types.Index
 }
 
 type indexTally struct {
-	// candidates maps a proposal identity to its candidate record.
-	candidates map[candidateKey]*candidate
-	// voters records which sites have voted at this index (a site votes at
-	// most once per index; re-votes replace the previous vote).
-	voters map[types.NodeID]candidateKey
+	idx types.Index
+	// cands are the distinct proposals voted for here, in arrival order.
+	cands []candidate
+	// votes holds each site's current vote here: a site votes at most once
+	// per index, and a re-vote replaces the previous one.
+	votes []vote
 	// most is the largest vote count any candidate here has reached. It is
 	// never lowered, so it bounds every candidate's count from above: below
 	// a fast quorum, no candidate can hold one.
 	most int
+
+	candBuf [1]candidate
+	voteBuf [9]vote
+}
+
+// vote is one site's vote at an index: cand indexes indexTally.cands.
+type vote struct {
+	voter types.NodeID
+	cand  int
 }
 
 // candidateKey identifies a distinct proposed value. Entries with a PID key
@@ -47,20 +58,17 @@ type candidateKey struct {
 }
 
 type candidate struct {
-	entry  types.Entry
-	voters map[types.NodeID]struct{}
+	key   candidateKey
+	entry types.Entry
+	// count is the number of sites (members or not) currently voting for it.
+	count int
 	// nulled marks a candidate suppressed because its proposal was decided
 	// at another index (the paper's "set to a null vote" rule).
 	nulled bool
 }
 
 // NewTally returns an empty tally.
-func NewTally() *Tally {
-	return &Tally{
-		byIndex: make(map[types.Index]*indexTally),
-		where:   make(map[candidateKey][]types.Index),
-	}
-}
+func NewTally() *Tally { return &Tally{} }
 
 func keyOf(e types.Entry) candidateKey {
 	if !e.PID.IsZero() {
@@ -82,6 +90,31 @@ func fnv64(b []byte) uint64 {
 	return h
 }
 
+// find returns the position of idx in pending and whether it is tracked.
+func (t *Tally) find(idx types.Index) (int, bool) {
+	return slices.BinarySearchFunc(t.pending, idx, func(it *indexTally, idx types.Index) int {
+		return cmp.Compare(it.idx, idx)
+	})
+}
+
+func (t *Tally) at(idx types.Index) *indexTally {
+	if i, ok := t.find(idx); ok {
+		return t.pending[i]
+	}
+	return nil
+}
+
+// memberVotes counts the configuration members voting for candidate c.
+func (it *indexTally) memberVotes(c int, cfg types.Config) int {
+	n := 0
+	for _, v := range it.votes {
+		if v.cand == c && cfg.Contains(v.voter) {
+			n++
+		}
+	}
+	return n
+}
+
 // AddVote records that voter voted for entry e at index idx. A voter's
 // newer vote at the same index replaces its older one (a follower re-votes
 // with its slot occupant, which may have been overwritten by the leader).
@@ -89,56 +122,43 @@ func (t *Tally) AddVote(idx types.Index, voter types.NodeID, e types.Entry) {
 	if idx <= t.floor {
 		return // already cleared: the index is committed
 	}
-	it := t.byIndex[idx]
-	if it == nil {
-		it = &indexTally{
-			candidates: make(map[candidateKey]*candidate),
-			voters:     make(map[types.NodeID]candidateKey),
-		}
-		t.byIndex[idx] = it
+	i, ok := t.find(idx)
+	if !ok {
+		it := &indexTally{idx: idx}
+		it.cands, it.votes = it.candBuf[:0], it.voteBuf[:0]
+		t.pending = slices.Insert(t.pending, i, it)
 	}
+	it := t.pending[i]
 	k := keyOf(e)
-	if prev, voted := it.voters[voter]; voted {
-		if prev == k {
-			return
-		}
-		if c := it.candidates[prev]; c != nil {
-			delete(c.voters, voter)
-		}
+	c := slices.IndexFunc(it.cands, func(c candidate) bool { return c.key == k })
+	if c < 0 {
+		c = len(it.cands)
+		it.cands = append(it.cands, candidate{key: k, entry: e})
 	}
-	it.voters[voter] = k
-	c := it.candidates[k]
-	if c == nil {
-		c = &candidate{entry: e.Clone(), voters: make(map[types.NodeID]struct{})}
-		it.candidates[k] = c
-		t.where[k] = append(t.where[k], idx)
+	v := slices.IndexFunc(it.votes, func(v vote) bool { return v.voter == voter })
+	switch {
+	case v < 0:
+		it.votes = append(it.votes, vote{voter: voter, cand: c})
+	case it.votes[v].cand == c:
+		return
+	default:
+		it.cands[it.votes[v].cand].count--
+		it.votes[v].cand = c
 	}
-	c.voters[voter] = struct{}{}
-	if len(c.voters) > it.most {
-		it.most = len(c.voters)
-	}
+	it.cands[c].count++
+	it.most = max(it.most, it.cands[c].count)
 }
 
 // FastCandidate returns the candidate at idx that at least q members of cfg
 // have voted for, if there is one and it was not nulled. With q a fast
-// quorum at most one candidate can qualify. The returned entry is the
-// tally's own copy and must not be modified.
+// quorum at most one candidate can qualify.
 func (t *Tally) FastCandidate(idx types.Index, cfg types.Config, q int) (types.Entry, bool) {
-	it := t.byIndex[idx]
+	it := t.at(idx)
 	if it == nil || it.most < q {
 		return types.Entry{}, false
 	}
-	for _, c := range it.candidates {
-		if c.nulled || len(c.voters) < q {
-			continue
-		}
-		votes := 0
-		for v := range c.voters {
-			if cfg.Contains(v) {
-				votes++
-			}
-		}
-		if votes >= q {
+	for i, c := range it.cands {
+		if !c.nulled && c.count >= q && it.memberVotes(i, cfg) >= q {
 			return c.entry, true
 		}
 	}
@@ -148,13 +168,13 @@ func (t *Tally) FastCandidate(idx types.Index, cfg types.Config, q int) (types.E
 // Voters returns the number of distinct configuration members that have
 // voted at idx.
 func (t *Tally) Voters(idx types.Index, cfg types.Config) int {
-	it := t.byIndex[idx]
+	it := t.at(idx)
 	if it == nil {
 		return 0
 	}
 	n := 0
-	for v := range it.voters {
-		if cfg.Contains(v) {
+	for _, v := range it.votes {
+		if cfg.Contains(v.voter) {
 			n++
 		}
 	}
@@ -181,61 +201,57 @@ type Decision struct {
 // Candidates whose proposal was nulled (decided elsewhere) or that appear
 // in skip are excluded; if every candidate is excluded ok=false.
 func (t *Tally) Decide(idx types.Index, cfg types.Config, skip func(types.Entry) bool) (Decision, bool) {
-	it := t.byIndex[idx]
+	it := t.at(idx)
 	if it == nil {
 		return Decision{}, false
 	}
 	type scored struct {
-		key   candidateKey
-		c     *candidate
+		c     int
 		votes int
 	}
-	var list []scored
-	for k, c := range it.candidates {
+	var buf [1]scored // the uncontended index has one candidate
+	list := buf[:0]
+	for i, c := range it.cands {
 		if c.nulled || (skip != nil && skip(c.entry)) {
 			continue
 		}
-		votes := 0
-		for v := range c.voters {
-			if cfg.Contains(v) {
-				votes++
-			}
+		if votes := it.memberVotes(i, cfg); votes > 0 {
+			list = append(list, scored{c: i, votes: votes})
 		}
-		if votes == 0 {
-			continue
-		}
-		list = append(list, scored{key: k, c: c, votes: votes})
 	}
 	if len(list) == 0 {
 		return Decision{}, false
 	}
-	if len(list) > 1 { // the uncontended index has one candidate
-		sort.Slice(list, func(i, j int) bool {
-			if list[i].votes != list[j].votes {
-				return list[i].votes > list[j].votes
+	// Most votes first; ties break deterministically by PID order, then
+	// kind/sum.
+	slices.SortFunc(list, func(x, y scored) int {
+		if x.votes != y.votes {
+			return y.votes - x.votes
+		}
+		a, b := it.cands[x.c].key, it.cands[y.c].key
+		switch {
+		case a.pid != b.pid:
+			if a.pid.Less(b.pid) {
+				return -1
 			}
-			// Deterministic tie-break: PID order, then kind/sum.
-			a, b := list[i].key, list[j].key
-			if a.pid != b.pid {
-				return a.pid.Less(b.pid)
-			}
-			if a.kind != b.kind {
-				return a.kind < b.kind
-			}
-			return a.sum < b.sum
-		})
-	}
+			return 1
+		case a.kind != b.kind:
+			return cmp.Compare(a.kind, b.kind)
+		default:
+			return cmp.Compare(a.sum, b.sum)
+		}
+	})
 	win := list[0]
-	d := Decision{Winner: win.c.entry.Clone(), Votes: win.votes}
+	d := Decision{Winner: it.cands[win.c].entry, Votes: win.votes}
 	// Members are kept sorted, so walking them yields the voters in order.
 	d.WinnerVoters = make([]types.NodeID, 0, win.votes)
 	for _, m := range cfg.Members {
-		if _, voted := win.c.voters[m]; voted {
+		if slices.Contains(it.votes, vote{voter: m, cand: win.c}) {
 			d.WinnerVoters = append(d.WinnerVoters, m)
 		}
 	}
 	for _, s := range list[1:] {
-		d.Losers = append(d.Losers, s.c.entry.Clone())
+		d.Losers = append(d.Losers, it.cands[s.c].entry)
 	}
 	return d, true
 }
@@ -245,9 +261,14 @@ func (t *Tally) Decide(idx types.Index, cfg types.Config, skip func(types.Entry)
 // duplicate-avoidance rule when a proposal is decided at some index.
 func (t *Tally) NullProposal(e types.Entry, except types.Index) {
 	k := keyOf(e)
-	for _, idx := range t.where[k] {
-		if idx != except {
-			t.byIndex[idx].candidates[k].nulled = true
+	for _, it := range t.pending {
+		if it.idx == except {
+			continue
+		}
+		for i := range it.cands {
+			if it.cands[i].key == k {
+				it.cands[i].nulled = true
+			}
 		}
 	}
 }
@@ -258,66 +279,20 @@ func (t *Tally) Clear(idx types.Index) {
 	if idx <= t.floor {
 		return
 	}
-	if span := idx - t.floor; span <= types.Index(len(t.byIndex)) {
-		// The usual call: the commit index moved up by one or a few.
-		for i := t.floor + 1; i <= idx; i++ {
-			t.drop(i)
-		}
-	} else {
-		for i := range t.byIndex {
-			if i <= idx {
-				t.drop(i)
-			}
-		}
-	}
+	i, _ := t.find(idx + 1) // the first index above idx
+	n := copy(t.pending, t.pending[i:])
+	clear(t.pending[n:])
+	t.pending = t.pending[:n]
 	t.floor = idx
-}
-
-// drop discards index i and unlists its candidates.
-func (t *Tally) drop(i types.Index) {
-	it := t.byIndex[i]
-	if it == nil {
-		return
-	}
-	delete(t.byIndex, i)
-	for k := range it.candidates {
-		at := t.where[k]
-		for j, idx := range at {
-			if idx == i {
-				at[j] = at[len(at)-1]
-				at = at[:len(at)-1]
-				break
-			}
-		}
-		if len(at) == 0 {
-			delete(t.where, k)
-		} else {
-			t.where[k] = at
-		}
-	}
 }
 
 // MaxIndex returns the highest index with any recorded vote, or 0.
 func (t *Tally) MaxIndex() types.Index {
-	var max types.Index
-	for i := range t.byIndex {
-		if i > max {
-			max = i
-		}
+	if len(t.pending) == 0 {
+		return 0
 	}
-	return max
-}
-
-// PendingIndexes returns all indexes with votes, ascending. Used by tests
-// and by the leader when re-sequencing orphaned proposals.
-func (t *Tally) PendingIndexes() []types.Index {
-	out := make([]types.Index, 0, len(t.byIndex))
-	for i := range t.byIndex {
-		out = append(out, i)
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
-	return out
+	return t.pending[len(t.pending)-1].idx
 }
 
 // Len returns the number of indexes currently tracked.
-func (t *Tally) Len() int { return len(t.byIndex) }
+func (t *Tally) Len() int { return len(t.pending) }

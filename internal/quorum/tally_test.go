@@ -140,10 +140,6 @@ func TestTallyClearAndMaxIndex(t *testing.T) {
 	if tally.Len() != 1 || tally.MaxIndex() != 7 {
 		t.Fatalf("after clear: max=%d len=%d", tally.MaxIndex(), tally.Len())
 	}
-	idxs := tally.PendingIndexes()
-	if len(idxs) != 1 || idxs[0] != 7 {
-		t.Fatalf("pending = %v", idxs)
-	}
 }
 
 // TestQuickDecidePicksMaxVotes checks the fundamental decide property on
@@ -285,12 +281,12 @@ func TestTallyClearKeepsNullProposalBookkeeping(t *testing.T) {
 	}
 	tally.AddVote(2, "c", entryWith(pid))
 	if tally.Len() != 2 {
-		t.Fatalf("vote below the cleared floor was tracked: %v", tally.PendingIndexes())
+		t.Fatalf("vote below the cleared floor was tracked: %d indexes", tally.Len())
 	}
 	tally.AddVote(900, "a", entryWith(pid))
 	tally.Clear(500) // the sparse path: far more indexes than entries
-	if idxs := tally.PendingIndexes(); len(idxs) != 1 || idxs[0] != 900 {
-		t.Fatalf("pending after sparse clear = %v", idxs)
+	if tally.Len() != 1 || tally.MaxIndex() != 900 {
+		t.Fatalf("after sparse clear: %d indexes up to %d", tally.Len(), tally.MaxIndex())
 	}
 	tally.NullProposal(entryWith(pid), 0)
 	if _, ok := tally.Decide(900, cfg, nil); ok {

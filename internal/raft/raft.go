@@ -14,6 +14,7 @@
 package raft
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -322,7 +323,8 @@ func (n *Node) LeaderID() types.NodeID { return n.leaderID }
 // CommitIndex returns the node's commit index.
 func (n *Node) CommitIndex() types.Index { return n.commitIndex }
 
-// Config returns the node's active membership configuration.
+// Config returns the node's active membership configuration (the log's
+// own, read-only).
 func (n *Node) Config() types.Config {
 	cfg, _ := n.log.Config()
 	return cfg
@@ -388,25 +390,25 @@ func (n *Node) PeerStatus() []replica.PeerStatus {
 // TakeOutbox drains messages to send. With group-commit storage only the
 // durable prefix is released; the rest follows after SyncDone.
 func (n *Node) TakeOutbox() []types.Envelope {
-	n.outboxQ.Hold(n.gate.Tag(), n.outbox)
+	out := n.outboxQ.Take(n.gate, n.outbox)
 	n.outbox = nil
-	return n.outboxQ.Release(n.gate.Durable(), nil)
+	return out
 }
 
 // TakeCommitted drains newly committed entries, in log order. With
 // group-commit storage only the durable prefix is released.
 func (n *Node) TakeCommitted() []types.Entry {
-	n.committedQ.Hold(n.gate.Tag(), n.committed)
+	out := n.committedQ.Take(n.gate, n.committed)
 	n.committed = nil
-	return n.committedQ.Release(n.gate.Durable(), nil)
+	return out
 }
 
 // TakeResolved drains resolutions of locally originated proposals. With
 // group-commit storage only the durable prefix is released.
 func (n *Node) TakeResolved() []types.Resolution {
-	n.resolvedQ.Hold(n.gate.Tag(), n.resolved)
+	out := n.resolvedQ.Take(n.gate, n.resolved)
 	n.resolved = nil
-	return n.resolvedQ.Release(n.gate.Durable(), nil)
+	return out
 }
 
 // SyncDone advances the durability horizon after a storage sync: deferred
@@ -426,13 +428,18 @@ func (n *Node) SyncDone(now time.Duration, durableLSN uint64) {
 // quorum only once every record behind it is on disk. Head and term are
 // captured now; a stale self-ack from a finished leadership is dropped.
 func (n *Node) recordSelfDurable() {
-	idx := n.log.LastIndex()
-	term := n.term
-	n.acts.After(n.gate, func() {
-		if n.role == types.RoleLeader && n.term == term && n.progress != nil {
-			n.progress.RecordSelf(n.cfg.ID, idx)
-		}
-	})
+	idx, term := n.log.LastIndex(), n.term
+	if n.gate.Ready() {
+		n.recordSelf(idx, term) // inline: no heap closure on synchronous storage
+		return
+	}
+	n.acts.After(n.gate, func() { n.recordSelf(idx, term) })
+}
+
+func (n *Node) recordSelf(idx types.Index, term types.Term) {
+	if n.role == types.RoleLeader && n.term == term && n.progress != nil {
+		n.progress.RecordSelf(n.cfg.ID, idx)
+	}
 }
 
 // NextDeadline returns the earliest future instant at which the node needs
@@ -527,7 +534,7 @@ func (n *Node) submit(e types.Entry) {
 	}
 	if n.leaderID != types.None && n.leaderID != n.cfg.ID {
 		n.rec.TraceHop(n.now, e.TraceID, trace.HopForward, n.leaderID, 0)
-		n.send(n.leaderID, types.ClientPropose{Entry: e.Clone()})
+		n.send(n.leaderID, types.ClientPropose{Entry: e})
 	}
 	// Leader unknown: the retry timer will re-submit.
 }
@@ -845,7 +852,6 @@ func (n *Node) leaderAppend(e types.Entry) {
 		}
 	}
 	idx := n.log.LastIndex() + 1
-	e = e.Clone()
 	e.Term = n.term
 	if err := n.log.AppendLeader(idx, e); err != nil {
 		panic(fmt.Sprintf("raft %s: leader append: %v", n.cfg.ID, err))
@@ -902,7 +908,7 @@ func (n *Node) evaluate(tick bool) {
 }
 
 func (n *Node) advanceCommit() {
-	cfg := n.log.ConfigView()
+	cfg := n.Config()
 	classic := quorum.ClassicSize(cfg.Size())
 	for k := n.commitIndex + 1; k <= n.log.LastIndex(); k++ {
 		if n.log.Term(k) != n.term {
@@ -1073,7 +1079,7 @@ func (n *Node) logView() replica.LogView {
 	return replica.LogView{
 		LastIndex:     n.log.LastIndex,
 		Term:          n.log.Term,
-		Entries:       n.log.Range,
+		Entries:       n.log.AppendRange,
 		SnapshotIndex: n.log.SnapshotIndex,
 	}
 }
@@ -1261,7 +1267,7 @@ func (n *Node) maybeCompact() {
 		if err != nil {
 			return // transient application failure; retry at a later tick
 		}
-		data = d
+		data = bytes.Clone(d) // the application's buffer: copied once, read-only after
 		if applied < point {
 			point = applied
 		}
@@ -1409,7 +1415,7 @@ func (n *Node) onInstallSnapshot(from types.NodeID, m types.InstallSnapshot) {
 	if err := n.cfg.Storage.TruncatePrefix(snap.Meta.LastIndex); err != nil {
 		panic(fmt.Sprintf("raft %s: truncate storage prefix: %v", n.cfg.ID, err))
 	}
-	n.snap = snap.Clone()
+	n.snap = snap
 	n.commitIndex = snap.Meta.LastIndex
 	if err := n.sessions.Restore(snap.Sessions); err != nil {
 		panic(fmt.Sprintf("raft %s: restore sessions: %v", n.cfg.ID, err))

@@ -423,8 +423,8 @@ type LogView struct {
 	LastIndex func() types.Index
 	// Term returns the term of the entry at an index (0 if absent).
 	Term func(types.Index) types.Term
-	// Entries returns the replicable entries in [lo, hi].
-	Entries func(lo, hi types.Index) []types.Entry
+	// Entries appends the replicable entries in [lo, hi] to dst.
+	Entries func(dst []types.Entry, lo, hi types.Index) []types.Entry
 	// SnapshotIndex returns the compaction boundary (0 if never compacted).
 	SnapshotIndex func() types.Index
 }
@@ -729,14 +729,14 @@ func (t *Tracker) AppendMessages(id types.NodeID, lv LogView, rc Round) (msgs []
 // remaining byte budget, sizing each entry at its wire encoding, and
 // returns the kept entries and their total size. Entries are fetched from
 // the log in bounded slabs so a deeply lagging follower never causes the
-// whole remaining tail to be cloned just to keep one window's worth —
+// whole remaining tail to be copied just to keep one window's worth —
 // without this, catch-up would copy O(lag) entries per refill, O(lag²)
 // overall. The first entry is always kept so a single entry larger than
 // the whole budget still makes progress (over-committing the window by at
 // most one entry).
 func (t *Tracker) budgetEntries(p *Progress, lv LogView, lo, hi types.Index) ([]types.Entry, int) {
 	// fetchSlab bounds how far a fetch may overshoot the budget: at most
-	// one slab of entries is cloned beyond what ships.
+	// one slab of entries is copied beyond what ships.
 	const fetchSlab = 256
 	remaining := t.cfg.MaxInflightBytes - p.bytesInFlight
 	hint := int(hi - lo + 1)
@@ -752,13 +752,14 @@ func (t *Tracker) budgetEntries(p *Progress, lv LogView, lo, hi types.Index) ([]
 		if slabHi > hi {
 			slabHi = hi
 		}
-		for _, e := range lv.Entries(lo, slabHi) {
-			n := types.EntryWireSize(e)
-			if len(out) > 0 && size+n > remaining {
+		kept := len(out)
+		out = lv.Entries(out, lo, slabHi)
+		for ; kept < len(out); kept++ {
+			n := types.EntryWireSize(out[kept])
+			if kept > 0 && size+n > remaining {
 				t.counters.Inc(CounterBytesThrottled)
-				return out, size
+				return out[:kept], size
 			}
-			out = append(out, e)
 			size += n
 		}
 		lo = slabHi + 1
@@ -950,7 +951,7 @@ func (t *Tracker) SnapshotMessages(id types.NodeID, snap types.Snapshot, enc []b
 			Round:    round,
 		}
 		if ch.Full {
-			m.Snapshot = snap.Clone()
+			m.Snapshot = snap
 			m.Done = true
 		} else {
 			m.Offset = ch.Offset

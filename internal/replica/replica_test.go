@@ -362,7 +362,7 @@ func testLogView(entries []types.Entry, snapIdx types.Index) LogView {
 			}
 			return entries[i-1].Term
 		},
-		Entries: func(lo, hi types.Index) []types.Entry {
+		Entries: func(dst []types.Entry, lo, hi types.Index) []types.Entry {
 			if lo < 1 {
 				lo = 1
 			}
@@ -370,9 +370,9 @@ func testLogView(entries []types.Entry, snapIdx types.Index) LogView {
 				hi = types.Index(len(entries))
 			}
 			if lo > hi {
-				return nil
+				return dst
 			}
-			return entries[lo-1 : hi]
+			return append(dst, entries[lo-1:hi]...)
 		},
 		SnapshotIndex: func() types.Index { return snapIdx },
 	}

@@ -114,8 +114,8 @@ func (n *Network) Heal() { n.blocked = make(map[[2]types.NodeID]struct{}) }
 func (n *Network) Stats() Stats { return n.stats }
 
 // Send routes one envelope: it may drop it (loss or partition), then
-// schedules delivery after a sampled one-way latency. The message is cloned
-// so sender and receiver never alias memory.
+// schedules delivery after a sampled one-way latency. The message's slices
+// are copied (types.CloneMessage); its read-only payloads are shared.
 func (n *Network) Send(env types.Envelope) {
 	n.stats.Sent++
 	if _, cut := n.blocked[[2]types.NodeID{env.From, env.To}]; cut {

@@ -206,24 +206,24 @@ func TestNetworkUnregisteredDrops(t *testing.T) {
 	}
 }
 
+// TestNetworkClonesMessages pins what delivery copies: the message's slices,
+// which a sender may reuse, but not the read-only payloads inside them.
 func TestNetworkClonesMessages(t *testing.T) {
 	s := NewScheduler()
 	n := NewNetwork(s, nil, 1)
 	var got types.Envelope
 	n.Register("b", func(env types.Envelope) { got = env })
-	e := types.Entry{Kind: types.KindNormal, Data: []byte("abc")}
-	msg := types.ProposeEntry{Index: 1, Entry: e}
-	n.Send(types.Envelope{From: "a", To: "b", Layer: types.LayerLocal, Msg: msg})
-	// Mutate the sender's copy before delivery.
-	e.Data[0] = 'X'
-	msg.Entry.Data[1] = 'Y'
+	entries := []types.Entry{{Index: 1, Kind: types.KindNormal, Data: []byte("abc")}}
+	n.Send(types.Envelope{From: "a", To: "b", Layer: types.LayerLocal, Msg: types.AppendEntries{Entries: entries}})
+	// The sender reuses its slice before delivery.
+	entries[0] = types.Entry{Index: 9}
 	s.RunUntil(time.Second)
-	pe, ok := got.Msg.(types.ProposeEntry)
+	ae, ok := got.Msg.(types.AppendEntries)
 	if !ok {
 		t.Fatalf("got %T", got.Msg)
 	}
-	if string(pe.Entry.Data) != "abc" {
-		t.Fatalf("delivered data aliased sender memory: %q", pe.Entry.Data)
+	if len(ae.Entries) != 1 || ae.Entries[0].Index != 1 || string(ae.Entries[0].Data) != "abc" {
+		t.Fatalf("delivered entries aliased the sender's slice: %v", ae.Entries)
 	}
 }
 

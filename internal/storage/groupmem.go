@@ -38,7 +38,6 @@ func (g *GroupedMemory) SetHardState(hs HardState) error {
 
 // AppendEntry implements Storage (buffered until Sync).
 func (g *GroupedMemory) AppendEntry(e types.Entry) error {
-	e = e.Clone()
 	return g.defer_(func(m *Memory) error { return m.AppendEntry(e) })
 }
 
@@ -49,7 +48,6 @@ func (g *GroupedMemory) TruncateSuffix(idx types.Index) error {
 
 // SaveSnapshot implements Storage (buffered until Sync).
 func (g *GroupedMemory) SaveSnapshot(snap types.Snapshot) error {
-	snap = snap.Clone()
 	return g.defer_(func(m *Memory) error { return m.SaveSnapshot(snap) })
 }
 

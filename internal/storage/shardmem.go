@@ -103,7 +103,6 @@ func (g *shardMemGroup) SetHardState(hs HardState) error {
 
 // AppendEntry implements Storage (buffered until the shared Sync).
 func (g *shardMemGroup) AppendEntry(e types.Entry) error {
-	e = e.Clone()
 	return g.defer_(func(m *Memory) error { return m.AppendEntry(e) })
 }
 
@@ -114,7 +113,6 @@ func (g *shardMemGroup) TruncateSuffix(idx types.Index) error {
 
 // SaveSnapshot implements Storage (buffered until the shared Sync).
 func (g *shardMemGroup) SaveSnapshot(snap types.Snapshot) error {
-	snap = snap.Clone()
 	return g.defer_(func(m *Memory) error { return m.SaveSnapshot(snap) })
 }
 

@@ -93,7 +93,7 @@ func (g *WALGroup) AppendEntry(e types.Entry) error {
 	if err := w.appendBodyLocked(w.recBuf); err != nil {
 		return err
 	}
-	g.entries[e.Index] = e.Clone()
+	g.entries[e.Index] = e
 	return nil
 }
 
@@ -146,7 +146,7 @@ func (g *WALGroup) SaveSnapshot(snap types.Snapshot) error {
 	if err := w.appendBodyLocked(groupBody(recGroupSnapshot, g.id, types.EncodeSnapshot(marker))); err != nil {
 		return err
 	}
-	g.snap = snap.Clone()
+	g.snap = snap
 	g.snapMeta = snap.Meta
 	return nil
 }
@@ -180,7 +180,7 @@ func (g *WALGroup) Load() (HardState, []types.Entry, error) {
 		if e.Index <= g.snap.Meta.LastIndex {
 			continue
 		}
-		out = append(out, e.Clone())
+		out = append(out, e)
 	}
 	sortEntries(out)
 	return g.hs, out, nil
@@ -194,7 +194,7 @@ func (g *WALGroup) LoadSnapshot() (types.Snapshot, bool, error) {
 	if g.snap.IsZero() {
 		return types.Snapshot{}, false, nil
 	}
-	return g.snap.Clone(), true, nil
+	return g.snap, true, nil
 }
 
 // Close implements Storage as a no-op: the view does not own the directory.

@@ -120,7 +120,7 @@ func (m *Memory) SetHardState(hs HardState) error {
 
 // AppendEntry implements Storage.
 func (m *Memory) AppendEntry(e types.Entry) error {
-	m.entries[e.Index] = e.Clone()
+	m.entries[e.Index] = e
 	return nil
 }
 
@@ -136,7 +136,7 @@ func (m *Memory) TruncateSuffix(idx types.Index) error {
 
 // SaveSnapshot implements Storage.
 func (m *Memory) SaveSnapshot(snap types.Snapshot) error {
-	m.snap = snap.Clone()
+	m.snap = snap
 	return nil
 }
 
@@ -157,7 +157,7 @@ func (m *Memory) Load() (HardState, []types.Entry, error) {
 		if e.Index <= m.snap.Meta.LastIndex {
 			continue
 		}
-		out = append(out, e.Clone())
+		out = append(out, e)
 	}
 	sortEntries(out)
 	return m.hs, out, nil
@@ -168,7 +168,7 @@ func (m *Memory) LoadSnapshot() (types.Snapshot, bool, error) {
 	if m.snap.IsZero() {
 		return types.Snapshot{}, false, nil
 	}
-	return m.snap.Clone(), true, nil
+	return m.snap, true, nil
 }
 
 // Close implements Storage.

@@ -1056,7 +1056,7 @@ func (w *WAL) AppendEntry(e types.Entry) error {
 	if err := w.appendBodyLocked(w.recBuf); err != nil {
 		return err
 	}
-	w.entries[e.Index] = e.Clone()
+	w.entries[e.Index] = e
 	return nil
 }
 
@@ -1110,7 +1110,7 @@ func (w *WAL) SaveSnapshot(snap types.Snapshot) error {
 	if err := w.appendBodyLocked(body); err != nil {
 		return err
 	}
-	w.snap = snap.Clone()
+	w.snap = snap
 	w.snapMeta = snap.Meta
 	return nil
 }
@@ -1196,7 +1196,7 @@ func (w *WAL) Load() (HardState, []types.Entry, error) {
 		if e.Index <= w.snap.Meta.LastIndex {
 			continue
 		}
-		out = append(out, e.Clone())
+		out = append(out, e)
 	}
 	sortEntries(out)
 	return w.hs, out, nil
@@ -1209,7 +1209,7 @@ func (w *WAL) LoadSnapshot() (types.Snapshot, bool, error) {
 	if w.snap.IsZero() {
 		return types.Snapshot{}, false, nil
 	}
-	return w.snap.Clone(), true, nil
+	return w.snap, true, nil
 }
 
 // Close implements Storage: pending group-commit batches are flushed and

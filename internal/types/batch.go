@@ -59,9 +59,10 @@ func EncodeBatch(b Batch) []byte {
 	return w.buf
 }
 
-// DecodeBatch parses a batch previously produced by EncodeBatch.
+// DecodeBatch parses a batch previously produced by EncodeBatch. Item
+// payloads share data, which is read-only like every entry payload.
 func DecodeBatch(data []byte) (Batch, error) {
-	r := reader{buf: data}
+	r := reader{buf: data, owned: true}
 	var b Batch
 	b.Cluster = NodeID(r.str())
 	b.Seq = r.u64()
@@ -135,8 +136,9 @@ func EncodeGlobalStateDelta(d GlobalStateDelta) []byte {
 }
 
 // DecodeGlobalStateDelta parses a delta produced by EncodeGlobalStateDelta.
+// Entry payloads share data, which is read-only like every entry payload.
 func DecodeGlobalStateDelta(data []byte) (GlobalStateDelta, error) {
-	r := reader{buf: data}
+	r := reader{buf: data, owned: true}
 	var d GlobalStateDelta
 	d.Era = r.u64()
 	d.Seq = r.u64()

@@ -547,10 +547,25 @@ func (w *writer) entry(e Entry) {
 }
 
 // reader consumes an encoded buffer, latching the first error.
+//
+// Byte fields come out read-only (see Entry). A reader over a buffer its
+// caller may reuse (a datagram, a file read) copies the unread rest of the
+// buffer into one arena at the first non-empty byte field and slices every
+// byte field from it: one allocation per frame instead of one per field. A
+// reader over an entry's own payload (owned) slices the buffer itself.
 type reader struct {
 	buf []byte
 	off int
 	err error
+
+	owned bool
+	arena []byte // copy of buf[base:]
+	base  int
+	// strs remembers the last few decoded strings: node IDs repeat within a
+	// frame (sender, leader, every entry's proposer), and a repeat costs no
+	// allocation.
+	strs [4]string
+	nstr int
 }
 
 func (r *reader) u64() uint64 {
@@ -598,26 +613,46 @@ func (r *reader) flaggedByte() (byte, uint64) {
 	return b &^ wireTraceFlag, r.u64()
 }
 
-func (r *reader) bytes() []byte {
+// field consumes a length-prefixed field and returns it in place (nil when
+// empty or malformed).
+func (r *reader) field() []byte {
 	n := r.u64()
-	if r.err != nil {
-		return nil
-	}
-	if n > uint64(len(r.buf)-r.off) {
+	if r.err == nil && n > uint64(len(r.buf)-r.off) {
 		r.err = ErrBadFrame
+	}
+	if r.err != nil || n == 0 {
 		return nil
 	}
-	if n == 0 {
-		return nil
-	}
-	out := make([]byte, n)
-	copy(out, r.buf[r.off:r.off+int(n)])
 	r.off += int(n)
-	return out
+	return r.buf[r.off-int(n) : r.off]
+}
+
+func (r *reader) bytes() []byte {
+	b := r.field()
+	if b == nil || r.owned {
+		return b[:len(b):len(b)]
+	}
+	if r.arena == nil {
+		r.base = r.off - len(b)
+		r.arena = append([]byte(nil), r.buf[r.base:]...)
+	}
+	return r.arena[r.off-len(b)-r.base : r.off-r.base : r.off-r.base]
 }
 
 func (r *reader) str() string {
-	return string(r.bytes())
+	b := r.field()
+	if len(b) == 0 {
+		return ""
+	}
+	for _, s := range r.strs {
+		if s == string(b) {
+			return s
+		}
+	}
+	s := string(b)
+	r.strs[r.nstr%len(r.strs)] = s
+	r.nstr++
+	return s
 }
 
 func (r *reader) entry() Entry {

@@ -564,18 +564,23 @@ func TestCommitNotifyTermRoundTrip(t *testing.T) {
 	}
 }
 
-// TestAppendEnvelopeReusedBufferAllocs pins the transport's steady-state
-// encode: a 10-entry AppendEntries re-encoded into a reused buffer
-// allocates nothing.
-func TestAppendEnvelopeReusedBufferAllocs(t *testing.T) {
+// appendFrame is the 10-entry AppendEntries frame the allocation gates use.
+func appendFrame() Envelope {
 	entries := make([]Entry, 10)
 	for i := range entries {
 		entries[i] = Entry{Index: Index(i + 1), Term: 3, Kind: KindNormal, Approval: ApprovedLeader,
 			PID: ProposalID{Proposer: "n2", Seq: uint64(i + 1)}, Data: []byte("payload-payload-payload")}
 	}
-	env := Envelope{From: "n1", To: "n2", Layer: LayerLocal, Msg: AppendEntries{
+	return Envelope{From: "n1", To: "n2", Layer: LayerLocal, Msg: AppendEntries{
 		Term: 3, LeaderID: "n1", PrevLogIndex: 10, PrevLogTerm: 3,
 		Entries: entries, LeaderCommit: 9, Round: 77}}
+}
+
+// TestAppendEnvelopeReusedBufferAllocs pins the transport's steady-state
+// encode: a 10-entry AppendEntries re-encoded into a reused buffer
+// allocates nothing.
+func TestAppendEnvelopeReusedBufferAllocs(t *testing.T) {
+	env := appendFrame()
 	buf, err := AppendEnvelope(nil, env)
 	if err != nil {
 		t.Fatal(err)
@@ -588,6 +593,36 @@ func TestAppendEnvelopeReusedBufferAllocs(t *testing.T) {
 	}
 	if allocs != 0 {
 		t.Fatalf("reused-buffer AppendEntries encode: %.1f allocs, want 0", allocs)
+	}
+}
+
+// TestDecodeEnvelopeCopiesFrameOnce pins decode's side of the ownership
+// rule: the payloads come out of one copy of the frame, so the transport
+// may reuse its datagram buffer at once, and the 10-entry frame costs five
+// allocations (the arena, its two node IDs, the boxed message and the
+// entry pool's slice header), not one per field.
+func TestDecodeEnvelopeCopiesFrameOnce(t *testing.T) {
+	buf, err := AppendEnvelope(nil, appendFrame())
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if env, err := DecodeEnvelope(buf); err == nil {
+			RecycleEnvelope(env)
+		}
+	})
+	if allocs > 5 {
+		t.Fatalf("10-entry AppendEntries decode: %.1f allocs, want at most 5", allocs)
+	}
+	env, err := DecodeEnvelope(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clear(buf)
+	for _, e := range env.Msg.(AppendEntries).Entries {
+		if string(e.Data) != "payload-payload-payload" || e.PID.Proposer != "n2" {
+			t.Fatalf("decoded entry aliases the datagram: %v %q", e, e.Data)
+		}
 	}
 }
 

@@ -99,6 +99,13 @@ func (a Approval) String() string {
 }
 
 // Entry is one slot of the replicated log.
+//
+// Ownership: an entry's Data and Config are immutable once the entry
+// exists. Bytes the code does not own are copied exactly once, where they
+// come in (Propose* copies the caller's buffer, decode copies out of the
+// datagram); after that the log, the tally, storage, transports and the
+// commit stream all share the same payload, and nothing may write to it.
+// Only the struct fields (Index, Term, Approval, ...) are per-copy.
 type Entry struct {
 	// Index is the entry's position in the log (1-based).
 	Index Index
@@ -142,13 +149,10 @@ type Entry struct {
 	TraceID uint64
 }
 
-// Clone returns a deep copy of the entry. Entries are cloned whenever they
-// cross a node boundary so that in-memory transports cannot alias state.
+// Clone returns a copy of the entry that shares its read-only Data and
+// owns a copy of its Config.
 func (e Entry) Clone() Entry {
 	c := e
-	if e.Data != nil {
-		c.Data = append([]byte(nil), e.Data...)
-	}
 	if e.Config != nil {
 		cc := e.Config.Clone()
 		c.Config = &cc
@@ -177,16 +181,4 @@ func (e Entry) SameProposal(o Entry) bool {
 func (e Entry) String() string {
 	return fmt.Sprintf("entry{i=%d t=%d %s %s %s len=%d}",
 		e.Index, e.Term, e.Kind, e.Approval, e.PID, len(e.Data))
-}
-
-// CloneEntries deep-copies a slice of entries.
-func CloneEntries(in []Entry) []Entry {
-	if len(in) == 0 {
-		return nil
-	}
-	out := make([]Entry, len(in))
-	for i := range in {
-		out[i] = in[i].Clone()
-	}
-	return out
 }

@@ -1,6 +1,9 @@
 package types
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Layer distinguishes C-Raft's two consensus levels on the wire. Plain Fast
 // Raft and classic Raft always use LayerLocal.
@@ -434,39 +437,22 @@ var (
 	_ Message = ShardBatch{}
 )
 
-// CloneMessage deep-copies a message so transports never alias node state.
+// CloneMessage copies a message's slices so an in-process transport's
+// receiver never shares a slice its sender may reuse. Payload bytes (entry
+// Data and Config, snapshot images) are read-only and stay shared.
 func CloneMessage(m Message) Message {
 	switch v := m.(type) {
-	case ProposeEntry:
-		v.Entry = v.Entry.Clone()
-		return v
-	case VoteEntry:
-		v.Entry = v.Entry.Clone()
-		return v
-	case ClientPropose:
-		v.Entry = v.Entry.Clone()
-		return v
 	case AppendEntries:
-		v.Entries = CloneEntries(v.Entries)
-		return v
-	case AppendEntriesResp:
-		return v
-	case RequestVote:
+		v.Entries = slices.Clone(v.Entries)
 		return v
 	case RequestVoteResp:
-		v.SelfApproved = CloneEntries(v.SelfApproved)
-		return v
-	case InstallSnapshot:
-		v.Snapshot = v.Snapshot.Clone()
-		if v.Data != nil {
-			v.Data = append([]byte(nil), v.Data...)
-		}
+		v.SelfApproved = slices.Clone(v.SelfApproved)
 		return v
 	case ReadRequest:
-		v.Reads = append([]ReadSpec(nil), v.Reads...)
+		v.Reads = slices.Clone(v.Reads)
 		return v
 	case ReadReply:
-		v.Results = append([]ReadResult(nil), v.Results...)
+		v.Results = slices.Clone(v.Results)
 		return v
 	case ShardBatch:
 		frames := make([]ShardFrame, len(v.Frames))
@@ -475,9 +461,6 @@ func CloneMessage(m Message) Message {
 			frames[i] = f
 		}
 		v.Frames = frames
-		return v
-	case CommitNotify, JoinRequest, JoinRedirect, JoinAccepted, LeaveRequest,
-		InstallSnapshotReply, TimeoutNow:
 		return v
 	default:
 		return m

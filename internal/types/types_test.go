@@ -46,14 +46,19 @@ func TestConfigOthers(t *testing.T) {
 	}
 }
 
-func TestEntryCloneIsDeep(t *testing.T) {
+// TestEntryCloneSharesData pins the ownership rule: a clone shares the
+// read-only payload and owns its struct fields and Config.
+func TestEntryCloneSharesData(t *testing.T) {
 	cfg := NewConfig("a")
-	e := Entry{Data: []byte{1, 2, 3}, Config: &cfg}
+	e := Entry{Index: 1, Data: []byte{1, 2, 3}, Config: &cfg}
 	c := e.Clone()
-	c.Data[0] = 9
+	if &c.Data[0] != &e.Data[0] {
+		t.Fatal("Clone copied Data")
+	}
+	c.Index = 2
 	c.Config.Members[0] = "z"
-	if e.Data[0] != 1 {
-		t.Fatal("Clone aliases Data")
+	if e.Index != 1 {
+		t.Fatal("Clone aliases the struct")
 	}
 	if e.Config.Members[0] != "a" {
 		t.Fatal("Clone aliases Config")
@@ -103,16 +108,21 @@ func TestProposalIDOrder(t *testing.T) {
 	}
 }
 
-func TestCloneMessageDeepCopies(t *testing.T) {
+// TestCloneMessageCopiesSlicesOnly pins CloneMessage to the ownership rule:
+// the entry slice is the clone's own, the payloads in it are shared.
+func TestCloneMessageCopiesSlicesOnly(t *testing.T) {
 	e := Entry{Data: []byte("orig"), PID: ProposalID{Proposer: "p", Seq: 1}}
 	m := AppendEntries{Entries: []Entry{e}}
 	c, ok := CloneMessage(m).(AppendEntries)
 	if !ok {
 		t.Fatal("clone changed type")
 	}
-	c.Entries[0].Data[0] = 'X'
-	if m.Entries[0].Data[0] != 'o' {
-		t.Fatal("CloneMessage aliases entry data")
+	c.Entries[0].Index = 7
+	if m.Entries[0].Index != 0 {
+		t.Fatal("CloneMessage aliases the entry slice")
+	}
+	if &c.Entries[0].Data[0] != &m.Entries[0].Data[0] {
+		t.Fatal("CloneMessage copied entry data")
 	}
 }
 

@@ -157,7 +157,9 @@ func (t *Transport) Close() error {
 func (t *Transport) readLoop() {
 	buf := make([]byte, MaxDatagram+1)
 	for {
-		n, _, err := t.conn.ReadFromUDP(buf)
+		// The envelope names its sender; ReadFromUDP would allocate an
+		// address per datagram only to have it thrown away.
+		n, err := t.conn.Read(buf)
 		if err != nil {
 			return // closed
 		}

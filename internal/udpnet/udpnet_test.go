@@ -36,13 +36,10 @@ func TestUDPRoundTrip(t *testing.T) {
 	a, b := pair(t)
 	got := make(chan types.Envelope, 1)
 	// The transport recycles entry slices after the handler returns, so a
-	// handler that hands the envelope to another goroutine must clone them
+	// handler that hands the envelope to another goroutine must copy them
 	// (the runtime's synchronous handler does not need to).
 	b.SetHandler(func(env types.Envelope) {
-		if ae, ok := env.Msg.(types.AppendEntries); ok {
-			ae.Entries = types.CloneEntries(ae.Entries)
-			env.Msg = ae
-		}
+		env.Msg = types.CloneMessage(env.Msg)
 		got <- env
 	})
 	// Send consumes the envelope's entry slices; build a fresh one per

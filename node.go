@@ -138,7 +138,8 @@ func mixSeed(seed int64, id NodeID) int64 {
 	return int64(h)
 }
 
-// Node is a Fast Raft site running on real time.
+// Node is a Fast Raft site running on real time. Propose copies the
+// caller's buffer; committed entries share the log's Data, read-only.
 type Node struct {
 	host    *runtime.Host
 	fr      *fastraft.Node
@@ -287,12 +288,12 @@ func (n *Node) FirstIndex() Index {
 // Members returns the node's active voting configuration.
 func (n *Node) Members() Membership {
 	var m Membership
-	n.host.Do(func(_ time.Duration, _ runtime.Machine) { m = n.fr.Config() })
+	n.host.Do(func(_ time.Duration, _ runtime.Machine) { m = n.fr.Config().Clone() })
 	return m
 }
 
-// Commits streams committed entries in log order. The channel must be
-// consumed.
+// Commits streams committed entries (Data read-only) in log order. The
+// channel must be consumed.
 func (n *Node) Commits() <-chan Entry { return n.commits }
 
 // Metrics returns a snapshot of the node's monotonic replication counters

@@ -15,7 +15,8 @@ import (
 // RaftNode is a classic Raft site — the paper's baseline — exposed so
 // applications can compare protocols under identical transports and
 // workloads. It supports static membership only (the paper's baseline
-// scope); use Node (Fast Raft) for dynamic networks.
+// scope); use Node (Fast Raft) for dynamic networks. Propose copies the
+// caller's buffer; committed entries share the log's Data, read-only.
 type RaftNode struct {
 	host    *runtime.Host
 	rn      *raft.Node
@@ -117,7 +118,8 @@ func (n *RaftNode) CommitIndex() Index {
 	return i
 }
 
-// Commits streams committed entries in log order; it must be consumed.
+// Commits streams committed entries (Data read-only) in log order; it
+// must be consumed.
 func (n *RaftNode) Commits() <-chan Entry { return n.commits }
 
 // Metrics returns a snapshot of the node's monotonic replication counters

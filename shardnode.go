@@ -106,7 +106,8 @@ type ShardOptions struct {
 // ShardNode is a sharded Fast Raft process running on real time: many
 // consensus groups behind one endpoint, one ticker wheel and one storage
 // fabric. Keys route to groups by range; groups split, merge and move
-// leadership at runtime.
+// leadership at runtime. Propose copies the caller's buffer; committed
+// entries share the log's Data, read-only.
 type ShardNode struct {
 	host    *runtime.Host
 	mgr     *shard.Manager
@@ -250,8 +251,8 @@ func (n *ShardNode) Route(key string) GroupID {
 	return gid
 }
 
-// Commits streams committed entries (group-attributed) in per-group log
-// order. The channel must be consumed.
+// Commits streams committed entries (group-attributed, Data read-only) in
+// per-group log order. The channel must be consumed.
 func (n *ShardNode) Commits() <-chan ShardCommit { return n.commits }
 
 // Propose routes data by key and waits for the owning group to commit it,
