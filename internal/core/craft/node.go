@@ -144,6 +144,8 @@ func New(cfg Config) (*Node, error) {
 		metrics:        stats.NewCounters(),
 		globalBase:     make(map[string]uint64),
 	}
+	// Exists from the first scrape, like the fastraft commit-path counters.
+	n.metrics.Add("craft.commit_ships", 0)
 	// Group-stamp the site recorder so cross-site audit tooling can tell
 	// which consensus group an event belongs to: intra-cluster events from
 	// different clusters at the same log index are unrelated.

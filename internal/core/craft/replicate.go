@@ -66,12 +66,18 @@ func (n *Node) releaseHeld() {
 // drainLocal processes the local instance's outputs: forwarding messages,
 // recording committed entries, replaying global-state deltas and resolving
 // proposals.
+//
+// A delta the cluster leader commits may externalize a global commit. The
+// leader proposed that delta itself, so no CommitNotify tells the other
+// sites; they would learn it from the next local heartbeat. Instead the
+// leader sends its regular append traffic at once (the next pump drains it).
 func (n *Node) drainLocal(now time.Duration) bool {
 	progress := false
 	for _, env := range n.local.TakeOutbox() {
 		n.outbox = append(n.outbox, env)
 		progress = true
 	}
+	gCommit := n.gCommit
 	for _, e := range n.local.TakeCommitted() {
 		progress = true
 		n.localCommitted = append(n.localCommitted, e)
@@ -88,6 +94,10 @@ func (n *Node) drainLocal(now time.Duration) bool {
 		case types.KindGlobalState:
 			n.onDeltaCommitted(e)
 		}
+	}
+	if n.gCommit > gCommit && n.local.Role() == types.RoleLeader {
+		n.local.SendAppends()
+		n.metrics.Inc("craft.commit_ships")
 	}
 	for _, r := range n.local.TakeResolved() {
 		if _, internal := n.internalPIDs[r.PID]; internal {

@@ -336,7 +336,7 @@ func (n *Node) recordVote(from types.NodeID, m types.VoteEntry) {
 	if m.Index <= n.commitIndex {
 		return // stale index
 	}
-	n.tally.AddVote(m.Index, from, m.Entry)
+	n.tally.AddVoteAt(m.Index, from, m.Entry, n.now)
 	n.rec.TraceHop(n.now, m.Entry.TraceID, trace.HopAck, from, m.Index)
 	// Paper: reset the voter's nextIndex from its reported commit index so
 	// AppendEntries re-converges its log with the (possibly new) leader.
@@ -391,12 +391,13 @@ func (n *Node) evaluate(tick bool) {
 // decideLoop is the paper's "periodically run by the leader" procedure,
 // split by what may happen when. At a heartbeat tick (tick=true) it is the
 // paper's rule: while a classic quorum has voted on the next undecided
-// index, decide the most-voted entry; the heartbeat is the fast track's
-// timeout. Between ticks the next index k is decided only when nothing
-// decided is still uncommitted (k = commitIndex+1) and one candidate
-// already holds a fast quorum of votes — no later vote can change that
-// outcome, so waiting for the tick would add nothing but latency — and it
-// commits on the spot.
+// index, decide the most-voted entry — unless a fast quorum may still be
+// arriving (fastQuorumArriving): the fast track's timeout is one round trip
+// past the index's first vote, checked at the tick. Between ticks the next
+// index k is decided only when nothing decided is still uncommitted
+// (k = commitIndex+1) and one candidate already holds a fast quorum of
+// votes — no later vote can change that outcome, so waiting for the tick
+// would add nothing but latency — and it commits on the spot.
 //
 // In both modes an entry commits immediately on a fast quorum — but, per
 // the paper, the fast track applies only when every earlier index has
@@ -417,6 +418,10 @@ func (n *Node) decideLoop(tick bool) bool {
 		var fast types.Entry
 		if tick {
 			if n.tally.Voters(k, cfg) < classicQ {
+				break
+			}
+			if n.fastQuorumArriving(k, cfg, fastQ) {
+				n.metrics.Inc("fastraft.decisions_deferred")
 				break
 			}
 		} else if n.cfg.DisableFastTrack || k != n.commitIndex+1 {
@@ -472,6 +477,28 @@ func (n *Node) decideLoop(tick bool) bool {
 		}
 	}
 	return n.log.LastLeaderIndex() > head && n.log.LastLeaderIndex() > n.commitIndex
+}
+
+// fastQuorumArriving reports whether a tick should leave index k to the
+// fast track a while longer: some candidate can still reach a fast quorum
+// from the members that have not voted at k, and less than one smoothed
+// round trip to the slowest of them has passed since k's first vote. A
+// split vote, a member silent for longer than its round trip and an
+// unknown round trip (no sample yet) all decide at the tick as before.
+// Holding a decision back is always safe — the leader chooses when to
+// decide, never what — and it is held at most one round trip plus one
+// heartbeat.
+func (n *Node) fastQuorumArriving(k types.Index, cfg types.Config, fastQ int) bool {
+	if n.cfg.DisableFastTrack || !n.tally.FastPossible(k, cfg, fastQ) {
+		return false
+	}
+	var rtt time.Duration
+	for _, m := range cfg.Members {
+		if p := n.progress.Get(m); p != nil && !n.tally.Voted(k, m) {
+			rtt = max(rtt, p.RTT())
+		}
+	}
+	return rtt > 0 && n.now < n.tally.FirstVote(k)+rtt
 }
 
 // appendLeaderEntry appends e at the end of the leader-approved prefix.
@@ -632,33 +659,55 @@ func (n *Node) round() replica.Round {
 	}
 }
 
-// broadcastAppend dispatches this round's traffic to every peer through
-// the shared replication engine: snapshot chunks while a peer is behind
-// the compacted prefix, leader-approved entries while the inflight window
-// allows, a bare heartbeat otherwise (see replica.Tracker.AppendMessages).
-// Every branch sends something, so silent-leave accounting keeps working.
+// broadcastAppend runs one heartbeat round: it numbers the round, seals the
+// pending ReadIndex batch onto it, does the silent-leave accounting and
+// dispatches the round's traffic to every peer (dispatchAppends). Every
+// peer is sent something, so silent-leave accounting keeps working.
 func (n *Node) broadcastAppend() {
 	cfg := n.Config()
 	n.aeRound++
-	lv, rc := n.logView(), n.round()
+	rc := n.round()
 	if n.readMgr != nil {
 		// Seal the pending ReadIndex batch onto this round; a quorum of
 		// acks echoing the ID confirms every read in it at once.
 		rc.ReadCtx = n.readMgr.StampRound(n.now)
 	}
-	targets := cfg.Others(n.cfg.ID)
+	// Silent-leave accounting: count rounds a voting member has left
+	// unanswered.
+	for _, peer := range cfg.Others(n.cfg.ID) {
+		if n.responded[peer] {
+			n.missed[peer] = 0
+		} else {
+			n.missed[peer]++
+		}
+		n.responded[peer] = false
+	}
+	n.dispatchAppends(rc)
+	n.lastBroadcastHead = n.log.LastLeaderIndex()
+}
+
+// SendAppends sends the leader's regular AppendEntries traffic to every
+// peer now, between heartbeats: the messages a tick would send, handled
+// identically by followers, but stamped with the current round, no
+// ReadIndex batch and no silent-leave accounting. C-Raft calls it when a
+// local commit externalizes a global commit, so the cluster's other sites
+// commit it without waiting for the heartbeat. A no-op unless leading.
+func (n *Node) SendAppends() {
+	if n.role != types.RoleLeader {
+		return
+	}
+	n.dispatchAppends(n.round())
+}
+
+// dispatchAppends sends each peer its traffic for round rc through the
+// shared replication engine: snapshot chunks while a peer is behind the
+// compacted prefix, leader-approved entries while the inflight window
+// allows, a bare heartbeat otherwise (see replica.Tracker.AppendMessages).
+func (n *Node) dispatchAppends(rc replica.Round) {
+	lv := n.logView()
+	targets := n.Config().Others(n.cfg.ID)
 	targets = append(targets, sortedKeys(n.nonvoting)...)
 	for _, peer := range targets {
-		// Silent-leave accounting: count rounds a voting member has left
-		// unanswered.
-		if cfg.Contains(peer) {
-			if n.responded[peer] {
-				n.missed[peer] = 0
-			} else {
-				n.missed[peer]++
-			}
-			n.responded[peer] = false
-		}
 		msgs, snapshot := n.progress.AppendMessages(peer, lv, rc)
 		if n.rec != nil {
 			for _, m := range msgs {
@@ -680,7 +729,6 @@ func (n *Node) broadcastAppend() {
 			n.send(peer, m)
 		}
 	}
-	n.lastBroadcastHead = n.log.LastLeaderIndex()
 }
 
 func (n *Node) onAppendEntries(from types.NodeID, m types.AppendEntries) {

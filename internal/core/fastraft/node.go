@@ -277,7 +277,7 @@ func New(cfg Config) (*Node, error) {
 	// read 0 of 0, not absent.
 	for _, name := range []string{
 		"fastraft.commits_fast", "fastraft.commits_classic",
-		"fastraft.decisions_on_arrival", "fastraft.decisions_on_tick",
+		"fastraft.decisions_on_arrival", "fastraft.decisions_on_tick", "fastraft.decisions_deferred",
 		"fastraft.commits_notified", "fastraft.notify_ahead", "fastraft.notify_mismatch",
 	} {
 		n.metrics.Add(name, 0)

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/hraft-io/hraft/internal/simnet"
 	"github.com/hraft-io/hraft/internal/types"
 )
 
@@ -158,5 +159,96 @@ func TestCraftGlobalMemberCommitsOwnBatchOnNotification(t *testing.T) {
 		if len(s) == 0 {
 			t.Fatalf("%s replayed nothing", id)
 		}
+	}
+}
+
+// TestCraftSitesLearnGlobalCommitAtOnce: a cluster's sites replay a global
+// commit one local hop after their leader does, not a local heartbeat later.
+// The leader externalizes the commit by committing a global-state delta it
+// proposed itself, so no notification goes out; it ships its regular append
+// traffic at once instead. The deployment is craft3x3_delay's: three
+// clusters of three sites, 0.3 ms one way inside a cluster and 25 ms
+// between clusters, a 20 ms local heartbeat. Every site's replay stream
+// stays one stream, and under 5 % loss the deployment still converges.
+func TestCraftSitesLearnGlobalCommitAtOnce(t *testing.T) {
+	for _, loss := range []float64{0, 0.05} {
+		t.Run(fmt.Sprintf("loss=%v", loss), func(t *testing.T) {
+			topo := simnet.NewTopology()
+			topo.IntraRTT = 600 * time.Microsecond
+			topo.DefaultRTT = 50 * time.Millisecond
+			var specs []ClusterSpec
+			for c := 1; c <= 3; c++ {
+				id := fmt.Sprintf("c%d", c)
+				specs = append(specs, ClusterSpec{ID: types.NodeID(id), Region: simnet.Region("r" + id),
+					Sites: ids(id+"s1", id+"s2", id+"s3")})
+			}
+			c, err := NewCraftCluster(CraftOptions{
+				Clusters: specs, Seed: 29, Topology: topo, LossProb: loss,
+				BatchSize: 16, LocalHeartbeat: 20 * time.Millisecond, GlobalHeartbeat: 100 * time.Millisecond,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !c.WaitForLeaders(30 * time.Second) {
+				t.Fatal("no leaders")
+			}
+			// Each site's replay: the stream, and when each index arrived.
+			streams := make(map[types.NodeID][]string)
+			at := make(map[types.NodeID]map[types.Index]time.Duration)
+			for _, s := range specs {
+				for _, id := range s.Sites {
+					id := id
+					at[id] = make(map[types.Index]time.Duration)
+					c.Host(id).OnGlobalCommit = func(e types.Entry) {
+						streams[id] = append(streams[id], streamKey(e))
+						at[id][e.Index] = c.Sched.Now()
+					}
+				}
+			}
+			// A follower site of one cluster proposes, as in craft3x3_delay.
+			proposer := specs[0].Sites[0]
+			if lead, _ := c.LocalLeader(specs[0].ID); lead.ID() == proposer {
+				proposer = specs[0].Sites[1]
+			}
+			end := c.Sched.Now() + 10*time.Second
+			if _, err := c.StartProposer(ProposerOptions{Node: proposer, StopAfter: end, ThinkTime: PacedThink}); err != nil {
+				t.Fatal(err)
+			}
+			c.RunUntil(func() bool { return false }, end+2*time.Second)
+			if err := c.Safety.Err(); err != nil {
+				t.Fatal(err)
+			}
+			if items := c.GlobalItemsCommitted(0, c.Sched.Now()+1); items < 100 {
+				t.Fatalf("only %d items committed globally", items)
+			}
+			last := c.GlobalCommits[len(c.GlobalCommits)-1].Index
+			var ships uint64
+			for _, s := range specs {
+				lead, ok := c.LocalLeader(s.ID)
+				if !ok {
+					t.Fatalf("no %s leader", s.ID)
+				}
+				ships += lead.Node().Metrics()["craft.commit_ships"]
+				ref := streams[lead.ID()]
+				for _, id := range s.Sites {
+					prefixEqual(t, lead.ID(), id, ref, streams[id])
+					if at[id][last] == 0 {
+						t.Fatalf("%s never replayed global index %d", id, last)
+					}
+					if loss > 0 || id == lead.ID() {
+						continue
+					}
+					for idx, led := range at[lead.ID()] {
+						if lag := at[id][idx] - led; lag < 0 || lag > topo.IntraRTT {
+							t.Fatalf("%s replayed global index %d %v after its leader %s (one local round trip is %v)",
+								id, idx, lag, lead.ID(), topo.IntraRTT)
+						}
+					}
+				}
+			}
+			if ships == 0 {
+				t.Fatal("craft.commit_ships never moved")
+			}
+		})
 	}
 }

@@ -3,6 +3,7 @@ package quorum
 import (
 	"cmp"
 	"slices"
+	"time"
 
 	"github.com/hraft-io/hraft/internal/types"
 )
@@ -37,6 +38,10 @@ type indexTally struct {
 	// never lowered, so it bounds every candidate's count from above: below
 	// a fast quorum, no candidate can hold one.
 	most int
+	// first is when the index's first vote arrived (AddVoteAt's instant):
+	// the leader's tick gives a fast quorum still arriving one round trip
+	// from here before it settles for a classic one.
+	first time.Duration
 
 	candBuf [1]candidate
 	voteBuf [9]vote
@@ -118,13 +123,20 @@ func (it *indexTally) memberVotes(c int, cfg types.Config) int {
 // AddVote records that voter voted for entry e at index idx. A voter's
 // newer vote at the same index replaces its older one (a follower re-votes
 // with its slot occupant, which may have been overwritten by the leader).
+// The vote carries no arrival instant; see AddVoteAt.
 func (t *Tally) AddVote(idx types.Index, voter types.NodeID, e types.Entry) {
+	t.AddVoteAt(idx, voter, e, 0)
+}
+
+// AddVoteAt is AddVote for a vote that arrived at the given instant; the
+// first vote at an index stamps FirstVote.
+func (t *Tally) AddVoteAt(idx types.Index, voter types.NodeID, e types.Entry, at time.Duration) {
 	if idx <= t.floor {
 		return // already cleared: the index is committed
 	}
 	i, ok := t.find(idx)
 	if !ok {
-		it := &indexTally{idx: idx}
+		it := &indexTally{idx: idx, first: at}
 		it.cands, it.votes = it.candBuf[:0], it.voteBuf[:0]
 		t.pending = slices.Insert(t.pending, i, it)
 	}
@@ -172,6 +184,10 @@ func (t *Tally) Voters(idx types.Index, cfg types.Config) int {
 	if it == nil {
 		return 0
 	}
+	return it.memberVoters(cfg)
+}
+
+func (it *indexTally) memberVoters(cfg types.Config) int {
 	n := 0
 	for _, v := range it.votes {
 		if cfg.Contains(v.voter) {
@@ -179,6 +195,38 @@ func (t *Tally) Voters(idx types.Index, cfg types.Config) int {
 		}
 	}
 	return n
+}
+
+// Voted reports whether voter has a vote at idx.
+func (t *Tally) Voted(idx types.Index, voter types.NodeID) bool {
+	it := t.at(idx)
+	return it != nil && slices.ContainsFunc(it.votes, func(v vote) bool { return v.voter == voter })
+}
+
+// FirstVote returns when the first vote at idx arrived (0 if untracked or
+// recorded without an instant).
+func (t *Tally) FirstVote(idx types.Index) time.Duration {
+	if it := t.at(idx); it != nil {
+		return it.first
+	}
+	return 0
+}
+
+// FastPossible reports whether a fast quorum of q members of cfg can still
+// form at idx: some candidate that was not nulled, together with every
+// member that has not voted there yet, reaches q.
+func (t *Tally) FastPossible(idx types.Index, cfg types.Config, q int) bool {
+	it := t.at(idx)
+	if it == nil {
+		return cfg.Size() >= q
+	}
+	absent := cfg.Size() - it.memberVoters(cfg)
+	for i, c := range it.cands {
+		if !c.nulled && it.memberVotes(i, cfg)+absent >= q {
+			return true
+		}
+	}
+	return false
 }
 
 // Decision is the result of deciding an index.

@@ -293,3 +293,44 @@ func TestTallyClearKeepsNullProposalBookkeeping(t *testing.T) {
 		t.Fatal("candidate listed after a sparse clear was not nulled")
 	}
 }
+
+// TestTallyFastPossible: a fast quorum can still form while some
+// non-nulled candidate plus every member yet to vote reaches it.
+func TestTallyFastPossible(t *testing.T) {
+	cfg := types.NewConfig("a", "b", "c", "d", "e")
+	q := FastSize(cfg.Size()) // 4
+	p1 := entryWith(types.ProposalID{Proposer: "p1", Seq: 1})
+	p2 := entryWith(types.ProposalID{Proposer: "p2", Seq: 1})
+	tally := NewTally()
+	if !tally.FastPossible(1, cfg, q) {
+		t.Fatal("nobody voted yet: a fast quorum is possible")
+	}
+	tally.AddVoteAt(1, "a", p1, 7)
+	tally.AddVoteAt(1, "b", p1, 9)
+	tally.AddVoteAt(1, "zz", p2, 9) // not a member: neither a vote nor an absence
+	if got := tally.FirstVote(1); got != 7 {
+		t.Fatalf("FirstVote = %v, want the first vote's instant 7", got)
+	}
+	if !tally.Voted(1, "a") || tally.Voted(1, "c") || tally.Voted(2, "a") {
+		t.Fatal("Voted disagrees with the votes cast")
+	}
+	if !tally.FastPossible(1, cfg, q) {
+		t.Fatal("p1 has 2 votes and 3 members to go")
+	}
+	tally.AddVote(1, "c", p2)
+	if !tally.FastPossible(1, cfg, q) {
+		t.Fatal("p1 has 2 votes and 2 members to go")
+	}
+	tally.AddVote(1, "d", p2) // p1: 2 + 1 absent; p2: 2 + 1 absent
+	if tally.FastPossible(1, cfg, q) {
+		t.Fatal("split vote reported as able to reach a fast quorum")
+	}
+	tally.AddVote(1, "c", p1) // c re-votes: p1 3 + 1 absent
+	if !tally.FastPossible(1, cfg, q) {
+		t.Fatal("re-vote restored p1's chance")
+	}
+	tally.NullProposal(p1, 2) // decided elsewhere
+	if tally.FastPossible(1, cfg, q) {
+		t.Fatal("a nulled candidate counted toward a fast quorum")
+	}
+}

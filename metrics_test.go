@@ -231,7 +231,7 @@ func TestMetricsFastTrackCounters(t *testing.T) {
 	defer node.Stop()
 	names := []string{
 		"fastraft.commits_fast", "fastraft.commits_classic",
-		"fastraft.decisions_on_arrival", "fastraft.decisions_on_tick",
+		"fastraft.decisions_on_arrival", "fastraft.decisions_on_tick", "fastraft.decisions_deferred",
 		"fastraft.commits_notified", "fastraft.notify_ahead", "fastraft.notify_mismatch",
 		"readpath.follower_held", "readpath.forward_requests",
 	}
@@ -257,7 +257,8 @@ func TestMetricsFastTrackCounters(t *testing.T) {
 	// fast quorum, but with one member nothing ever arrives, so it is decided
 	// at the heartbeat and committed there on the fast track.
 	if m["fastraft.commits_classic"] != 1 || m["fastraft.commits_fast"] != 1 ||
-		m["fastraft.decisions_on_arrival"] != 0 || m["fastraft.decisions_on_tick"] != 1 {
+		m["fastraft.decisions_on_arrival"] != 0 || m["fastraft.decisions_on_tick"] != 1 ||
+		m["fastraft.decisions_deferred"] != 0 {
 		t.Fatalf("counters after one proposal = %v", m)
 	}
 	rec := httptest.NewRecorder()
@@ -273,9 +274,11 @@ func TestMetricsFastTrackCounters(t *testing.T) {
 	}
 }
 
-// TestMetricsCRaftForwardRequests pins readpath.forward_requests on a C-Raft
-// site: present under "local." from the first scrape and under "global."
-// once the site runs the global instance, and on the Prometheus exposition.
+// TestMetricsCRaftForwardRequests pins readpath.forward_requests and
+// fastraft.decisions_deferred on a C-Raft site: present under "local." from
+// the first scrape and under "global." once the site runs the global
+// instance, and on the Prometheus exposition. craft.commit_ships, the
+// site's own counter, is there from the first scrape too.
 func TestMetricsCRaftForwardRequests(t *testing.T) {
 	net := NewInProcNetwork(1)
 	defer net.Close()
@@ -293,23 +296,28 @@ func TestMetricsCRaftForwardRequests(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer node.Stop()
-	const local, global = "local.readpath.forward_requests", "global.readpath.forward_requests"
-	if _, ok := node.Metrics()[local]; !ok {
-		t.Fatalf("Metrics() lacks %q before any read", local)
+	local := []string{"local.readpath.forward_requests", "local.fastraft.decisions_deferred", "craft.commit_ships"}
+	global := []string{"global.readpath.forward_requests", "global.fastraft.decisions_deferred"}
+	for _, name := range local {
+		if _, ok := node.Metrics()[name]; !ok {
+			t.Fatalf("Metrics() lacks %q before any read", name)
+		}
 	}
 	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if _, ok := node.Metrics()[global]; ok {
-			break
+	for _, name := range global {
+		for {
+			if _, ok := node.Metrics()[name]; ok {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("Metrics() never gained %q", name)
+			}
+			time.Sleep(time.Millisecond)
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("Metrics() never gained %q", global)
-		}
-		time.Sleep(time.Millisecond)
 	}
 	rec := httptest.NewRecorder()
 	MetricsHandler("a1", node).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
-	for _, name := range []string{local, global} {
+	for _, name := range append(local, global...) {
 		want := "hraft_" + strings.ReplaceAll(name, ".", "_") + `{node="a1"} `
 		if !strings.Contains(rec.Body.String(), want) {
 			t.Fatalf("exposition missing %q", want)

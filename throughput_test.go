@@ -9,6 +9,7 @@ package hraft_test
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -158,19 +159,28 @@ func shardRate(t *testing.T, n, perGroup int) float64 {
 // TestShardScaling: a single group's throughput is bounded by its commit
 // round trip (append → fsync → resolve); eight independent groups overlap
 // those round trips while the shared flusher folds their appends into common
-// fsyncs, so their aggregate must reach at least 2x one group's. On a fast
-// disk that round trip is mostly CPU, which -race slows several-fold, so the
-// ratio then measures the instrumentation rather than the overlap: the gate
-// runs in ordinary builds only.
+// fsyncs, so their aggregate must reach at least 2x one group's. The arms
+// alternate (1, 8, 1, 8, 1, 8) and their medians are compared, so a burst of
+// CPU contention — other test binaries building on a small machine — lands
+// on both arms instead of deciding the ratio. On a fast disk that round trip
+// is mostly CPU, which -race slows several-fold, so the ratio then measures
+// the instrumentation rather than the overlap: the gate runs in ordinary
+// builds only.
 func TestShardScaling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("CPU-bound ratio gate; not meaningful under -race")
 	}
-	const perGroup = 24
-	one := shardRate(t, 1, perGroup)
-	eight := shardRate(t, 8, perGroup)
-	t.Logf("8 groups %.0f entries/s, 1 group %.0f entries/s: %.1fx", eight, one, eight/one)
-	if eight < 2*one {
-		t.Fatalf("8-group shard throughput only %.1fx over single-group (need 2x)", eight/one)
+	const perGroup, runs = 24, 3
+	var one, eight []float64
+	for range runs {
+		one = append(one, shardRate(t, 1, perGroup))
+		eight = append(eight, shardRate(t, 8, perGroup))
+	}
+	slices.Sort(one)
+	slices.Sort(eight)
+	m1, m8 := one[runs/2], eight[runs/2]
+	t.Logf("8 groups %.0f entries/s (runs %.0f), 1 group %.0f entries/s (runs %.0f): medians %.1fx", m8, eight, m1, one, m8/m1)
+	if m8 < 2*m1 {
+		t.Fatalf("8-group shard throughput only %.1fx over single-group in the median (need 2x)", m8/m1)
 	}
 }
