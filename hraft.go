@@ -116,7 +116,10 @@ type Transport = runtime.Transport
 type Storage = storage.Storage
 
 // InProcNetwork connects nodes within one process, with optional latency
-// and loss injection for realistic demos.
+// and loss injection for realistic demos. Like every Transport it takes
+// each sent envelope without copying it and recycles the envelope's pooled
+// parts once the receiving handler returns; delayed envelopes wait in a
+// per-destination delay line and arrive in send order per link.
 type InProcNetwork = runtime.InProcNetwork
 
 // NewInProcNetwork returns an in-process network; seed drives loss

@@ -120,6 +120,14 @@ type Node struct {
 	globalCommitted []types.Entry
 	resolved        []types.Resolution
 
+	// Reused buffers the instances' outputs are drained into on every pump
+	// (see captureGlobal, drainLocal and drainReads); nothing keeps them
+	// past the pass that fills them.
+	envBuf   []types.Envelope
+	entryBuf []types.Entry
+	resBuf   []types.Resolution
+	readBuf  []types.ReadDone
+
 	joinContacts []types.NodeID // pending global join (new cluster)
 	now          time.Duration
 }
@@ -325,35 +333,27 @@ func (n *Node) GlobalConfig() types.Config {
 	return cfg
 }
 
-// TakeOutbox drains outgoing messages (both layers; global messages only
-// once their barrier deltas committed locally).
-func (n *Node) TakeOutbox() []types.Envelope {
-	out := n.outbox
-	n.outbox = nil
-	return out
+// DrainOutbox appends outgoing messages (both layers; global messages only
+// once their barrier deltas committed locally) to dst.
+func (n *Node) DrainOutbox(dst []types.Envelope) []types.Envelope {
+	return types.Drain(dst, &n.outbox)
 }
 
-// TakeCommitted drains newly committed local entries.
-func (n *Node) TakeCommitted() []types.Entry {
-	out := n.localCommitted
-	n.localCommitted = nil
-	return out
+// DrainCommitted appends newly committed local entries to dst.
+func (n *Node) DrainCommitted(dst []types.Entry) []types.Entry {
+	return types.Drain(dst, &n.localCommitted)
 }
 
-// TakeGlobalCommitted drains global-log entries newly learned committed
-// (through delta replay, hence locally durable).
-func (n *Node) TakeGlobalCommitted() []types.Entry {
-	out := n.globalCommitted
-	n.globalCommitted = nil
-	return out
+// DrainGlobalCommitted appends global-log entries newly learned committed
+// (through delta replay, hence locally durable) to dst.
+func (n *Node) DrainGlobalCommitted(dst []types.Entry) []types.Entry {
+	return types.Drain(dst, &n.globalCommitted)
 }
 
-// TakeResolved drains resolutions of local application proposals (C-Raft
-// internal proposals are filtered out).
-func (n *Node) TakeResolved() []types.Resolution {
-	out := n.resolved
-	n.resolved = nil
-	return out
+// DrainResolved appends resolutions of local application proposals (C-Raft
+// internal proposals are filtered out) to dst.
+func (n *Node) DrainResolved(dst []types.Resolution) []types.Resolution {
+	return types.Drain(dst, &n.resolved)
 }
 
 // Propose submits an application entry to intra-cluster consensus. Once

@@ -27,7 +27,7 @@ type globalRead struct {
 }
 
 // Read registers a site-local read under the given consistency mode; it
-// resolves through TakeReadDone with a local-log linearization index. The
+// resolves through DrainReadDone with a local-log linearization index. The
 // read is served by the cluster's local Fast Raft leader (forwarded
 // intra-cluster when this site follows) and never touches the global
 // ring.
@@ -61,11 +61,9 @@ func (n *Node) ReadGlobal(now time.Duration, c types.ReadConsistency) uint64 {
 	return id
 }
 
-// TakeReadDone drains resolved reads (both levels).
-func (n *Node) TakeReadDone() []types.ReadDone {
-	out := n.readDone
-	n.readDone = nil
-	return out
+// DrainReadDone appends resolved reads (both levels) to dst.
+func (n *Node) DrainReadDone(dst []types.ReadDone) []types.ReadDone {
+	return types.Drain(dst, &n.readDone)
 }
 
 // drainReads translates both instances' read resolutions into craft-level
@@ -73,7 +71,8 @@ func (n *Node) TakeReadDone() []types.ReadDone {
 // position.
 func (n *Node) drainReads() bool {
 	progress := false
-	for _, d := range n.local.TakeReadDone() {
+	n.readBuf = n.local.DrainReadDone(n.readBuf[:0])
+	for _, d := range n.readBuf {
 		id, ok := n.localReadMap[d.ID]
 		if !ok {
 			continue
@@ -83,7 +82,8 @@ func (n *Node) drainReads() bool {
 		progress = true
 	}
 	if n.global != nil {
-		for _, d := range n.global.TakeReadDone() {
+		n.readBuf = n.global.DrainReadDone(n.readBuf[:0])
+		for _, d := range n.readBuf {
 			id, ok := n.globalReadMap[d.ID]
 			if !ok {
 				continue

@@ -51,7 +51,7 @@ func TestDeltaReplayInOrder(t *testing.T) {
 	if e, ok := n.GlobalLogEntry(2); !ok || e.Index != 2 {
 		t.Fatalf("entry 2 = %v ok=%v", e, ok)
 	}
-	committed := n.TakeGlobalCommitted()
+	committed := n.DrainGlobalCommitted(nil)
 	if len(committed) != 1 || committed[0].Index != 1 {
 		t.Fatalf("emitted = %v", committed)
 	}
@@ -69,7 +69,7 @@ func TestDeltaReplayBuffersOutOfOrder(t *testing.T) {
 		t.Fatalf("gCommit = %d after both applied", n.GlobalCommitIndex())
 	}
 	// Emission order must follow global index order.
-	committed := n.TakeGlobalCommitted()
+	committed := n.DrainGlobalCommitted(nil)
 	if len(committed) != 2 || committed[0].Index != 1 || committed[1].Index != 2 {
 		t.Fatalf("emitted = %v", committed)
 	}

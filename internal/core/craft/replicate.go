@@ -17,8 +17,9 @@ func (n *Node) captureGlobal(now time.Duration) bool {
 	if n.global == nil {
 		return false
 	}
-	msgs := n.global.TakeOutbox()
-	changed := n.global.TakeChangedEntries()
+	n.envBuf = n.global.DrainOutbox(n.envBuf[:0])
+	n.entryBuf = n.global.DrainChangedEntries(n.entryBuf[:0])
+	msgs, changed := n.envBuf, n.entryBuf
 	gterm, gvote := n.global.HardState()
 	gcommit := n.global.CommitIndex()
 	dirty := len(changed) > 0 || gterm != n.lastTerm || gvote != n.lastVote ||
@@ -51,6 +52,8 @@ func (n *Node) captureGlobal(now time.Duration) bool {
 	for _, env := range msgs {
 		n.held = append(n.held, heldMsg{barrier: n.deltaOrdinal, env: env})
 	}
+	clear(msgs)
+	clear(changed)
 	n.releaseHeld()
 	return true
 }
@@ -72,13 +75,12 @@ func (n *Node) releaseHeld() {
 // sites; they would learn it from the next local heartbeat. Instead the
 // leader sends its regular append traffic at once (the next pump drains it).
 func (n *Node) drainLocal(now time.Duration) bool {
-	progress := false
-	for _, env := range n.local.TakeOutbox() {
-		n.outbox = append(n.outbox, env)
-		progress = true
-	}
+	outbox := len(n.outbox)
+	n.outbox = n.local.DrainOutbox(n.outbox)
+	progress := len(n.outbox) > outbox
 	gCommit := n.gCommit
-	for _, e := range n.local.TakeCommitted() {
+	n.entryBuf = n.local.DrainCommitted(n.entryBuf[:0])
+	for _, e := range n.entryBuf {
 		progress = true
 		n.localCommitted = append(n.localCommitted, e)
 		if e.Index > n.appliedLocal {
@@ -95,11 +97,13 @@ func (n *Node) drainLocal(now time.Duration) bool {
 			n.onDeltaCommitted(e)
 		}
 	}
+	clear(n.entryBuf)
 	if n.gCommit > gCommit && n.local.Role() == types.RoleLeader {
 		n.local.SendAppends()
 		n.metrics.Inc("craft.commit_ships")
 	}
-	for _, r := range n.local.TakeResolved() {
+	n.resBuf = n.local.DrainResolved(n.resBuf[:0])
+	for _, r := range n.resBuf {
 		if _, internal := n.internalPIDs[r.PID]; internal {
 			delete(n.internalPIDs, r.PID)
 			continue

@@ -52,13 +52,13 @@ func TestThirdOfThreeVotesCommitsInsideStep(t *testing.T) {
 	if n.CommitIndex() != k {
 		t.Fatalf("third vote did not commit inside Step: commit=%d, want %d", n.CommitIndex(), k)
 	}
-	committed := n.TakeCommitted()
+	committed := n.DrainCommitted(nil)
 	if len(committed) != 1 || !committed[0].SameProposal(e) {
 		t.Fatalf("committed = %v", committed)
 	}
 	// The proposer is told at once; no AppendEntries goes out before the tick.
 	var notified bool
-	for _, env := range n.TakeOutbox() {
+	for _, env := range n.DrainOutbox(nil) {
 		switch m := env.Msg.(type) {
 		case types.CommitNotify:
 			notified = notified || (env.To == "n3" && m.PID == e.PID && m.Index == k)
@@ -93,7 +93,7 @@ func TestTwoOfThreeVotesWaitForTickThenRideClassicTrack(t *testing.T) {
 		t.Fatal("committed at the tick without a fast quorum")
 	}
 	var dispatched bool
-	for _, env := range n.TakeOutbox() {
+	for _, env := range n.DrainOutbox(nil) {
 		if ae, ok := env.Msg.(types.AppendEntries); ok && len(ae.Entries) > 0 {
 			dispatched = true
 		}
@@ -143,7 +143,7 @@ func TestQueuedVotesConsumedWhenPredecessorCommits(t *testing.T) {
 		stepFrom(n, "n3", types.ProposeEntry{Index: k, Entry: e1})
 		stepFrom(n, "n2", vote(k, e1, n.Term(), 0))
 		n.Tick(n.NextDeadline()) // k misses its fast quorum: classic track
-		n.TakeOutbox()
+		n.DrainOutbox(nil)
 		stepFrom(n, "n3", types.ProposeEntry{Index: k + 1, Entry: e2})
 		stepFrom(n, "n2", vote(k+1, e2, n.Term(), 0))
 		stepFrom(n, "n3", vote(k+1, e2, n.Term(), 0))
@@ -218,7 +218,7 @@ func TestCommitAdmittingQueuedProposalDoesNotRecurse(t *testing.T) {
 		t.Fatalf("%d proposals still pending after the retry", n.PendingProposals())
 	}
 	var got int
-	for _, e := range n.TakeCommitted() {
+	for _, e := range n.DrainCommitted(nil) {
 		if e.Kind != types.KindNormal {
 			continue
 		}

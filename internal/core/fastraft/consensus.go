@@ -674,7 +674,10 @@ func (n *Node) broadcastAppend() {
 	}
 	// Silent-leave accounting: count rounds a voting member has left
 	// unanswered.
-	for _, peer := range cfg.Others(n.cfg.ID) {
+	for _, peer := range cfg.Members {
+		if peer == n.cfg.ID {
+			continue
+		}
 		if n.responded[peer] {
 			n.missed[peer] = 0
 		} else {
@@ -702,33 +705,35 @@ func (n *Node) SendAppends() {
 // dispatchAppends sends each peer its traffic for round rc through the
 // shared replication engine: snapshot chunks while a peer is behind the
 // compacted prefix, leader-approved entries while the inflight window
-// allows, a bare heartbeat otherwise (see replica.Tracker.AppendMessages).
+// allows, a bare heartbeat otherwise (see replica.Tracker.AppendMessage).
 func (n *Node) dispatchAppends(rc replica.Round) {
 	lv := n.logView()
-	targets := n.Config().Others(n.cfg.ID)
-	targets = append(targets, sortedKeys(n.nonvoting)...)
-	for _, peer := range targets {
-		msgs, snapshot := n.progress.AppendMessages(peer, lv, rc)
-		if n.rec != nil {
-			for _, m := range msgs {
-				if len(m.Entries) > 0 {
-					n.rec.AppendDispatch(n.now, m.Term, peer, m.PrevLogIndex, len(m.Entries), m.Round)
-				}
-			}
-		}
-		if snapshot {
-			// The entries this peer needs are compacted away; stream the
-			// snapshot instead. While the install is pending nothing is
-			// re-sent — the heartbeat keeps the peer responding.
-			if !n.sendSnapshotTo(peer) {
-				n.send(peer, n.progress.HeartbeatMessage(peer, lv, rc))
-			}
-			continue
-		}
-		for _, m := range msgs {
-			n.send(peer, m)
+	for _, peer := range n.Config().Members {
+		if peer != n.cfg.ID {
+			n.dispatchAppend(peer, lv, rc)
 		}
 	}
+	for _, peer := range sortedKeys(n.nonvoting) {
+		n.dispatchAppend(peer, lv, rc)
+	}
+}
+
+// dispatchAppend sends one peer its traffic for round rc.
+func (n *Node) dispatchAppend(peer types.NodeID, lv replica.LogView, rc replica.Round) {
+	m, snapshot := n.progress.AppendMessage(peer, lv, rc)
+	if snapshot {
+		// The entries this peer needs are compacted away; stream the
+		// snapshot instead. While the install is pending nothing is
+		// re-sent — the heartbeat keeps the peer responding.
+		if !n.sendSnapshotTo(peer) {
+			n.send(peer, n.progress.HeartbeatMessage(peer, lv, rc))
+		}
+		return
+	}
+	if n.rec != nil && len(m.Entries) > 0 {
+		n.rec.AppendDispatch(n.now, m.Term, peer, m.PrevLogIndex, len(m.Entries), m.Round)
+	}
+	n.send(peer, m)
 }
 
 func (n *Node) onAppendEntries(from types.NodeID, m types.AppendEntries) {

@@ -39,8 +39,8 @@ func slowThirdLeader(t *testing.T) *Node {
 	ack(n, "n3", k-1)
 	sent := n.NextDeadline()
 	n.Tick(sent)
-	n.TakeOutbox()
-	n.TakeCommitted()
+	n.DrainOutbox(nil)
+	n.DrainCommitted(nil)
 	stepAt(n, sent+time.Millisecond, "n2", types.AppendEntriesResp{Term: n.Term(), Success: true, MatchIndex: k})
 	stepAt(n, sent+slowRTT, "n3", types.AppendEntriesResp{Term: n.Term(), Success: true, MatchIndex: k})
 	if got := n.progress.Get("n3").RTT(); got != slowRTT {
@@ -49,7 +49,7 @@ func slowThirdLeader(t *testing.T) *Node {
 	if got := n.progress.Get("n2").RTT(); got != time.Millisecond {
 		t.Fatalf("n2 srtt = %v, want 1ms", got)
 	}
-	n.TakeOutbox()
+	n.DrainOutbox(nil)
 	return n
 }
 
@@ -152,13 +152,13 @@ func TestTickUnknownRoundTripDecidesAsBefore(t *testing.T) {
 	}
 	e := proposal("n3", 1)
 	k, _ := twoVotesBeforeTick(n, e, 10*time.Millisecond)
-	n.TakeOutbox()
+	n.DrainOutbox(nil)
 	n.Tick(n.NextDeadline())
 	if got, ok := n.Entry(k); !ok || got.Approval != types.ApprovedLeader || !got.SameProposal(e) {
 		t.Fatalf("not decided at the first tick: %v %v", got, ok)
 	}
 	var shipped bool
-	for _, env := range n.TakeOutbox() {
+	for _, env := range n.DrainOutbox(nil) {
 		if ae, ok := env.Msg.(types.AppendEntries); ok && len(ae.Entries) > 0 && ae.Entries[len(ae.Entries)-1].Index == k {
 			shipped = true
 		}

@@ -36,7 +36,7 @@ func electLeader(t *testing.T, n *Node, granters ...types.NodeID) {
 	if n.Role() != types.RoleCandidate && n.Role() != types.RoleLeader {
 		t.Fatalf("role after timeout = %v", n.Role())
 	}
-	n.TakeOutbox()
+	n.DrainOutbox(nil)
 	for _, g := range granters {
 		n.Step(time.Hour, types.Envelope{
 			From: g, To: n.ID(), Layer: types.LayerLocal,
@@ -46,8 +46,8 @@ func electLeader(t *testing.T, n *Node, granters ...types.NodeID) {
 	if n.Role() != types.RoleLeader {
 		t.Fatalf("not leader after %d grants (role %v)", len(granters), n.Role())
 	}
-	n.TakeOutbox()
-	n.TakeChangedEntries()
+	n.DrainOutbox(nil)
+	n.DrainChangedEntries(nil)
 }
 
 func vote(idx types.Index, e types.Entry, term types.Term, commit types.Index) types.VoteEntry {
@@ -68,8 +68,8 @@ func ackLeaderLog(t *testing.T, n *Node, followers ...types.NodeID) {
 	if n.CommitIndex() < top {
 		t.Fatalf("prefix not committed: commit=%d top=%d", n.CommitIndex(), top)
 	}
-	n.TakeOutbox()
-	n.TakeCommitted()
+	n.DrainOutbox(nil)
+	n.DrainCommitted(nil)
 }
 
 func proposal(p string, seq uint64) types.Entry {
@@ -99,7 +99,7 @@ func TestSingleNodeBecomesLeaderAndCommits(t *testing.T) {
 		t.Fatalf("commitIndex = %d after the tick, want %d", n.CommitIndex(), before+1)
 	}
 	found := false
-	for _, e := range n.TakeCommitted() {
+	for _, e := range n.DrainCommitted(nil) {
 		if string(e.Data) == "solo" {
 			found = true
 		}
@@ -252,11 +252,11 @@ func TestFollowerInsertAndVote(t *testing.T) {
 	// Learn the leader via a heartbeat.
 	n.Step(time.Second, types.Envelope{From: "n1", To: "n2", Layer: types.LayerLocal,
 		Msg: types.AppendEntries{Term: 1, LeaderID: "n1"}})
-	n.TakeOutbox()
+	n.DrainOutbox(nil)
 	e := proposal("n3", 1)
 	n.Step(time.Second, types.Envelope{From: "n3", To: "n2", Layer: types.LayerLocal,
 		Msg: types.ProposeEntry{Index: 1, Entry: e}})
-	out := n.TakeOutbox()
+	out := n.DrainOutbox(nil)
 	if len(out) != 1 {
 		t.Fatalf("outbox = %v", out)
 	}
@@ -275,7 +275,7 @@ func TestFollowerInsertAndVote(t *testing.T) {
 	f := proposal("n1", 9)
 	n.Step(time.Second, types.Envelope{From: "n1", To: "n2", Layer: types.LayerLocal,
 		Msg: types.ProposeEntry{Index: 1, Entry: f}})
-	out = n.TakeOutbox()
+	out = n.DrainOutbox(nil)
 	if len(out) != 1 {
 		t.Fatalf("outbox = %v", out)
 	}
@@ -292,10 +292,10 @@ func TestElectionComparesOnlyLeaderApproved(t *testing.T) {
 	// candidate whose leader-approved log matches ours.
 	n.Step(time.Second, types.Envelope{From: "n1", To: "n2", Layer: types.LayerLocal,
 		Msg: types.ProposeEntry{Index: 7, Entry: proposal("n1", 1)}})
-	n.TakeOutbox()
+	n.DrainOutbox(nil)
 	n.Step(2*time.Second, types.Envelope{From: "n3", To: "n2", Layer: types.LayerLocal,
 		Msg: types.RequestVote{Term: 5, CandidateID: "n3", LastLogIndex: 0, LastLogTerm: 0}})
-	out := n.TakeOutbox()
+	out := n.DrainOutbox(nil)
 	if len(out) != 1 {
 		t.Fatalf("outbox = %v", out)
 	}
@@ -317,10 +317,10 @@ func TestRecoveryRedecidesSelfApprovedEntries(t *testing.T) {
 	// fast-committed it before dying).
 	n.Step(time.Second, types.Envelope{From: "n5", To: "n1", Layer: types.LayerLocal,
 		Msg: types.ProposeEntry{Index: 1, Entry: e}})
-	n.TakeOutbox()
+	n.DrainOutbox(nil)
 	// Election: n2 and n3 grant, shipping their self-approved copies of e.
 	n.Tick(time.Hour)
-	n.TakeOutbox()
+	n.DrainOutbox(nil)
 	selfCopy := e.Clone()
 	selfCopy.Index = 1
 	selfCopy.Approval = types.ApprovedSelf
@@ -356,9 +356,9 @@ func TestRecoveryRecommitsViaClassicTrack(t *testing.T) {
 	e := proposal("n5", 1)
 	n.Step(time.Second, types.Envelope{From: "n5", To: "n1", Layer: types.LayerLocal,
 		Msg: types.ProposeEntry{Index: 1, Entry: e}})
-	n.TakeOutbox()
+	n.DrainOutbox(nil)
 	n.Tick(time.Hour)
-	n.TakeOutbox()
+	n.DrainOutbox(nil)
 	selfCopy := e.Clone()
 	selfCopy.Index = 1
 	selfCopy.Approval = types.ApprovedSelf
@@ -375,7 +375,7 @@ func TestRecoveryRecommitsViaClassicTrack(t *testing.T) {
 		t.Fatalf("recovery did not re-decide e: %v ok=%v", got, ok)
 	}
 	// Classic-track replication re-commits it.
-	n.TakeOutbox()
+	n.DrainOutbox(nil)
 	ackLeaderLog(t, n, "n2", "n3")
 	if n.CommitIndex() < 1 {
 		t.Fatalf("recovered entry never re-committed (commit=%d)", n.CommitIndex())
@@ -386,7 +386,7 @@ func TestRecoveryFillsGapsWithNoops(t *testing.T) {
 	peers := []types.NodeID{"n1", "n2", "n3"}
 	n := newTestNode(t, "n1", peers...)
 	n.Tick(time.Hour)
-	n.TakeOutbox()
+	n.DrainOutbox(nil)
 	// A granter reports a self-approved entry at index 3 only: indices 1-2
 	// must become no-ops so the log stays dense.
 	far := proposal("n5", 1)
@@ -418,7 +418,7 @@ func TestFollowerOverwritesOnAppendEntriesWithoutTruncating(t *testing.T) {
 		Msg: types.ProposeEntry{Index: 1, Entry: proposal("n1", 1)}})
 	n.Step(time.Second, types.Envelope{From: "n3", To: "n2", Layer: types.LayerLocal,
 		Msg: types.ProposeEntry{Index: 5, Entry: proposal("n3", 1)}})
-	n.TakeOutbox()
+	n.DrainOutbox(nil)
 	// Leader decides something else at 1.
 	decided := proposal("n1", 7)
 	decided.Index = 1
@@ -446,7 +446,7 @@ func TestCommitPrefixRestrictedToLeaderApproved(t *testing.T) {
 	// Self-approved entry at 1; the leader's commit index claims 3.
 	n.Step(time.Second, types.Envelope{From: "n1", To: "n2", Layer: types.LayerLocal,
 		Msg: types.ProposeEntry{Index: 1, Entry: proposal("n1", 1)}})
-	n.TakeOutbox()
+	n.DrainOutbox(nil)
 	n.Step(time.Second, types.Envelope{From: "n1", To: "n2", Layer: types.LayerLocal,
 		Msg: types.AppendEntries{Term: 1, LeaderID: "n1", LeaderCommit: 3}})
 	// Nothing leader-approved: nothing may commit (commit-prefix refinement).
@@ -485,10 +485,10 @@ func TestStaleTermMessagesRejected(t *testing.T) {
 	n := newTestNode(t, "n2", peers...)
 	n.Step(time.Second, types.Envelope{From: "n1", To: "n2", Layer: types.LayerLocal,
 		Msg: types.AppendEntries{Term: 5, LeaderID: "n1"}})
-	n.TakeOutbox()
+	n.DrainOutbox(nil)
 	n.Step(time.Second, types.Envelope{From: "n3", To: "n2", Layer: types.LayerLocal,
 		Msg: types.AppendEntries{Term: 3, LeaderID: "n3"}})
-	out := n.TakeOutbox()
+	out := n.DrainOutbox(nil)
 	if len(out) != 1 {
 		t.Fatalf("outbox = %v", out)
 	}
@@ -509,7 +509,7 @@ func TestMembershipFilterIgnoresNonMembers(t *testing.T) {
 	if n.Term() == 99 {
 		t.Fatal("non-member message processed")
 	}
-	if len(n.TakeOutbox()) != 0 {
+	if len(n.DrainOutbox(nil)) != 0 {
 		t.Fatal("responded to a non-member")
 	}
 }
@@ -573,12 +573,12 @@ func TestProposalDedupAcrossReproposal(t *testing.T) {
 	if n.CommitIndex() < k {
 		t.Fatalf("setup: not committed (commit=%d k=%d)", n.CommitIndex(), k)
 	}
-	n.TakeOutbox()
+	n.DrainOutbox(nil)
 	// A duplicate broadcast (proposer timeout fired) must trigger a commit
 	// notification, not a new insertion.
 	n.Step(time.Hour, types.Envelope{From: "n3", To: "n1", Layer: types.LayerLocal,
 		Msg: types.ProposeEntry{Index: k + 3, Entry: e}})
-	out := n.TakeOutbox()
+	out := n.DrainOutbox(nil)
 	foundNotify := false
 	for _, env := range out {
 		if cn, ok := env.Msg.(types.CommitNotify); ok {

@@ -10,6 +10,9 @@ import (
 // sortedKeys returns a map's keys in deterministic order; the simulator
 // depends on every behavioural iteration being reproducible.
 func sortedKeys(m map[types.NodeID]bool) []types.NodeID {
+	if len(m) == 0 {
+		return nil // the common case, on every heartbeat: no allocation
+	}
 	out := make([]types.NodeID, 0, len(m))
 	for k := range m {
 		out = append(out, k)
@@ -210,9 +213,8 @@ func (n *Node) detectSilentLeaves() {
 	if n.cfg.MemberTimeoutRounds <= 0 {
 		return
 	}
-	cfg := n.Config()
-	for _, peer := range cfg.Others(n.cfg.ID) {
-		if n.missed[peer] >= n.cfg.MemberTimeoutRounds {
+	for _, peer := range n.Config().Members {
+		if peer != n.cfg.ID && n.missed[peer] >= n.cfg.MemberTimeoutRounds {
 			n.enqueueRemoval(peer)
 		}
 	}

@@ -24,10 +24,10 @@ func TestJoinRequestRedirectedToLeader(t *testing.T) {
 	n := newTestNode(t, "n2", "n1", "n2", "n3")
 	n.Step(time.Second, types.Envelope{From: "n1", To: "n2", Layer: types.LayerLocal,
 		Msg: types.AppendEntries{Term: 1, LeaderID: "n1"}})
-	n.TakeOutbox()
+	n.DrainOutbox(nil)
 	n.Step(time.Second, types.Envelope{From: "n9", To: "n2", Layer: types.LayerLocal,
 		Msg: types.JoinRequest{Site: "n9"}})
-	out := envelopesOf[types.JoinRedirect](n.TakeOutbox())
+	out := envelopesOf[types.JoinRedirect](n.DrainOutbox(nil))
 	if len(out) != 1 || out[0].To != "n9" {
 		t.Fatalf("redirect = %v", out)
 	}
@@ -51,7 +51,7 @@ func TestJoinFullFlow(t *testing.T) {
 	n.Step(time.Hour, types.Envelope{From: "n9", To: "n1", Layer: types.LayerLocal,
 		Msg: types.JoinRequest{Site: "n9"}})
 	n.Tick(n.NextDeadline())
-	aes := envelopesOf[types.AppendEntries](n.TakeOutbox())
+	aes := envelopesOf[types.AppendEntries](n.DrainOutbox(nil))
 	toJoiner := 0
 	for _, env := range aes {
 		if env.To == "n9" {
@@ -84,7 +84,7 @@ func TestJoinFullFlow(t *testing.T) {
 	if n.CommitIndex() < cfgIdx {
 		t.Fatalf("config entry uncommitted (commit=%d idx=%d)", n.CommitIndex(), cfgIdx)
 	}
-	accepted := envelopesOf[types.JoinAccepted](n.TakeOutbox())
+	accepted := envelopesOf[types.JoinAccepted](n.DrainOutbox(nil))
 	if len(accepted) != 1 || accepted[0].To != "n9" {
 		t.Fatalf("JoinAccepted = %v", accepted)
 	}
@@ -125,7 +125,7 @@ func TestSilentLeaveDetection(t *testing.T) {
 	// n2 keeps responding, n3 goes silent.
 	for round := 0; round < 5; round++ {
 		n.Tick(n.NextDeadline())
-		n.TakeOutbox()
+		n.DrainOutbox(nil)
 		n.Step(n.NextDeadline(), types.Envelope{From: "n2", To: "n1", Layer: types.LayerLocal,
 			Msg: types.AppendEntriesResp{Term: n.Term(), Success: true,
 				MatchIndex: n.LastLeaderIndex()}})
@@ -151,7 +151,7 @@ func TestSilentLeaveRequiresConsecutiveMisses(t *testing.T) {
 	for phase := 0; phase < 3; phase++ {
 		for round := 0; round < 2; round++ {
 			n.Tick(n.NextDeadline())
-			n.TakeOutbox()
+			n.DrainOutbox(nil)
 			n.Step(n.NextDeadline(), types.Envelope{From: "n2", To: "n1", Layer: types.LayerLocal,
 				Msg: types.AppendEntriesResp{Term: n.Term(), Success: true,
 					MatchIndex: n.LastLeaderIndex()}})
@@ -227,7 +227,7 @@ func TestJoinerAcceptsCatchUpFromScratch(t *testing.T) {
 		t.Fatal(err)
 	}
 	joiner.Join(time.Second, []types.NodeID{"n1", "n2"})
-	out := envelopesOf[types.JoinRequest](joiner.TakeOutbox())
+	out := envelopesOf[types.JoinRequest](joiner.DrainOutbox(nil))
 	if len(out) != 2 {
 		t.Fatalf("join requests = %v", out)
 	}
@@ -250,7 +250,7 @@ func TestJoinerAcceptsCatchUpFromScratch(t *testing.T) {
 	// Join retries must stop.
 	if d := joiner.NextDeadline(); d != 0 {
 		joiner.Tick(d)
-		if len(envelopesOf[types.JoinRequest](joiner.TakeOutbox())) != 0 {
+		if len(envelopesOf[types.JoinRequest](joiner.DrainOutbox(nil))) != 0 {
 			t.Fatal("joiner still re-sending join requests after acceptance")
 		}
 	}
@@ -267,13 +267,13 @@ func TestAutoRejoinAfterFalseRemoval(t *testing.T) {
 			{Index: 1, Term: 1, Kind: types.KindConfig, Approval: types.ApprovedLeader,
 				Config: &without},
 		}, LeaderCommit: 1}})
-	n.TakeOutbox()
+	n.DrainOutbox(nil)
 	if n.IsMember() {
 		t.Fatal("still a member")
 	}
 	// The next tick triggers the auto-rejoin.
 	n.Tick(n.NextDeadline())
-	joins := envelopesOf[types.JoinRequest](n.TakeOutbox())
+	joins := envelopesOf[types.JoinRequest](n.DrainOutbox(nil))
 	if len(joins) == 0 {
 		t.Fatal("no auto-rejoin request sent")
 	}
@@ -290,7 +290,7 @@ func TestRemovedNodeDoesNotCampaign(t *testing.T) {
 			{Index: 1, Term: 1, Kind: types.KindConfig, Approval: types.ApprovedLeader,
 				Config: &without},
 		}, LeaderCommit: 1}})
-	n.TakeOutbox()
+	n.DrainOutbox(nil)
 	term := n.Term()
 	n.Tick(time.Hour) // election timeout expires
 	if n.Role() != types.RoleFollower {

@@ -151,12 +151,12 @@ type Node struct {
 	committed []types.Entry
 	resolved  []types.Resolution
 	// changed accumulates entries inserted/overwritten since the last
-	// TakeChangedEntries, for C-Raft's global state replication.
+	// DrainChangedEntries, for C-Raft's global state replication.
 	changed []types.Entry
 
 	// Durability gating (group-commit storage only; see internal/durable).
 	// gate is nil for synchronous storage and every queue passes through.
-	// The Take* drains tag each batch with the storage LSN it depends on and
+	// The Drain* calls tag each batch with the storage LSN it depends on and
 	// release only the durable prefix; acts defers this node's internal
 	// self-acknowledgements — its own votes and its own match index — so it
 	// never counts a contribution toward an election or a commit before the
@@ -416,42 +416,35 @@ func (n *Node) Sessions() *session.Registry { return n.sessions }
 // Entry returns the log entry at idx (its Data is read-only).
 func (n *Node) Entry(idx types.Index) (types.Entry, bool) { return n.log.Get(idx) }
 
-// TakeOutbox drains messages to send. With group-commit storage only the
-// durable prefix is released; the rest follows after SyncDone.
-func (n *Node) TakeOutbox() []types.Envelope {
-	out := n.outboxQ.Take(n.gate, n.outbox)
-	n.outbox = nil
-	return out
+// DrainOutbox appends the messages to send to dst and returns it. With
+// group-commit storage only the durable prefix is released; the rest
+// follows after SyncDone.
+func (n *Node) DrainOutbox(dst []types.Envelope) []types.Envelope {
+	return n.outboxQ.Drain(n.gate, &n.outbox, dst)
 }
 
-// TakeCommitted drains newly committed entries, in log order. With
+// DrainCommitted appends newly committed entries, in log order, to dst.
+// With group-commit storage only the durable prefix is released.
+func (n *Node) DrainCommitted(dst []types.Entry) []types.Entry {
+	return n.committedQ.Drain(n.gate, &n.committed, dst)
+}
+
+// DrainResolved appends resolutions of locally originated proposals to
+// dst. With group-commit storage only the durable prefix is released.
+func (n *Node) DrainResolved(dst []types.Resolution) []types.Resolution {
+	return n.resolvedQ.Drain(n.gate, &n.resolved, dst)
+}
+
+// DrainChangedEntries appends the entries inserted or overwritten since the
+// last call to dst, used by C-Raft to build global state deltas. With
 // group-commit storage only the durable prefix is released.
-func (n *Node) TakeCommitted() []types.Entry {
-	out := n.committedQ.Take(n.gate, n.committed)
-	n.committed = nil
-	return out
-}
-
-// TakeResolved drains resolutions of locally originated proposals. With
-// group-commit storage only the durable prefix is released.
-func (n *Node) TakeResolved() []types.Resolution {
-	out := n.resolvedQ.Take(n.gate, n.resolved)
-	n.resolved = nil
-	return out
-}
-
-// TakeChangedEntries drains the entries inserted or overwritten since the
-// last call, used by C-Raft to build global state deltas. With group-commit
-// storage only the durable prefix is released.
-func (n *Node) TakeChangedEntries() []types.Entry {
-	out := n.changedQ.Take(n.gate, n.changed)
-	n.changed = nil
-	return out
+func (n *Node) DrainChangedEntries(dst []types.Entry) []types.Entry {
+	return n.changedQ.Drain(n.gate, &n.changed, dst)
 }
 
 // SyncDone advances the durability horizon after a storage sync: deferred
 // self-acknowledgements run (possibly winning an election), held outputs
-// become releasable at the next Take*, and a leader re-evaluates decisions
+// become releasable at the next Drain*, and a leader re-evaluates decisions
 // and commits that were waiting on its own records.
 func (n *Node) SyncDone(now time.Duration, durableLSN uint64) {
 	n.now = now

@@ -37,8 +37,8 @@ func notifyFollower(t *testing.T, cfg Config, leader types.NodeID, term types.Te
 	if n.CommitIndex() != committed {
 		t.Fatalf("setup: commit=%d, want %d", n.CommitIndex(), committed)
 	}
-	n.TakeOutbox()
-	n.TakeCommitted()
+	n.DrainOutbox(nil)
+	n.DrainCommitted(nil)
 	return n
 }
 
@@ -47,7 +47,7 @@ func notifyFollower(t *testing.T, cfg Config, leader types.NodeID, term types.Te
 func proposeAt(t *testing.T, n *Node, data string) (types.ProposalID, types.Index) {
 	t.Helper()
 	pid := n.Propose(time.Hour, []byte(data))
-	for _, env := range n.TakeOutbox() {
+	for _, env := range n.DrainOutbox(nil) {
 		if m, ok := env.Msg.(types.ProposeEntry); ok && m.Entry.PID == pid {
 			return pid, m.Index
 		}
@@ -62,7 +62,7 @@ func notify(n *Node, pid types.ProposalID, idx types.Index, term types.Term) {
 
 func committedData(n *Node) []string {
 	var out []string
-	for _, e := range n.TakeCommitted() {
+	for _, e := range n.DrainCommitted(nil) {
 		out = append(out, string(e.Data))
 	}
 	return out
@@ -81,7 +81,7 @@ func TestNotificationCommitsAtCommitIndexPlusOne(t *testing.T) {
 	if got := committedData(n); len(got) != 1 || got[0] != "a" {
 		t.Fatalf("committed = %q", got)
 	}
-	if res := n.TakeResolved(); len(res) != 1 || res[0].PID != pid || res[0].Index != k {
+	if res := n.DrainResolved(nil); len(res) != 1 || res[0].PID != pid || res[0].Index != k {
 		t.Fatalf("resolved = %v", res)
 	}
 	if e, _ := n.Entry(k); e.Approval != types.ApprovedLeader || e.Term != 1 {
@@ -92,7 +92,7 @@ func TestNotificationCommitsAtCommitIndexPlusOne(t *testing.T) {
 	}
 	// The proposer's next vote reports the commit index it now has.
 	stepFrom(n, "n3", types.ProposeEntry{Index: k + 1, Entry: proposal("n3", 1)})
-	for _, env := range n.TakeOutbox() {
+	for _, env := range n.DrainOutbox(nil) {
 		if v, ok := env.Msg.(types.VoteEntry); ok && v.CommitIndex != k {
 			t.Fatalf("vote reports commit %d, want %d", v.CommitIndex, k)
 		}
@@ -110,7 +110,7 @@ func TestNotificationCommitsAtCommitIndexPlusOne(t *testing.T) {
 	if got := committedData(n); len(got) != 0 || n.CommitIndex() != k {
 		t.Fatalf("AppendEntries re-committed %q (commit=%d)", got, n.CommitIndex())
 	}
-	out := n.TakeOutbox()
+	out := n.DrainOutbox(nil)
 	if resp := out[len(out)-1].Msg.(types.AppendEntriesResp); !resp.Success || resp.MatchIndex != k {
 		t.Fatalf("resp = %+v", resp)
 	}
@@ -221,7 +221,7 @@ func TestNotificationIgnoredForCommit(t *testing.T) {
 				t.Fatalf("commit=%d, want %d (left to AppendEntries)", n.CommitIndex(), commit)
 			}
 			var resolved bool
-			for _, r := range n.TakeResolved() {
+			for _, r := range n.DrainResolved(nil) {
 				resolved = resolved || r.PID == pid
 			}
 			if !resolved {
@@ -318,10 +318,10 @@ func TestNotifiedCommitWaitsForPromoteRecord(t *testing.T) {
 		n.SyncDone(time.Hour, store.DurableLSN())
 	}
 	sync()
-	n.TakeCommitted()
+	n.DrainCommitted(nil)
 	pid := n.Propose(time.Hour, []byte("a"))
 	sync() // the self-insert is durable; the broadcast leaves
-	n.TakeOutbox()
+	n.DrainOutbox(nil)
 	notify(n, pid, 4, 1)
 	if n.CommitIndex() != 4 {
 		t.Fatalf("commit=%d, want 4", n.CommitIndex())
@@ -329,14 +329,14 @@ func TestNotifiedCommitWaitsForPromoteRecord(t *testing.T) {
 	if got := committedData(n); len(got) != 0 {
 		t.Fatalf("delivered %q before the promote record was durable", got)
 	}
-	if res := n.TakeResolved(); len(res) != 0 {
+	if res := n.DrainResolved(nil); len(res) != 0 {
 		t.Fatalf("resolved %v before the promote record was durable", res)
 	}
 	sync()
 	if got := committedData(n); len(got) != 1 || got[0] != "a" {
 		t.Fatalf("delivered %q after the sync, want a", got)
 	}
-	if res := n.TakeResolved(); len(res) != 1 || res[0].PID != pid {
+	if res := n.DrainResolved(nil); len(res) != 1 || res[0].PID != pid {
 		t.Fatalf("resolved = %v", res)
 	}
 }

@@ -49,15 +49,17 @@ func (n *Node) newReadManager() *readpath.Manager {
 }
 
 // Read registers a read under the given consistency mode and returns its
-// token; the read resolves through TakeReadDone with the linearization
+// token; the read resolves through DrainReadDone with the linearization
 // index the state machine must be applied through before serving it.
 func (n *Node) Read(now time.Duration, c types.ReadConsistency) uint64 {
 	n.now = now
 	return n.reads.Read(now, c)
 }
 
-// TakeReadDone drains resolved reads.
-func (n *Node) TakeReadDone() []types.ReadDone { return n.reads.TakeDone() }
+// DrainReadDone appends resolved reads to dst.
+func (n *Node) DrainReadDone(dst []types.ReadDone) []types.ReadDone {
+	return n.reads.DrainDone(dst)
+}
 
 // PendingReads counts unresolved reads originated on this node.
 func (n *Node) PendingReads() int { return n.reads.PendingCount() }

@@ -16,7 +16,10 @@
 // degenerates to pass-through and the cores behave exactly as before.
 package durable
 
-import "github.com/hraft-io/hraft/internal/storage"
+import (
+	"github.com/hraft-io/hraft/internal/storage"
+	"github.com/hraft-io/hraft/internal/types"
+)
 
 // Gate stamps core outputs with the storage LSN they depend on.
 type Gate struct {
@@ -71,28 +74,31 @@ type Queue[T any] struct {
 	held []batch[T]
 }
 
-// Take holds items (a core's outputs since its last drain) under the LSN
-// they depend on and returns every held item now durable, in order. The
-// queue takes ownership of items; when nothing is held and the gate is open
-// it hands items straight back, so synchronous storage costs nothing.
-func (q *Queue[T]) Take(g *Gate, items []T) []T {
+// Drain releases a core's outputs since its last drain (*items) under the
+// LSN they depend on, appending every output now durable to dst in order.
+// When nothing is held and the gate is open the outputs are copied to dst
+// and *items is truncated, keeping its capacity for the core's next outputs,
+// so synchronous storage allocates nothing. Otherwise the queue takes the
+// slice itself and sets *items to nil: a held batch is never reused before
+// it is released.
+func (q *Queue[T]) Drain(g *Gate, items *[]T, dst []T) []T {
 	tag, durable := g.Tag(), g.Durable()
 	if len(q.held) == 0 && tag <= durable {
-		return items
+		return types.Drain(dst, items)
 	}
-	if len(items) > 0 {
-		q.held = append(q.held, batch[T]{tag: tag, items: items})
+	if len(*items) > 0 {
+		q.held = append(q.held, batch[T]{tag: tag, items: *items})
+		*items = nil
 	}
-	var out []T
 	n := 0
 	for ; n < len(q.held) && q.held[n].tag <= durable; n++ {
-		out = append(out, q.held[n].items...)
+		dst = append(dst, q.held[n].items...)
 		q.held[n] = batch[T]{}
 	}
 	if q.held = q.held[n:]; len(q.held) == 0 {
 		q.held = nil
 	}
-	return out
+	return dst
 }
 
 // Pending reports whether any batches are still held.

@@ -67,28 +67,34 @@ func TestQueueReleasesDurablePrefixInOrder(t *testing.T) {
 			}
 		}
 	}
-	if got := q.Take(g, []int{10, 11}); len(got) != 0 { // tag 1
+	// drain hands the queue one core output batch, as a core's Drain* does.
+	drain := func(items ...int) []int { return q.Drain(g, &items, nil) }
+	held := []int{10, 11}
+	if got := q.Drain(g, &held, nil); len(got) != 0 { // tag 1
 		t.Fatalf("nothing durable yet, got %v", got)
 	}
+	if held != nil {
+		t.Fatal("a held batch must be taken from the core, not reused")
+	}
 	appendTo(2)
-	q.Take(g, nil) // empty batches are dropped
+	drain() // empty batches are dropped
 	appendTo(3)
-	q.Take(g, []int{30})
+	drain(30)
 	appendTo(5)
-	q.Take(g, []int{50})
+	drain(50)
 	appendTo(6)
-	if err := s.Sync(); err != nil { // durable through 6; the next Take carries tag 7
+	if err := s.Sync(); err != nil { // durable through 6; the next Drain carries tag 7
 		t.Fatal(err)
 	}
 	appendTo(7)
-	got := q.Take(g, []int{70})
+	got := drain(70)
 	want := []int{10, 11, 30, 50}
 	if len(got) != len(want) {
-		t.Fatalf("Take = %v, want %v", got, want)
+		t.Fatalf("Drain = %v, want %v", got, want)
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("Take = %v, want %v", got, want)
+			t.Fatalf("Drain = %v, want %v", got, want)
 		}
 	}
 	if !q.Pending() {
@@ -97,19 +103,25 @@ func TestQueueReleasesDurablePrefixInOrder(t *testing.T) {
 	if err := s.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if got := q.Take(g, nil); len(got) != 1 || got[0] != 70 {
-		t.Fatalf("Take after Sync = %v, want [70]", got)
+	if got := drain(); len(got) != 1 || got[0] != 70 {
+		t.Fatalf("Drain after Sync = %v, want [70]", got)
 	}
 	if q.Pending() {
 		t.Fatal("queue should be drained")
 	}
-	// Nothing held and the gate open: the batch comes straight back.
-	in := []int{80}
-	if got := q.Take(g, in); &got[0] != &in[0] {
-		t.Fatal("an open gate with nothing held must hand the batch back")
-	}
-	if got := q.Take(nil, in); &got[0] != &in[0] {
-		t.Fatal("a nil gate must hand the batch back")
+	// Nothing held and the gate open: the batch is appended to dst and the
+	// core keeps its slice, emptied, for its next outputs.
+	for _, gate := range []*Gate{g, nil} {
+		in := make([]int, 1, 4)
+		in[0] = 80
+		dst := append(make([]int, 0, 4), 79)
+		got := q.Drain(gate, &in, dst)
+		if len(got) != 2 || got[1] != 80 || &got[0] != &dst[0] {
+			t.Fatalf("open gate %v: Drain = %v, want [79 80] in dst", gate != nil, got)
+		}
+		if len(in) != 0 || cap(in) != 4 {
+			t.Fatalf("open gate %v: core slice len %d cap %d, want 0 and 4", gate != nil, len(in), cap(in))
+		}
 	}
 }
 

@@ -332,10 +332,10 @@ func (c *Cluster) makeMachine(id types.NodeID, bootstrap types.Config, store sto
 // the latency collectors, then reschedules its wake-up timer.
 func (c *Cluster) drain(h *Host) {
 	now := c.Sched.Now()
-	for _, env := range h.machine.TakeOutbox() {
+	for _, env := range h.machine.DrainOutbox(nil) {
 		c.Net.Send(env)
 	}
-	for _, e := range h.machine.TakeCommitted() {
+	for _, e := range h.machine.DrainCommitted(nil) {
 		c.Safety.RecordCommit("", h.id, e)
 		if h.OnCommit != nil {
 			h.OnCommit(e)
@@ -348,7 +348,7 @@ func (c *Cluster) drain(h *Host) {
 		c.Safety.RecordLeader("", h.machine.Term(), h.id)
 		c.Timeline.ObserveLeader(now, "", h.machine.Term(), h.id)
 	}
-	for _, res := range h.machine.TakeResolved() {
+	for _, res := range h.machine.DrainResolved(nil) {
 		h.resolved[res.PID] = res.Index
 		start, ok := h.proposeStart[res.PID]
 		if !ok {
@@ -361,7 +361,7 @@ func (c *Cluster) drain(h *Host) {
 			h.OnResolve(res.PID, now, lat)
 		}
 	}
-	for _, d := range h.machine.TakeReadDone() {
+	for _, d := range h.machine.DrainReadDone(nil) {
 		h.readDone[d.ID] = d
 	}
 	c.schedule(h)

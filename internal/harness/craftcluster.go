@@ -279,11 +279,11 @@ func (c *CraftCluster) makeNode(spec ClusterSpec, site types.NodeID, globalBoots
 // drain flushes a host's outputs and re-arms its wake timer.
 func (c *CraftCluster) drain(h *CraftHost) {
 	now := c.Sched.Now()
-	for _, env := range h.node.TakeOutbox() {
+	for _, env := range h.node.DrainOutbox(nil) {
 		c.Net.Send(env)
 	}
 	group := "local/" + string(h.clust)
-	for _, e := range h.node.TakeCommitted() {
+	for _, e := range h.node.DrainCommitted(nil) {
 		c.Safety.RecordCommit(group, h.id, e)
 		if h.OnCommit != nil {
 			h.OnCommit(e)
@@ -293,7 +293,7 @@ func (c *CraftCluster) drain(h *CraftHost) {
 		c.Safety.RecordLeader(group, h.node.Term(), h.id)
 		c.Timeline.ObserveLeader(now, group, h.node.Term(), h.id)
 	}
-	for _, e := range h.node.TakeGlobalCommitted() {
+	for _, e := range h.node.DrainGlobalCommitted(nil) {
 		c.Safety.RecordCommit("global", h.id, e)
 		if h.OnGlobalCommit != nil {
 			h.OnGlobalCommit(e)
@@ -315,7 +315,7 @@ func (c *CraftCluster) drain(h *CraftHost) {
 		c.Safety.RecordLeader("global", h.node.GlobalTerm(), h.clust)
 		c.Timeline.ObserveLeader(now, "global", h.node.GlobalTerm(), h.clust)
 	}
-	for _, res := range h.node.TakeResolved() {
+	for _, res := range h.node.DrainResolved(nil) {
 		h.resolved[res.PID] = res.Index
 		start, ok := h.proposeStart[res.PID]
 		if !ok {
@@ -328,7 +328,7 @@ func (c *CraftCluster) drain(h *CraftHost) {
 			h.OnResolve(res.PID, now, lat)
 		}
 	}
-	for _, d := range h.node.TakeReadDone() {
+	for _, d := range h.node.DrainReadDone(nil) {
 		h.readDone[d.ID] = d
 	}
 	c.syncEndpoint(h)

@@ -34,19 +34,19 @@ type Machine interface {
 	NextDeadline() time.Duration
 	// Propose submits an application payload.
 	Propose(now time.Duration, data []byte) types.ProposalID
-	// TakeOutbox drains outgoing messages.
-	TakeOutbox() []types.Envelope
-	// TakeCommitted drains newly committed entries.
-	TakeCommitted() []types.Entry
-	// TakeResolved drains local proposal resolutions.
-	TakeResolved() []types.Resolution
+	// DrainOutbox appends outgoing messages to dst.
+	DrainOutbox(dst []types.Envelope) []types.Envelope
+	// DrainCommitted appends newly committed entries to dst.
+	DrainCommitted(dst []types.Entry) []types.Entry
+	// DrainResolved appends local proposal resolutions to dst.
+	DrainResolved(dst []types.Resolution) []types.Resolution
 	// PendingProposals counts unresolved local proposals.
 	PendingProposals() int
 	// Read registers a linearizable read under the given consistency mode
 	// and returns its token (see internal/readpath).
 	Read(now time.Duration, c types.ReadConsistency) uint64
-	// TakeReadDone drains resolved reads.
-	TakeReadDone() []types.ReadDone
+	// DrainReadDone appends resolved reads to dst.
+	DrainReadDone(dst []types.ReadDone) []types.ReadDone
 	// SyncDone advances the node's storage durability horizon (a no-op
 	// with synchronous storage; see internal/durable).
 	SyncDone(now time.Duration, durableLSN uint64)

@@ -234,10 +234,10 @@ func (c *ShardCluster) register(h *ShardHost) {
 // drain flushes a host's outputs into the network and the trackers, then
 // re-arms its timers — the harness mirror of runtime.Host.drainLocked.
 func (c *ShardCluster) drain(h *ShardHost) {
-	for _, env := range h.mgr.TakeOutbox() {
+	for _, env := range h.mgr.DrainOutbox(nil) {
 		c.Net.Send(env)
 	}
-	for _, ge := range h.mgr.TakeGroupCommitted() {
+	for _, ge := range h.mgr.DrainGroupCommitted(nil) {
 		c.Safety.RecordCommit(string(ge.Group), h.id, ge.Entry)
 		if ge.Entry.Kind == types.KindNormal {
 			g := h.appliedCount[ge.Group]
@@ -254,11 +254,11 @@ func (c *ShardCluster) drain(h *ShardHost) {
 			c.Safety.RecordLeader(string(gid), core.Term(), h.id)
 		}
 	}
-	for _, gr := range h.mgr.TakeGroupResolved() {
+	for _, gr := range h.mgr.DrainGroupResolved(nil) {
 		h.resolved[gr.Resolution.PID] = gr.Resolution.Index
 		delete(h.proposeStart, gr.Resolution.PID)
 	}
-	for _, rd := range h.mgr.TakeGroupReadDone() {
+	for _, rd := range h.mgr.DrainGroupReadDone(nil) {
 		h.readDone[rd.Done.ID] = rd.Done
 	}
 	c.schedule(h)

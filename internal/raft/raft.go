@@ -179,7 +179,7 @@ type Node struct {
 
 	// Durability gating (group-commit storage only; see internal/durable).
 	// gate is nil for synchronous storage and every queue passes through.
-	// The Take* drains tag each batch with the storage LSN it depends on and
+	// The Drain* calls tag each batch with the storage LSN it depends on and
 	// release only the durable prefix; acts defers this node's internal
 	// self-acknowledgements — its own election vote and its own match index
 	// — until the records behind them are on disk.
@@ -387,33 +387,28 @@ func (n *Node) PeerStatus() []replica.PeerStatus {
 	return n.progress.Status()
 }
 
-// TakeOutbox drains messages to send. With group-commit storage only the
-// durable prefix is released; the rest follows after SyncDone.
-func (n *Node) TakeOutbox() []types.Envelope {
-	out := n.outboxQ.Take(n.gate, n.outbox)
-	n.outbox = nil
-	return out
+// DrainOutbox appends the messages to send to dst and returns it. With
+// group-commit storage only the durable prefix is released; the rest
+// follows after SyncDone.
+func (n *Node) DrainOutbox(dst []types.Envelope) []types.Envelope {
+	return n.outboxQ.Drain(n.gate, &n.outbox, dst)
 }
 
-// TakeCommitted drains newly committed entries, in log order. With
-// group-commit storage only the durable prefix is released.
-func (n *Node) TakeCommitted() []types.Entry {
-	out := n.committedQ.Take(n.gate, n.committed)
-	n.committed = nil
-	return out
+// DrainCommitted appends newly committed entries, in log order, to dst.
+// With group-commit storage only the durable prefix is released.
+func (n *Node) DrainCommitted(dst []types.Entry) []types.Entry {
+	return n.committedQ.Drain(n.gate, &n.committed, dst)
 }
 
-// TakeResolved drains resolutions of locally originated proposals. With
-// group-commit storage only the durable prefix is released.
-func (n *Node) TakeResolved() []types.Resolution {
-	out := n.resolvedQ.Take(n.gate, n.resolved)
-	n.resolved = nil
-	return out
+// DrainResolved appends resolutions of locally originated proposals to
+// dst. With group-commit storage only the durable prefix is released.
+func (n *Node) DrainResolved(dst []types.Resolution) []types.Resolution {
+	return n.resolvedQ.Drain(n.gate, &n.resolved, dst)
 }
 
 // SyncDone advances the durability horizon after a storage sync: deferred
 // self-acknowledgements run (possibly winning an election), held outputs
-// become releasable at the next Take*, and a leader re-evaluates commits
+// become releasable at the next Drain*, and a leader re-evaluates commits
 // that were waiting on its own appends. With synchronous storage nothing is
 // ever deferred and this is a no-op.
 func (n *Node) SyncDone(now time.Duration, durableLSN uint64) {
@@ -1100,7 +1095,7 @@ func (n *Node) round() replica.Round {
 // broadcastAppend dispatches this round's traffic to every follower
 // through the shared replication engine: snapshot chunks while a follower
 // is behind the compacted prefix, log entries while the inflight window
-// allows, a bare heartbeat otherwise (see replica.Tracker.AppendMessages).
+// allows, a bare heartbeat otherwise (see replica.Tracker.AppendMessage).
 func (n *Node) broadcastAppend() {
 	cfg := n.Config()
 	n.aeRound++
@@ -1110,18 +1105,11 @@ func (n *Node) broadcastAppend() {
 		// acks echoing the ID confirms every read in it at once.
 		rc.ReadCtx = n.readMgr.StampRound(n.now)
 	}
-	for _, peer := range cfg.Others(n.cfg.ID) {
-		msgs, snapshot := n.progress.AppendMessages(peer, lv, rc)
-		if n.rec != nil {
-			for _, m := range msgs {
-				if len(m.Entries) > 0 {
-					n.rec.AppendDispatch(n.now, m.Term, peer, m.PrevLogIndex, len(m.Entries), m.Round)
-					for _, e := range m.Entries {
-						n.rec.SpanStage(n.now, e.PID, trace.StageReplicate, e.Index)
-					}
-				}
-			}
+	for _, peer := range cfg.Members {
+		if peer == n.cfg.ID {
+			continue
 		}
+		m, snapshot := n.progress.AppendMessage(peer, lv, rc)
 		if snapshot {
 			// The entries this follower needs are compacted away; stream
 			// the snapshot instead. While the install is pending, nothing
@@ -1131,9 +1119,13 @@ func (n *Node) broadcastAppend() {
 			}
 			continue
 		}
-		for _, m := range msgs {
-			n.send(peer, m)
+		if n.rec != nil && len(m.Entries) > 0 {
+			n.rec.AppendDispatch(n.now, m.Term, peer, m.PrevLogIndex, len(m.Entries), m.Round)
+			for _, e := range m.Entries {
+				n.rec.SpanStage(n.now, e.PID, trace.StageReplicate, e.Index)
+			}
 		}
+		n.send(peer, m)
 	}
 }
 

@@ -26,7 +26,7 @@ func newTestNode(t *testing.T, id types.NodeID, members ...types.NodeID) *Node {
 func electLeader(t *testing.T, n *Node, granters ...types.NodeID) {
 	t.Helper()
 	n.Tick(time.Hour)
-	n.TakeOutbox()
+	n.DrainOutbox(nil)
 	for _, g := range granters {
 		n.Step(time.Hour, types.Envelope{From: g, To: n.ID(), Layer: types.LayerLocal,
 			Msg: types.RequestVoteResp{Term: n.Term(), Granted: true}})
@@ -34,7 +34,7 @@ func electLeader(t *testing.T, n *Node, granters ...types.NodeID) {
 	if n.Role() != types.RoleLeader {
 		t.Fatalf("not leader after grants (role %v)", n.Role())
 	}
-	n.TakeOutbox()
+	n.DrainOutbox(nil)
 }
 
 func TestConfigValidation(t *testing.T) {
@@ -57,7 +57,7 @@ func TestElectionTimeoutStartsCampaign(t *testing.T) {
 	if n.Role() != types.RoleCandidate {
 		t.Fatalf("role = %v", n.Role())
 	}
-	out := n.TakeOutbox()
+	out := n.DrainOutbox(nil)
 	rv := 0
 	for _, env := range out {
 		if _, ok := env.Msg.(types.RequestVote); ok {
@@ -77,14 +77,14 @@ func TestVoteGrantRules(t *testing.T) {
 	// Grant to an up-to-date candidate.
 	n.Step(time.Second, types.Envelope{From: "n1", To: "n2", Layer: types.LayerLocal,
 		Msg: types.RequestVote{Term: 1, CandidateID: "n1"}})
-	out := n.TakeOutbox()
+	out := n.DrainOutbox(nil)
 	if len(out) != 1 || !out[0].Msg.(types.RequestVoteResp).Granted {
 		t.Fatalf("vote not granted: %v", out)
 	}
 	// A second candidate in the same term is refused (single vote).
 	n.Step(time.Second, types.Envelope{From: "n3", To: "n2", Layer: types.LayerLocal,
 		Msg: types.RequestVote{Term: 1, CandidateID: "n3"}})
-	out = n.TakeOutbox()
+	out = n.DrainOutbox(nil)
 	if len(out) != 1 || out[0].Msg.(types.RequestVoteResp).Granted {
 		t.Fatalf("second vote granted in same term: %v", out)
 	}
@@ -97,11 +97,11 @@ func TestVoteRefusedForStaleLog(t *testing.T) {
 		Msg: types.AppendEntries{Term: 2, LeaderID: "n1", Entries: []types.Entry{
 			{Index: 1, Term: 2, Kind: types.KindNoop, Approval: types.ApprovedLeader},
 		}}})
-	n.TakeOutbox()
+	n.DrainOutbox(nil)
 	// A candidate with an empty log must be refused.
 	n.Step(time.Second, types.Envelope{From: "n3", To: "n2", Layer: types.LayerLocal,
 		Msg: types.RequestVote{Term: 3, CandidateID: "n3", LastLogIndex: 0, LastLogTerm: 0}})
-	out := n.TakeOutbox()
+	out := n.DrainOutbox(nil)
 	if len(out) != 1 || out[0].Msg.(types.RequestVoteResp).Granted {
 		t.Fatalf("stale candidate granted: %v", out)
 	}
@@ -116,7 +116,7 @@ func TestLeaderAppendsAndCommits(t *testing.T) {
 	}
 	// Tick dispatches AppendEntries with the no-op and the entry.
 	n.Tick(n.NextDeadline())
-	out := n.TakeOutbox()
+	out := n.DrainOutbox(nil)
 	var ae types.AppendEntries
 	found := false
 	for _, env := range out {
@@ -140,11 +140,11 @@ func TestLeaderAppendsAndCommits(t *testing.T) {
 	if n.CommitIndex() != n.LastIndex() {
 		t.Fatalf("commit = %d, last = %d", n.CommitIndex(), n.LastIndex())
 	}
-	res := n.TakeResolved()
+	res := n.DrainResolved(nil)
 	if len(res) != 1 || res[0].PID != pid {
 		t.Fatalf("resolved = %v", res)
 	}
-	if out := n.TakeOutbox(); len(out) != 0 {
+	if out := n.DrainOutbox(nil); len(out) != 0 {
 		t.Fatalf("commit on arrival dispatched %v", out)
 	}
 }
@@ -166,7 +166,7 @@ func TestSingleMemberCommitsAtTick(t *testing.T) {
 	if n.CommitIndex() != n.LastIndex() {
 		t.Fatalf("after the tick: commit = %d, last = %d", n.CommitIndex(), n.LastIndex())
 	}
-	if res := n.TakeResolved(); len(res) != 1 || res[0].PID != pid {
+	if res := n.DrainResolved(nil); len(res) != 1 || res[0].PID != pid {
 		t.Fatalf("resolved = %v", res)
 	}
 }
@@ -176,7 +176,7 @@ func TestFollowerAppendConsistencyCheck(t *testing.T) {
 	// AE with a prev the follower doesn't have fails.
 	n.Step(time.Second, types.Envelope{From: "n1", To: "n2", Layer: types.LayerLocal,
 		Msg: types.AppendEntries{Term: 1, LeaderID: "n1", PrevLogIndex: 5, PrevLogTerm: 1}})
-	out := n.TakeOutbox()
+	out := n.DrainOutbox(nil)
 	if len(out) != 1 || out[0].Msg.(types.AppendEntriesResp).Success {
 		t.Fatalf("inconsistent AE accepted: %v", out)
 	}
@@ -185,7 +185,7 @@ func TestFollowerAppendConsistencyCheck(t *testing.T) {
 		Msg: types.AppendEntries{Term: 1, LeaderID: "n1", Entries: []types.Entry{
 			{Index: 1, Term: 1, Kind: types.KindNoop, Approval: types.ApprovedLeader},
 		}, LeaderCommit: 1}})
-	out = n.TakeOutbox()
+	out = n.DrainOutbox(nil)
 	resp := out[0].Msg.(types.AppendEntriesResp)
 	if !resp.Success || resp.MatchIndex != 1 {
 		t.Fatalf("resp = %+v", resp)
@@ -204,7 +204,7 @@ func TestFollowerTruncatesConflicts(t *testing.T) {
 			{Index: 2, Term: 1, Kind: types.KindNormal, Approval: types.ApprovedLeader,
 				PID: types.ProposalID{Proposer: "n1", Seq: 1}, Data: []byte("old")},
 		}}})
-	n.TakeOutbox()
+	n.DrainOutbox(nil)
 	// New leader at term 2 conflicts at index 2.
 	n.Step(time.Second, types.Envelope{From: "n3", To: "n2", Layer: types.LayerLocal,
 		Msg: types.AppendEntries{Term: 2, LeaderID: "n3", PrevLogIndex: 1, PrevLogTerm: 1,
@@ -212,7 +212,7 @@ func TestFollowerTruncatesConflicts(t *testing.T) {
 				{Index: 2, Term: 2, Kind: types.KindNormal, Approval: types.ApprovedLeader,
 					PID: types.ProposalID{Proposer: "n3", Seq: 1}, Data: []byte("new")},
 			}}})
-	n.TakeOutbox()
+	n.DrainOutbox(nil)
 	e, ok := n.log.Get(2)
 	if !ok || string(e.Data) != "new" || e.Term != 2 {
 		t.Fatalf("conflict not resolved: %v", e)
@@ -249,9 +249,9 @@ func TestProposalForwardingToLeader(t *testing.T) {
 	// Learn the leader.
 	n.Step(time.Second, types.Envelope{From: "n1", To: "n2", Layer: types.LayerLocal,
 		Msg: types.AppendEntries{Term: 1, LeaderID: "n1"}})
-	n.TakeOutbox()
+	n.DrainOutbox(nil)
 	n.Propose(time.Second, []byte("fwd"))
-	out := n.TakeOutbox()
+	out := n.DrainOutbox(nil)
 	if len(out) != 1 || out[0].To != "n1" {
 		t.Fatalf("proposal not forwarded: %v", out)
 	}

@@ -80,7 +80,7 @@ type NodeView struct {
 }
 
 // readOrigin identifies where a leader-side read came from: this node
-// (answered through TakeDone) or a remote forwarder (answered with a
+// (answered through DrainDone) or a remote forwarder (answered with a
 // ReadReply message).
 type readOrigin struct {
 	origin      types.NodeID
@@ -143,7 +143,7 @@ func NewFrontend(nv NodeView, seqStart uint64, counters *stats.Counters, rec *tr
 }
 
 // Read registers a read under the given consistency mode and returns its
-// token; the read resolves through TakeDone with the linearization index
+// token; the read resolves through DrainDone with the linearization index
 // the state machine must be applied through before serving it. ReadStale
 // resolves immediately from the local commit index on any role.
 func (f *Frontend) Read(now time.Duration, c types.ReadConsistency) uint64 {
@@ -170,11 +170,9 @@ func (f *Frontend) Read(now time.Duration, c types.ReadConsistency) uint64 {
 	return id
 }
 
-// TakeDone drains resolved reads.
-func (f *Frontend) TakeDone() []types.ReadDone {
-	out := f.done
-	f.done = nil
-	return out
+// DrainDone appends resolved reads to dst; the frontend keeps its buffer.
+func (f *Frontend) DrainDone(dst []types.ReadDone) []types.ReadDone {
+	return types.Drain(dst, &f.done)
 }
 
 // PendingCount counts unresolved reads originated on this node.

@@ -115,7 +115,7 @@ func TestFollowerLocalReadHeldUntilCommitCatchUp(t *testing.T) {
 	// The leader confirms index 7 but this node has only committed 3: the
 	// read must be held, not resolved.
 	ff.f.OnReadReply(types.ReadReply{Results: []types.ReadResult{{ID: id, Index: 7, OK: true}}}, 10*time.Millisecond)
-	if done := ff.f.TakeDone(); len(done) != 0 {
+	if done := ff.f.DrainDone(nil); len(done) != 0 {
 		t.Fatalf("read resolved before local commit caught up: %+v", done)
 	}
 	if ff.f.PendingCount() != 1 {
@@ -124,13 +124,13 @@ func TestFollowerLocalReadHeldUntilCommitCatchUp(t *testing.T) {
 	// Commit catching partway up is not enough.
 	ff.commit = 6
 	ff.f.Flush(20 * time.Millisecond)
-	if done := ff.f.TakeDone(); len(done) != 0 {
+	if done := ff.f.DrainDone(nil); len(done) != 0 {
 		t.Fatalf("read resolved at commit 6 < confirmed 7: %+v", done)
 	}
 	// Reaching the confirmed index releases it at that index.
 	ff.commit = 7
 	ff.f.Flush(30 * time.Millisecond)
-	done := ff.f.TakeDone()
+	done := ff.f.DrainDone(nil)
 	if len(done) != 1 || done[0].ID != id || done[0].Index != 7 || !done[0].OK {
 		t.Fatalf("release = %+v, want ID %d at index 7", done, id)
 	}
@@ -151,7 +151,7 @@ func TestFollowerLocalReadResolvesImmediatelyWhenCaughtUp(t *testing.T) {
 	id := ff.f.Read(0, types.ReadFollowerLocal)
 	// Confirmed index already covered locally: no hold.
 	ff.f.OnReadReply(types.ReadReply{Results: []types.ReadResult{{ID: id, Index: 8, OK: true}}}, 5*time.Millisecond)
-	done := ff.f.TakeDone()
+	done := ff.f.DrainDone(nil)
 	if len(done) != 1 || done[0].Index != 8 || !done[0].OK {
 		t.Fatalf("done = %+v", done)
 	}
@@ -185,7 +185,7 @@ func TestFollowerLocalHeldReadReforwardsOnStall(t *testing.T) {
 	ff.f.OnReadReply(types.ReadReply{Results: []types.ReadResult{{ID: id, Index: 6, OK: true}}}, 200*time.Millisecond)
 	ff.commit = 6
 	ff.f.Flush(210 * time.Millisecond)
-	done := ff.f.TakeDone()
+	done := ff.f.DrainDone(nil)
 	if len(done) != 1 || done[0].Index != 6 || !done[0].OK {
 		t.Fatalf("done = %+v", done)
 	}
@@ -198,7 +198,7 @@ func TestLinearizableReadNotHeld(t *testing.T) {
 	// A plain linearizable read resolves on reply even when the local
 	// commit index lags: the caller owns the apply-through-index wait.
 	ff.f.OnReadReply(types.ReadReply{Results: []types.ReadResult{{ID: id, Index: 9, OK: true}}}, 5*time.Millisecond)
-	done := ff.f.TakeDone()
+	done := ff.f.DrainDone(nil)
 	if len(done) != 1 || done[0].Index != 9 || !done[0].OK {
 		t.Fatalf("done = %+v", done)
 	}
@@ -254,7 +254,7 @@ func TestRepliesResolveInEitherOrder(t *testing.T) {
 		}
 		for i, id := range order {
 			ff.reply(10*time.Millisecond, types.Index(5+i), id)
-			if got := doneIDs(ff.f.TakeDone()); !slices.Equal(got, []uint64{id}) {
+			if got := doneIDs(ff.f.DrainDone(nil)); !slices.Equal(got, []uint64{id}) {
 				t.Fatalf("secondFirst=%v: reply for %d resolved %v", secondFirst, id, got)
 			}
 		}
@@ -273,14 +273,14 @@ func TestDuplicateOrLateReplyIgnored(t *testing.T) {
 	a := ff.f.Read(0, types.ReadLinearizable)
 	ff.reply(5*time.Millisecond, 4, a)
 	ff.reply(6*time.Millisecond, 4, a)
-	if got := doneIDs(ff.f.TakeDone()); !slices.Equal(got, []uint64{a}) {
+	if got := doneIDs(ff.f.DrainDone(nil)); !slices.Equal(got, []uint64{a}) {
 		t.Fatalf("reply + duplicate resolved %v, want %d once", got, a)
 	}
 	b := ff.f.Read(10*time.Millisecond, types.ReadLinearizable)
 	ff.f.Retry(10*time.Millisecond + retry) // b's first answer is slow: re-sent
 	ff.reply(120*time.Millisecond, 7, b)    // the re-send's answer
 	ff.reply(130*time.Millisecond, 6, b)    // the original's, late
-	done := ff.f.TakeDone()
+	done := ff.f.DrainDone(nil)
 	if len(done) != 1 || done[0].ID != b || done[0].Index != 7 {
 		t.Fatalf("done = %+v, want %d once at index 7", done, b)
 	}
@@ -331,7 +331,7 @@ func TestHeldReadNotResent(t *testing.T) {
 	}
 	ff.commit = 5
 	ff.f.Flush(40 * time.Millisecond)
-	if done := ff.f.TakeDone(); len(done) != 1 || done[0].ID != a || done[0].Index != 5 {
+	if done := ff.f.DrainDone(nil); len(done) != 1 || done[0].ID != a || done[0].Index != 5 {
 		t.Fatalf("done = %+v, want %d at index 5", done, a)
 	}
 }
@@ -361,7 +361,7 @@ func TestReadsFollowLeaderChange(t *testing.T) {
 	// issued); the new leader's then finds nothing pending.
 	ff.reply(5*time.Millisecond, 3, a)
 	ff.reply(6*time.Millisecond, 4, a, b)
-	done := ff.f.TakeDone()
+	done := ff.f.DrainDone(nil)
 	if len(done) != 2 || done[0].ID != a || done[0].Index != 3 || done[1].ID != b || done[1].Index != 4 {
 		t.Fatalf("done = %+v", done)
 	}
@@ -420,7 +420,7 @@ func TestTraceSurvivesBecomingLeader(t *testing.T) {
 	ctx := ff.mgr.StampRound(10 * time.Millisecond)
 	ff.mgr.ObserveAck("n1", ctx, 15*time.Millisecond)
 	ff.f.Flush(15 * time.Millisecond)
-	if got := doneIDs(ff.f.TakeDone()); !slices.Equal(got, []uint64{id}) {
+	if got := doneIDs(ff.f.DrainDone(nil)); !slices.Equal(got, []uint64{id}) {
 		t.Fatalf("resolved %v, want [%d]", got, id)
 	}
 	if got := lastServeTrace(t, rec, id); got != tid {

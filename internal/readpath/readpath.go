@@ -219,8 +219,7 @@ func (m *Manager) PendingReads() int {
 func (m *Manager) StampRound(now time.Duration) uint64 {
 	// Missed quorum: roll expired batches' reads into the new round.
 	for len(m.batches) > 0 && now >= m.batches[0].sentAt+m.cfg.ExpireAfter {
-		expired := m.batches[0]
-		m.batches = m.batches[1:]
+		expired := m.popBatch()
 		m.unstamped = append(expired.reads, m.unstamped...)
 		m.counters.Inc(CounterBatchesExpired)
 		if m.leaseUntil != 0 {
@@ -270,8 +269,7 @@ func (m *Manager) ObserveAck(from types.NodeID, ctx uint64, now time.Duration) {
 // always in order).
 func (m *Manager) confirmFront(now time.Duration) {
 	for len(m.batches) > 0 && m.ackCount(m.batches[0].id) >= m.quorum {
-		b := m.batches[0]
-		m.batches = m.batches[1:]
+		b := m.popBatch()
 		m.confirmed = append(m.confirmed, b.reads...)
 		m.counters.Inc(CounterBatchesConfirmed)
 		if len(b.reads) > 0 {
@@ -279,6 +277,16 @@ func (m *Manager) confirmFront(now time.Duration) {
 		}
 		m.extendLease(now, b)
 	}
+}
+
+// popBatch removes the oldest batch. The rest shift down (there are a few
+// at most), so StampRound's append keeps reusing one backing array.
+func (m *Manager) popBatch() batch {
+	b := m.batches[0]
+	n := copy(m.batches, m.batches[1:])
+	m.batches[n] = batch{}
+	m.batches = m.batches[:n]
+	return b
 }
 
 // ackCount counts members whose highest echoed ctx covers the batch,

@@ -22,7 +22,7 @@
 //     behavior of re-sending the full image every broadcast round.
 //
 // The Tracker owns the peer map and, since the dispatch hoist, the whole
-// append-round/heartbeat protocol: AppendMessages and HeartbeatMessage
+// append-round/heartbeat protocol: AppendMessage and HeartbeatMessage
 // build the AppendEntries traffic for a round, parameterized over a
 // LogView (last-index/term/entry-range accessors) so classic Raft's full
 // log and Fast Raft's leader-approved prefix share one implementation. It
@@ -677,8 +677,8 @@ func (t *Tracker) FastMatchQuorum(cfg types.Config, idx types.Index, q int) bool
 
 // --- Append dispatch (leader side) ------------------------------------------
 
-// AppendMessages plans and builds this round's AppendEntries traffic to one
-// peer. It returns the messages to send now, or snapshot=true when the
+// AppendMessage plans and builds this round's AppendEntries message to one
+// peer. It returns the message to send now, or snapshot=true when the
 // entries the peer needs are compacted away — the caller then streams its
 // snapshot (SnapshotMessages) and heartbeats while the install is pending.
 //
@@ -687,10 +687,10 @@ func (t *Tracker) FastMatchQuorum(cfg types.Config, idx types.Index, q int) bool
 // the entry payload is trimmed to the remaining byte budget and MaxEntries.
 // This is the single append-dispatch implementation for every core; the
 // LogView accessors are the only per-protocol variation.
-func (t *Tracker) AppendMessages(id types.NodeID, lv LogView, rc Round) (msgs []types.AppendEntries, snapshot bool) {
+func (t *Tracker) AppendMessage(id types.NodeID, lv LogView, rc Round) (msg types.AppendEntries, snapshot bool) {
 	pr := t.Ensure(id, rc.NextHint)
 	if pr.state == StateSnapshot || pr.next <= lv.SnapshotIndex() {
-		return nil, true
+		return types.AppendEntries{}, true
 	}
 	if !pr.CanAppend() {
 		// Inflight window full: the peer has unacknowledged appends in
@@ -699,7 +699,7 @@ func (t *Tracker) AppendMessages(id types.NodeID, lv LogView, rc Round) (msgs []
 		// acks) were lost — fall back to probing and retransmit now.
 		if !t.RecoverStall(id, rc.Now) {
 			t.counters.Inc(CounterAppendsThrottled)
-			return []types.AppendEntries{t.HeartbeatMessage(id, lv, rc)}, false
+			return t.HeartbeatMessage(id, lv, rc), false
 		}
 	}
 	next := pr.next
@@ -711,7 +711,7 @@ func (t *Tracker) AppendMessages(id types.NodeID, lv LogView, rc Round) (msgs []
 		hi = next + types.Index(max) - 1
 	}
 	entries, size := t.budgetEntries(pr, lv, next, hi)
-	msg := types.AppendEntries{
+	msg = types.AppendEntries{
 		Term:         rc.Term,
 		LeaderID:     rc.Leader,
 		PrevLogIndex: prev,
@@ -722,7 +722,7 @@ func (t *Tracker) AppendMessages(id types.NodeID, lv LogView, rc Round) (msgs []
 		ReadCtx:      rc.ReadCtx,
 	}
 	pr.SentAppend(prev, len(entries), size, rc.Now)
-	return []types.AppendEntries{msg}, false
+	return msg, false
 }
 
 // budgetEntries materializes the batch [lo, hi] up to the peer's
@@ -738,6 +738,9 @@ func (t *Tracker) budgetEntries(p *Progress, lv LogView, lo, hi types.Index) ([]
 	// fetchSlab bounds how far a fetch may overshoot the budget: at most
 	// one slab of entries is copied beyond what ships.
 	const fetchSlab = 256
+	if lo > hi {
+		return nil, 0 // a heartbeat: no batch slice to take from the pool
+	}
 	remaining := t.cfg.MaxInflightBytes - p.bytesInFlight
 	hint := int(hi - lo + 1)
 	if hint > fetchSlab {

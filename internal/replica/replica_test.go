@@ -403,11 +403,11 @@ func TestAppendMessagesByteBudget(t *testing.T) {
 	tr.Get("a").AckAppend(0, 0) // replicate state
 
 	rc := Round{Term: 1, Leader: "l", Commit: 0, Seq: 1, NextHint: 1, Now: 0}
-	msgs, snap := tr.AppendMessages("a", lv, rc)
-	if snap || len(msgs) != 1 {
-		t.Fatalf("plan = %v msgs, snapshot=%v", len(msgs), snap)
+	msg, snap := tr.AppendMessage("a", lv, rc)
+	if snap {
+		t.Fatal("plan signalled a snapshot")
 	}
-	if got := len(msgs[0].Entries); got != 3 {
+	if got := len(msg.Entries); got != 3 {
 		t.Fatalf("budgeted batch carried %d entries, want 3", got)
 	}
 	if bif := tr.Get("a").BytesInFlight(); bif > budget {
@@ -417,18 +417,18 @@ func TestAppendMessagesByteBudget(t *testing.T) {
 		t.Fatal("byte throttling not counted")
 	}
 	// Window full: next round downgrades to a heartbeat.
-	msgs, snap = tr.AppendMessages("a", lv, Round{Term: 1, Leader: "l", Seq: 2, NextHint: 1, Now: 0})
-	if snap || len(msgs) != 1 || len(msgs[0].Entries) != 0 {
-		t.Fatalf("full window round = %+v, want bare heartbeat", msgs)
+	msg, snap = tr.AppendMessage("a", lv, Round{Term: 1, Leader: "l", Seq: 2, NextHint: 1, Now: 0})
+	if snap || len(msg.Entries) != 0 {
+		t.Fatalf("full window round = %+v, want bare heartbeat", msg)
 	}
 	// Acks free the window; the next batch ships.
 	tr.Get("a").AckAppend(3, time.Millisecond)
 	if bif := tr.Get("a").BytesInFlight(); bif != 0 {
 		t.Fatalf("BytesInFlight after full ack = %d", bif)
 	}
-	msgs, _ = tr.AppendMessages("a", lv, Round{Term: 1, Leader: "l", Seq: 3, NextHint: 1, Now: time.Millisecond})
-	if len(msgs) != 1 || len(msgs[0].Entries) != 3 || msgs[0].PrevLogIndex != 3 {
-		t.Fatalf("post-ack batch = %+v", msgs)
+	msg, _ = tr.AppendMessage("a", lv, Round{Term: 1, Leader: "l", Seq: 3, NextHint: 1, Now: time.Millisecond})
+	if len(msg.Entries) != 3 || msg.PrevLogIndex != 3 {
+		t.Fatalf("post-ack batch = %+v", msg)
 	}
 }
 
@@ -440,9 +440,9 @@ func TestAppendMessagesOversizedEntryProgresses(t *testing.T) {
 	tr := NewTracker(Config{MaxInflightBytes: 64, ResendTimeout: time.Second}, nil)
 	tr.Reset([]types.NodeID{"a"}, 1)
 	tr.Get("a").AckAppend(0, 0)
-	msgs, _ := tr.AppendMessages("a", lv, Round{Term: 1, Leader: "l", Seq: 1, NextHint: 1})
-	if len(msgs) != 1 || len(msgs[0].Entries) != 1 {
-		t.Fatalf("oversized entry did not ship alone: %+v", msgs)
+	msg, _ := tr.AppendMessage("a", lv, Round{Term: 1, Leader: "l", Seq: 1, NextHint: 1})
+	if len(msg.Entries) != 1 {
+		t.Fatalf("oversized entry did not ship alone: %+v", msg)
 	}
 }
 
@@ -453,7 +453,7 @@ func TestAppendMessagesSignalsSnapshot(t *testing.T) {
 	lv := testLogView(entries, 5)
 	tr := NewTracker(Config{ResendTimeout: time.Second}, nil)
 	tr.Reset([]types.NodeID{"a"}, 3) // next=3 <= snapIdx=5
-	if _, snap := tr.AppendMessages("a", lv, Round{Term: 1, Leader: "l", Seq: 1, NextHint: 3}); !snap {
+	if _, snap := tr.AppendMessage("a", lv, Round{Term: 1, Leader: "l", Seq: 1, NextHint: 3}); !snap {
 		t.Fatal("peer below the boundary not flagged for snapshot")
 	}
 }

@@ -34,27 +34,28 @@ type Machine interface {
 	NextDeadline() time.Duration
 	// Propose submits an application payload.
 	Propose(now time.Duration, data []byte) types.ProposalID
-	// TakeOutbox drains outgoing messages.
-	TakeOutbox() []types.Envelope
-	// TakeCommitted drains newly committed entries.
-	TakeCommitted() []types.Entry
-	// TakeResolved drains local proposal resolutions.
-	TakeResolved() []types.Resolution
+	// DrainOutbox appends outgoing messages to dst and returns it. The
+	// drains keep their own buffers' capacity and never retain dst.
+	DrainOutbox(dst []types.Envelope) []types.Envelope
+	// DrainCommitted appends newly committed entries to dst.
+	DrainCommitted(dst []types.Entry) []types.Entry
+	// DrainResolved appends local proposal resolutions to dst.
+	DrainResolved(dst []types.Resolution) []types.Resolution
 }
 
 // GlobalCommitter is implemented by machines that additionally expose a
 // global committed stream (C-Raft).
 type GlobalCommitter interface {
-	// TakeGlobalCommitted drains entries newly committed to the global
-	// log.
-	TakeGlobalCommitted() []types.Entry
+	// DrainGlobalCommitted appends entries newly committed to the global
+	// log to dst.
+	DrainGlobalCommitted(dst []types.Entry) []types.Entry
 }
 
 // Reader is implemented by machines exposing the linearizable read
 // subsystem (all three cores).
 type Reader interface {
-	// TakeReadDone drains resolved reads.
-	TakeReadDone() []types.ReadDone
+	// DrainReadDone appends resolved reads to dst.
+	DrainReadDone(dst []types.ReadDone) []types.ReadDone
 }
 
 // Synced is implemented by machines whose outputs gate on storage
@@ -87,22 +88,31 @@ type GroupRead struct {
 // GroupOutputs is implemented by machines multiplexing several consensus
 // groups (shard.Manager): outputs carry the group they belong to, so the
 // host can dispatch each group's commits to the right state-machine slice.
-// Such machines return nothing from the flat Take* drains.
+// Such machines return nothing from the flat Drain* calls.
 type GroupOutputs interface {
-	// TakeGroupCommitted drains newly committed entries across all groups,
-	// each tagged with its group, in per-group commit order.
-	TakeGroupCommitted() []GroupEntry
-	// TakeGroupResolved drains local proposal resolutions across groups.
-	TakeGroupResolved() []GroupResolution
-	// TakeGroupReadDone drains resolved reads across groups.
-	TakeGroupReadDone() []GroupRead
+	// DrainGroupCommitted appends newly committed entries across all
+	// groups, each tagged with its group, in per-group commit order.
+	DrainGroupCommitted(dst []GroupEntry) []GroupEntry
+	// DrainGroupResolved appends local proposal resolutions across groups.
+	DrainGroupResolved(dst []GroupResolution) []GroupResolution
+	// DrainGroupReadDone appends resolved reads across groups.
+	DrainGroupReadDone(dst []GroupRead) []GroupRead
 }
 
-// Transport moves envelopes between hosts.
+// Transport moves envelopes between hosts. One ownership rule holds for
+// every transport, serializing or in-process:
+//
+//   - Send takes the envelope. The caller must not retain, modify or
+//     re-send the message's slices once Send is called; payload bytes
+//     (entry Data and Config, snapshot images) are read-only and may stay
+//     shared.
+//   - A delivered envelope belongs to the handler only until it returns.
+//     The transport then gives the message's pooled parts back
+//     (types.RecycleEnvelope), so a handler copies any slice it keeps.
 type Transport interface {
-	// Send dispatches one envelope asynchronously. Implementations may
-	// drop messages (the protocols tolerate loss); they must never call
-	// back into the sender synchronously.
+	// Send dispatches one envelope asynchronously, taking ownership of it.
+	// Implementations may drop messages (the protocols tolerate loss);
+	// they must never call back into the sender synchronously.
 	Send(env types.Envelope) error
 	// SetHandler installs the delivery callback. The transport may invoke
 	// it from any goroutine.
@@ -112,7 +122,9 @@ type Transport interface {
 }
 
 // event is one drained output batch riding the apply pipeline; at is its
-// enqueue instant (hist.apply_lag input).
+// enqueue instant (hist.apply_lag input). Its slices are drain buffers: the
+// host fills them, the dispatcher empties them and hands them back through
+// the host's free list, so a steady flow of batches allocates none.
 type event struct {
 	committed []types.Entry
 	global    []types.Entry
@@ -126,6 +138,10 @@ type event struct {
 
 	at time.Time
 }
+
+// freeEvents bounds the drained buffers the dispatcher hands back: enough
+// for the host to find one ready whenever the dispatcher keeps up.
+const freeEvents = 4
 
 // DefaultApplyQueue is the apply-pipeline depth (drained output batches
 // buffered between the consensus goroutine and the callback dispatcher)
@@ -151,6 +167,14 @@ type Host struct {
 	evCh     chan event
 	evDone   chan struct{}
 	stopOnce sync.Once
+
+	// outbuf is the outbox drain buffer, reused at once: the transport owns
+	// each envelope once sent. next is the batch the drains fill; it is
+	// handed to the dispatcher when non-empty and replaced from free, the
+	// buffers the dispatcher is done with.
+	outbuf []types.Envelope
+	next   event
+	free   chan event
 
 	cb Callbacks
 }
@@ -198,6 +222,7 @@ func NewHost(machine Machine, tr Transport, cb Callbacks) *Host {
 		start:   time.Now(),
 		evCh:    make(chan event, size),
 		evDone:  make(chan struct{}),
+		free:    make(chan event, freeEvents),
 		cb:      cb,
 	}
 	go h.dispatch()
@@ -253,7 +278,32 @@ func (h *Host) dispatch() {
 				h.cb.OnGroupReadDone(gr.Group, gr.Done)
 			}
 		}
+		ev.reset()
+		select {
+		case h.free <- ev:
+		default: // the free list is full: these buffers become garbage
+		}
 	}
+}
+
+// reset empties every buffer, keeping its capacity and pinning no payloads.
+func (ev *event) reset() {
+	clear(ev.committed)
+	clear(ev.global)
+	clear(ev.resolved)
+	clear(ev.gCommitted)
+	clear(ev.gResolved)
+	*ev = event{
+		committed: ev.committed[:0], global: ev.global[:0],
+		resolved: ev.resolved[:0], reads: ev.reads[:0],
+		gCommitted: ev.gCommitted[:0], gResolved: ev.gResolved[:0], gReads: ev.gReads[:0],
+	}
+}
+
+// empty reports whether the batch carries no output.
+func (ev *event) empty() bool {
+	return len(ev.committed)+len(ev.resolved)+len(ev.global)+len(ev.reads)+
+		len(ev.gCommitted)+len(ev.gResolved)+len(ev.gReads) == 0
 }
 
 // now returns the host's monotonic time since start.
@@ -350,28 +400,26 @@ func (h *Host) tick() {
 // drainLocked flushes machine outputs and re-arms the tick timer. Callbacks
 // fire after the lock is released to avoid re-entrancy deadlocks.
 func (h *Host) drainLocked() {
-	for _, env := range h.machine.TakeOutbox() {
+	h.outbuf = h.machine.DrainOutbox(h.outbuf[:0])
+	for _, env := range h.outbuf {
 		// Transport sends are asynchronous and may drop; errors are
 		// treated as message loss, which the protocols tolerate.
 		_ = h.tr.Send(env)
 	}
-	committed := h.machine.TakeCommitted()
-	resolved := h.machine.TakeResolved()
-	var global []types.Entry
+	clear(h.outbuf)
+	ev := &h.next
+	ev.committed = h.machine.DrainCommitted(ev.committed)
+	ev.resolved = h.machine.DrainResolved(ev.resolved)
 	if gc, ok := h.machine.(GlobalCommitter); ok {
-		global = gc.TakeGlobalCommitted()
+		ev.global = gc.DrainGlobalCommitted(ev.global)
 	}
-	var reads []types.ReadDone
 	if rd, ok := h.machine.(Reader); ok {
-		reads = rd.TakeReadDone()
+		ev.reads = rd.DrainReadDone(ev.reads)
 	}
-	var gCommitted []GroupEntry
-	var gResolved []GroupResolution
-	var gReads []GroupRead
 	if gm, ok := h.machine.(GroupOutputs); ok {
-		gCommitted = gm.TakeGroupCommitted()
-		gResolved = gm.TakeGroupResolved()
-		gReads = gm.TakeGroupReadDone()
+		ev.gCommitted = gm.DrainGroupCommitted(ev.gCommitted)
+		ev.gResolved = gm.DrainGroupResolved(ev.gResolved)
+		ev.gReads = gm.DrainGroupReadDone(ev.gReads)
 	}
 	if d := h.machine.NextDeadline(); d > 0 && d != h.armed {
 		h.armed = d
@@ -386,20 +434,21 @@ func (h *Host) drainLocked() {
 			h.timer.Reset(wait)
 		}
 	}
-	if len(committed)+len(resolved)+len(global)+len(reads)+
-		len(gCommitted)+len(gResolved)+len(gReads) == 0 {
+	if ev.empty() {
 		return
 	}
 	// Bounded handoff: a full pipeline blocks the consensus goroutine until
 	// the dispatcher catches up (or the host stops). The dispatcher never
 	// takes h.mu, so it always drains.
-	ev := event{
-		committed: committed, global: global, resolved: resolved, reads: reads,
-		gCommitted: gCommitted, gResolved: gResolved, gReads: gReads,
-		at: time.Now(),
+	ev.at = time.Now()
+	select {
+	case h.evCh <- *ev:
+	case <-h.evDone:
+		return
 	}
 	select {
-	case h.evCh <- ev:
-	case <-h.evDone:
+	case h.next = <-h.free:
+	default:
+		h.next = event{}
 	}
 }

@@ -54,19 +54,15 @@ func (m *echoMachine) Propose(now time.Duration, data []byte) types.ProposalID {
 	return types.ProposalID{Proposer: m.id, Seq: uint64(len(m.delivered) + 1)}
 }
 
-func (m *echoMachine) TakeOutbox() []types.Envelope {
-	out := m.outbox
-	m.outbox = nil
-	return out
+func (m *echoMachine) DrainOutbox(dst []types.Envelope) []types.Envelope {
+	return types.Drain(dst, &m.outbox)
 }
 
-func (m *echoMachine) TakeCommitted() []types.Entry {
-	out := m.committed
-	m.committed = nil
-	return out
+func (m *echoMachine) DrainCommitted(dst []types.Entry) []types.Entry {
+	return types.Drain(dst, &m.committed)
 }
 
-func (m *echoMachine) TakeResolved() []types.Resolution { return nil }
+func (m *echoMachine) DrainResolved(dst []types.Resolution) []types.Resolution { return dst }
 
 func TestInProcNetworkDelivery(t *testing.T) {
 	net := NewInProcNetwork(1)

@@ -148,6 +148,13 @@ type Manager struct {
 
 	now time.Duration
 
+	// Reused buffers each group core's outputs are drained into; nothing
+	// keeps them past the drain that fills them.
+	envBuf   []types.Envelope
+	entryBuf []types.Entry
+	resBuf   []types.Resolution
+	readBuf  []types.ReadDone
+
 	// stats (monotonic counters except groups gauges).
 	statProposals  uint64
 	statCoalesced  uint64 // frames that rode inside a sent ShardBatch
@@ -403,7 +410,7 @@ func (m *Manager) ProposeKey(now time.Duration, key string, data []byte) (types.
 
 // Read registers a linearizable read in the group owning key (see
 // fastraft.Node.Read); the returned token is process-wide and resolves
-// through TakeGroupReadDone.
+// through DrainGroupReadDone.
 func (m *Manager) Read(now time.Duration, key string, c types.ReadConsistency) (types.GroupID, uint64) {
 	m.now = now
 	gid := m.Route(key)
@@ -423,17 +430,17 @@ func (m *Manager) SyncDone(now time.Duration, durableLSN uint64) {
 	}
 }
 
-// TakeOutbox drains every group's outbox and coalesces messages bound for
+// DrainOutbox drains every group's outbox and coalesces messages bound for
 // the same destination process into ShardBatch envelopes, bounded by the
-// byte budget. One datagram then carries many groups' traffic to a peer —
+// byte budget, appending them to dst. One datagram then carries many groups' traffic to a peer —
 // with 64 groups, a heartbeat round is a handful of batches instead of 64
 // individual messages per peer.
-func (m *Manager) TakeOutbox() []types.Envelope {
-	var out []types.Envelope
+func (m *Manager) DrainOutbox(dst []types.Envelope) []types.Envelope {
 	var order []types.NodeID
 	buckets := make(map[types.NodeID][]types.Envelope)
 	for _, g := range m.order {
-		for _, env := range g.core.TakeOutbox() {
+		m.envBuf = g.core.DrainOutbox(m.envBuf[:0])
+		for _, env := range m.envBuf {
 			env.Group = g.id
 			if ae, ok := env.Msg.(types.AppendEntries); ok && g.retired && ae.LeaderCommit >= g.retiredIndex {
 				g.announced = true
@@ -444,10 +451,11 @@ func (m *Manager) TakeOutbox() []types.Envelope {
 			buckets[env.To] = append(buckets[env.To], env)
 		}
 	}
+	clear(m.envBuf)
 	for _, to := range order {
-		out = m.packDest(out, to, buckets[to])
+		dst = m.packDest(dst, to, buckets[to])
 	}
-	return out
+	return dst
 }
 
 // packDest appends one destination's envelopes to out, coalescing into
@@ -525,62 +533,64 @@ func msgWeight(m types.Message) int {
 	}
 }
 
-// TakeCommitted implements runtime.Machine; multi-group output is drained
-// through TakeGroupCommitted instead.
-func (m *Manager) TakeCommitted() []types.Entry { return nil }
+// DrainCommitted implements runtime.Machine; multi-group output is drained
+// through DrainGroupCommitted instead.
+func (m *Manager) DrainCommitted(dst []types.Entry) []types.Entry { return dst }
 
-// TakeResolved implements runtime.Machine (see TakeGroupResolved).
-func (m *Manager) TakeResolved() []types.Resolution { return nil }
+// DrainResolved implements runtime.Machine (see DrainGroupResolved).
+func (m *Manager) DrainResolved(dst []types.Resolution) []types.Resolution { return dst }
 
-// TakeGroupCommitted drains every group's newly committed entries in
-// per-group commit order, applying shard lifecycle entries (splits and
+// DrainGroupCommitted appends every group's newly committed entries to dst
+// in per-group commit order, applying shard lifecycle entries (splits and
 // merges) as they stream past — that is the point where every member
 // process mutates its routing table identically.
-func (m *Manager) TakeGroupCommitted() []runtime.GroupEntry {
-	var out []runtime.GroupEntry
+func (m *Manager) DrainGroupCommitted(dst []runtime.GroupEntry) []runtime.GroupEntry {
 	// Index-based loop: applySplit appends the daughter to m.order, and the
 	// daughter has no output yet.
 	for i := 0; i < len(m.order); i++ {
 		g := m.order[i]
-		for _, e := range g.core.TakeCommitted() {
+		m.entryBuf = g.core.DrainCommitted(m.entryBuf[:0])
+		for _, e := range m.entryBuf {
 			switch e.Kind {
 			case types.KindShardSplit:
 				m.applySplit(g, e)
 			case types.KindShardMerge:
 				m.applyMerge(g, e)
 			}
-			out = append(out, runtime.GroupEntry{Group: g.id, Entry: e})
+			dst = append(dst, runtime.GroupEntry{Group: g.id, Entry: e})
 		}
 	}
-	return out
+	clear(m.entryBuf)
+	return dst
 }
 
-// TakeGroupResolved drains every group's proposal resolutions.
-func (m *Manager) TakeGroupResolved() []runtime.GroupResolution {
-	var out []runtime.GroupResolution
+// DrainGroupResolved appends every group's proposal resolutions to dst.
+func (m *Manager) DrainGroupResolved(dst []runtime.GroupResolution) []runtime.GroupResolution {
 	for _, g := range m.order {
-		for _, r := range g.core.TakeResolved() {
-			out = append(out, runtime.GroupResolution{Group: g.id, Resolution: r})
+		m.resBuf = g.core.DrainResolved(m.resBuf[:0])
+		for _, r := range m.resBuf {
+			dst = append(dst, runtime.GroupResolution{Group: g.id, Resolution: r})
 		}
 	}
-	return out
+	return dst
 }
 
-// TakeGroupReadDone drains every group's resolved reads, translating
-// core-local tokens back to the process-wide ones Read returned.
-func (m *Manager) TakeGroupReadDone() []runtime.GroupRead {
-	var out []runtime.GroupRead
+// DrainGroupReadDone appends every group's resolved reads to dst,
+// translating core-local tokens back to the process-wide ones Read
+// returned.
+func (m *Manager) DrainGroupReadDone(dst []runtime.GroupRead) []runtime.GroupRead {
 	for _, g := range m.order {
-		for _, r := range g.core.TakeReadDone() {
+		m.readBuf = g.core.DrainReadDone(m.readBuf[:0])
+		for _, r := range m.readBuf {
 			key := shardReadKey{gid: g.id, token: r.ID}
 			if pub, ok := m.readMap[key]; ok {
 				delete(m.readMap, key)
 				r.ID = pub
 			}
-			out = append(out, runtime.GroupRead{Group: g.id, Done: r})
+			dst = append(dst, runtime.GroupRead{Group: g.id, Done: r})
 		}
 	}
-	return out
+	return dst
 }
 
 // PendingProposals counts unresolved proposals across all groups.

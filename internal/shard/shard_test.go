@@ -61,11 +61,11 @@ func drive(m *Manager, from, d time.Duration) (time.Duration, []GroupEntryLike) 
 			now = next
 		}
 		m.Tick(now)
-		m.TakeOutbox()
-		for _, ge := range m.TakeGroupCommitted() {
+		m.DrainOutbox(nil)
+		for _, ge := range m.DrainGroupCommitted(nil) {
 			out = append(out, GroupEntryLike{Group: ge.Group, Entry: ge.Entry})
 		}
-		m.TakeGroupResolved()
+		m.DrainGroupResolved(nil)
 		now += time.Millisecond
 	}
 	return now, out

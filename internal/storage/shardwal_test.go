@@ -3,6 +3,7 @@ package storage
 import (
 	"fmt"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -71,12 +72,19 @@ func TestShardWALGroupsAreIndependent(t *testing.T) {
 // whole multi-group burst costs a handful of fsyncs, not one per group.
 func TestShardWALCrossGroupFsyncBatching(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "batch.wal")
-	fsyncs := 0
+	// FsyncObserver runs on the flusher goroutine, which releases Sync's
+	// waiter before it calls the observer: the test waits for the call.
+	var fsyncs atomic.Int64
+	observed := make(chan struct{}, 1)
 	w, err := OpenWALOptions(path, WALOptions{
 		GroupCommit: true,
 		SyncWindow:  time.Hour, // only explicit Sync flushes
 		FsyncObserver: func(records, bytes int, took time.Duration) {
-			fsyncs++
+			fsyncs.Add(1)
+			select {
+			case observed <- struct{}{}:
+			default:
+			}
 		},
 	})
 	if err != nil {
@@ -95,9 +103,14 @@ func TestShardWALCrossGroupFsyncBatching(t *testing.T) {
 	if err := w.Group("g0").Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if fsyncs != 1 {
+	select {
+	case <-observed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("FsyncObserver not called after Sync")
+	}
+	if n := fsyncs.Load(); n != 1 {
 		t.Fatalf("%d groups x %d appends took %d fsyncs, want 1 shared batch",
-			groups, perGroup, fsyncs)
+			groups, perGroup, n)
 	}
 	for gi := 0; gi < groups; gi++ {
 		g := w.Group(types.GroupID(fmt.Sprintf("g%d", gi)))

@@ -437,9 +437,11 @@ var (
 	_ Message = ShardBatch{}
 )
 
-// CloneMessage copies a message's slices so an in-process transport's
-// receiver never shares a slice its sender may reuse. Payload bytes (entry
-// Data and Config, snapshot images) are read-only and stay shared.
+// CloneMessage copies a message's slices. The simulated network
+// (internal/simnet) clones what it delivers, since it may deliver one
+// message twice; the real transports take the envelope instead (see
+// runtime.Transport). Payload bytes (entry Data and Config, snapshot
+// images) are read-only and stay shared.
 func CloneMessage(m Message) Message {
 	switch v := m.(type) {
 	case AppendEntries:

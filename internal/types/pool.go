@@ -11,15 +11,23 @@ import "sync"
 // out of a pooled slice (as the cores do when installing entries into their
 // logs) stays valid after the slice is recycled.
 //
-// Recycling is strictly opt-in and only valid for owners that serialize the
-// message: a transport that hands the live Entries slice to another goroutine
-// or process-local peer (the in-proc harness transports) must NOT recycle.
-// The UDP transport recycles after encoding on send and after the handler
-// returns on receive.
+// Every transport follows one ownership rule (runtime.Transport): Send takes
+// the envelope, and a delivered envelope belongs to the handler only until
+// it returns. So the transport is each envelope's last owner and recycles
+// it: the UDP transport once the datagram is encoded and once the receive
+// handler returns, the in-process network once the receiving endpoint's
+// handler returns (or when it drops the envelope). A sender therefore never
+// reuses a message slice it sent, and a handler copies what it keeps.
 
-var entryPool = sync.Pool{
-	New: func() any { s := make([]Entry, 0, 32); return &s },
-}
+// entryPool holds *[]Entry so a Put does not box a slice header; boxes
+// holds the emptied *[]Entry wrappers GetEntries leaves behind, which
+// RecycleEntries refills, so neither direction allocates in steady state.
+var (
+	entryPool = sync.Pool{
+		New: func() any { s := make([]Entry, 0, 32); return &s },
+	}
+	boxes sync.Pool
+)
 
 // GetEntries returns an empty entry slice with capacity for at least the
 // hint (pool-recycled when possible). Callers append into it and may pass
@@ -27,6 +35,8 @@ var entryPool = sync.Pool{
 func GetEntries(hint int) []Entry {
 	p := entryPool.Get().(*[]Entry)
 	s := (*p)[:0]
+	*p = nil
+	boxes.Put(p)
 	if cap(s) < hint {
 		s = make([]Entry, 0, hint)
 	}
@@ -40,18 +50,18 @@ func RecycleEntries(es []Entry) {
 	if cap(es) == 0 {
 		return
 	}
-	es = es[:cap(es)]
-	for i := range es {
-		es[i] = Entry{}
+	clear(es[:cap(es)])
+	p, _ := boxes.Get().(*[]Entry)
+	if p == nil {
+		p = new([]Entry)
 	}
-	es = es[:0]
-	entryPool.Put(&es)
+	*p = es[:0]
+	entryPool.Put(p)
 }
 
 // RecycleEnvelope returns the recyclable parts of a message to the pools.
-// Call it only when this goroutine is the envelope's last owner (after
-// encoding it onto the wire, or after a decode handler returned) — never on
-// an envelope delivered by reference to an in-process peer.
+// Call it only as the envelope's last owner: a transport after encoding it
+// onto the wire, after the receive handler returned, or when dropping it.
 func RecycleEnvelope(env Envelope) {
 	recycleMessage(env.Msg)
 }
@@ -67,4 +77,15 @@ func recycleMessage(m Message) {
 			recycleMessage(f.Msg)
 		}
 	}
+}
+
+// Drain appends *src to dst and empties *src in place, zeroing what it held
+// so the buffer pins no payloads: the owner keeps the capacity for its next
+// outputs and the caller owns dst. It is how the cores hand their output
+// buffers to a host without allocating a new one per drain.
+func Drain[T any](dst []T, src *[]T) []T {
+	dst = append(dst, *src...)
+	clear(*src)
+	*src = (*src)[:0]
+	return dst
 }
