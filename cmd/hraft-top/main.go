@@ -162,7 +162,7 @@ func render(rows []row, errs []string, now time.Time) string {
 		if r.top.FsyncBatchAvg > 0 {
 			fsync = fmt.Sprintf("%.1f", r.top.FsyncBatchAvg)
 		}
-		// Followers (and classic Raft) commit nothing as leader.
+		// Followers commit nothing as leader.
 		fast := "-"
 		if r.fast >= 0 {
 			fast = fmt.Sprintf("%.0f", 100*r.fast)

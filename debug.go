@@ -190,7 +190,7 @@ func debugPeers(ps []PeerStatus) []DebugPeer {
 
 // DebugStatus snapshots the node's debug state; traceTail bounds the
 // flight-recorder events included (0 = none).
-func (n *Node) DebugStatus(traceTail int) DebugStatus {
+func (n *site) DebugStatus(traceTail int) DebugStatus {
 	var s DebugStatus
 	n.host.Do(func(_ time.Duration, _ runtime.Machine) {
 		s = DebugStatus{
@@ -213,44 +213,12 @@ func (n *Node) DebugStatus(traceTail int) DebugStatus {
 
 // Recorder returns the node's flight recorder (nil unless Options.Trace
 // was set). Safe from any goroutine.
-func (n *Node) Recorder() *TraceRecorder { return n.fr.Recorder() }
+func (n *site) Recorder() *TraceRecorder { return n.fr.Recorder() }
 
 // AuditReport snapshots the node's online safety auditor (trivially clean
 // when tracing — and with it auditing — is disabled). Safe from any
 // goroutine.
-func (n *Node) AuditReport() AuditReport { return n.aud.Snapshot() }
-
-// DebugStatus snapshots the node's debug state; traceTail bounds the
-// flight-recorder events included (0 = none).
-func (n *RaftNode) DebugStatus(traceTail int) DebugStatus {
-	var s DebugStatus
-	n.host.Do(func(_ time.Duration, _ runtime.Machine) {
-		s = DebugStatus{
-			Node:        string(n.rn.ID()),
-			Role:        n.rn.Role().String(),
-			Term:        uint64(n.rn.Term()),
-			Leader:      string(n.rn.LeaderID()),
-			CommitIndex: uint64(n.rn.CommitIndex()),
-			Peers:       debugPeers(n.rn.PeerStatus()),
-		}
-		if lu := n.rn.LeaseUntil(); lu > 0 {
-			s.LeaseUntil = lu.String()
-		}
-	})
-	if traceTail > 0 {
-		s.Trace = n.rn.Recorder().Tail(traceTail)
-	}
-	return s
-}
-
-// Recorder returns the node's flight recorder (nil unless Options.Trace
-// was set). Safe from any goroutine.
-func (n *RaftNode) Recorder() *TraceRecorder { return n.rn.Recorder() }
-
-// AuditReport snapshots the node's online safety auditor (trivially clean
-// when tracing — and with it auditing — is disabled). Safe from any
-// goroutine.
-func (n *RaftNode) AuditReport() AuditReport { return n.aud.Snapshot() }
+func (n *site) AuditReport() AuditReport { return n.aud.Snapshot() }
 
 // DebugStatus snapshots the site's debug state across both consensus
 // layers; traceTail bounds the flight-recorder events included (0 =
@@ -525,10 +493,10 @@ type DebugTopGroup struct {
 	Proposals RollingStats `json:"proposals"`
 	// CommitsFast and CommitsClassic count this node's commits as the
 	// group's leader by track (cumulative counters; both 0 on a node that
-	// has led nothing, or runs classic Raft). A poller turns the deltas
-	// into the current fast-track share (hraft-top's FAST%): it falls when
-	// proposers collide or votes are lost, and entries wait for the
-	// heartbeat instead of committing on arrival.
+	// has led nothing, CommitsFast always 0 on a RaftNode). A poller turns
+	// the deltas into the current fast-track share (hraft-top's FAST%): it
+	// falls when proposers collide or votes are lost, and entries wait for
+	// the heartbeat instead of committing on arrival.
 	CommitsFast    uint64 `json:"commits_fast,omitempty"`
 	CommitsClassic uint64 `json:"commits_classic,omitempty"`
 }
@@ -596,7 +564,7 @@ func fillTrackCommits(g *DebugTopGroup, m map[string]uint64, prefix string) {
 
 // DebugTop snapshots the node's live rate/latency aggregates (served at
 // /debug/hraft/top). Safe from any goroutine.
-func (n *Node) DebugTop() DebugTop {
+func (n *site) DebugTop() DebugTop {
 	var t DebugTop
 	n.host.Do(func(now time.Duration, _ runtime.Machine) {
 		g := DebugTopGroup{
@@ -613,26 +581,6 @@ func (n *Node) DebugTop() DebugTop {
 	m := n.Metrics()
 	fillTopMetrics(&t, m)
 	fillTrackCommits(&t.Groups[0], m, "")
-	return t
-}
-
-// DebugTop snapshots the node's live rate/latency aggregates (served at
-// /debug/hraft/top). Safe from any goroutine.
-func (n *RaftNode) DebugTop() DebugTop {
-	var t DebugTop
-	n.host.Do(func(now time.Duration, _ runtime.Machine) {
-		g := DebugTopGroup{
-			Role:        n.rn.Role().String(),
-			Term:        uint64(n.rn.Term()),
-			Leader:      string(n.rn.LeaderID()),
-			CommitIndex: uint64(n.rn.CommitIndex()),
-			LastIndex:   uint64(n.rn.LastIndex()),
-		}
-		g.CommitLag = g.LastIndex - g.CommitIndex
-		g.Proposals = pickLive(n.rn.Recorder().LiveStats(now), n.rn.Recorder().Group())
-		t = DebugTop{Node: string(n.rn.ID()), Groups: []DebugTopGroup{g}}
-	})
-	fillTopMetrics(&t, n.Metrics())
 	return t
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -447,6 +448,32 @@ func TestPublicAPIRaftBaseline(t *testing.T) {
 	}
 	if nodes[1].Leader() == "" {
 		t.Fatal("no leader known")
+	}
+	// RaftNode runs Node's core with the fast track off: its metrics carry
+	// the same fastraft.* counters, every leader commit a classic one.
+	for _, n := range nodes {
+		if n.Role() != hraft.Leader {
+			continue
+		}
+		if m := n.Metrics(); m["fastraft.commits_fast"] != 0 || m["fastraft.commits_classic"] < 5 {
+			t.Fatalf("leader commits: fast %d, classic %d", m["fastraft.commits_fast"], m["fastraft.commits_classic"])
+		}
+	}
+}
+
+// TestRaftNodeAPIIsNodeSubset pins the public surface Node and RaftNode
+// share one implementation behind: Node's 24 exported methods and
+// RaftNode's 19, each of which Node has too.
+func TestRaftNodeAPIIsNodeSubset(t *testing.T) {
+	node, raft := reflect.TypeOf(&hraft.Node{}), reflect.TypeOf(&hraft.RaftNode{})
+	if node.NumMethod() != 24 || raft.NumMethod() != 19 {
+		t.Fatalf("Node has %d exported methods, RaftNode %d; want 24 and 19", node.NumMethod(), raft.NumMethod())
+	}
+	for i := 0; i < raft.NumMethod(); i++ {
+		name := raft.Method(i).Name
+		if _, ok := node.MethodByName(name); !ok {
+			t.Fatalf("RaftNode.%s is not a Node method", name)
+		}
 	}
 }
 

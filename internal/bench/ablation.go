@@ -9,8 +9,10 @@ import (
 )
 
 // AblationFastTrackRow compares Fast Raft with and without its fast track
-// (ablation A1): with the track disabled every decided entry takes the
-// classic track, isolating the contribution of the paper's core mechanism.
+// (ablation A1). With the track disabled the core is a classic Raft
+// proposer — proposals go to the leader, which commits them on a classic
+// quorum of acks — so the off row is the classic baseline, isolating the
+// contribution of the paper's core mechanism.
 type AblationFastTrackRow struct {
 	// Variant names the configuration.
 	Variant string

@@ -30,7 +30,8 @@ type Fig3Options struct {
 	Heartbeat time.Duration
 	// Sites is the cluster size (0 = paper's 5).
 	Sites int
-	// DisableFastTrack turns Fast Raft's fast track off (ablation A1).
+	// DisableFastTrack turns Fast Raft's fast track off, making it a
+	// classic proposer (ablation A1).
 	DisableFastTrack bool
 }
 

@@ -204,27 +204,33 @@ func (n *Node) applyDelta(d types.GlobalStateDelta) {
 
 // trackBatch records this cluster's batches seen in the replayed global
 // log, which determines batching progress across local leader changes.
+// Every site replays every batch, so it reads only the batch's header; the
+// items are decoded only for a sampled batch, to trace their hops.
 func (n *Node) trackBatch(ge types.Entry) {
 	if ge.Kind != types.KindBatch {
 		return
 	}
-	b, err := types.DecodeBatch(ge.Data)
+	cluster, seq, items, err := types.BatchHeader(ge.Data)
 	if err != nil {
 		panic(fmt.Sprintf("craft %s: corrupt batch in global log: %v", n.cfg.ID, err))
 	}
-	if b.Cluster != n.cfg.Cluster {
+	if string(cluster) != string(n.cfg.Cluster) {
 		return
 	}
-	if _, seen := n.ourBatches[b.Seq]; !seen {
-		n.batchedItems += len(b.Items)
-		if b.Seq >= n.nextBatchSeq {
-			n.nextBatchSeq = b.Seq + 1
+	if _, seen := n.ourBatches[seq]; !seen {
+		n.batchedItems += items
+		if seq >= n.nextBatchSeq {
+			n.nextBatchSeq = seq + 1
 		}
-		for _, it := range b.Items {
-			n.cfg.Recorder.TraceHop(n.now, it.Trace, trace.HopGlobalOrder, "", ge.Index)
+		if ge.TraceID != 0 {
+			if b, err := types.DecodeBatch(ge.Data); err == nil {
+				for _, it := range b.Items {
+					n.cfg.Recorder.TraceHop(n.now, it.Trace, trace.HopGlobalOrder, "", ge.Index)
+				}
+			}
 		}
 	}
-	n.ourBatches[b.Seq] = batchRecord{entry: ge, items: len(b.Items)}
+	n.ourBatches[seq] = batchRecord{entry: ge, items: items}
 }
 
 // makeBatches forms new batches from unbatched locally committed entries

@@ -97,8 +97,11 @@ type Config struct {
 	// and compaction is driven purely by the commit index — appropriate
 	// only when no application state must survive (tests, harnesses).
 	Snapshotter types.Snapshotter
-	// DisableFastTrack forces every decided entry onto the classic track;
-	// used by the ablation benchmarks.
+	// DisableFastTrack makes this site a classic Raft proposer: Propose*
+	// forwards to the leader (ClientPropose), which appends the entry and
+	// commits it on a classic quorum of acks. As leader, the site also
+	// commits everything else on the classic track. Classic Raft is Fast
+	// Raft with this set (plus no silent-leave detection or auto-rejoin).
 	DisableFastTrack bool
 	// AutoRejoin makes a live site that discovers it was removed from the
 	// configuration (e.g. a mistaken silent-leave detection) send join

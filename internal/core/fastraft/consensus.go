@@ -15,8 +15,10 @@ import (
 // --- Proposing -----------------------------------------------------------
 
 // Propose submits an application entry from this site: the proposer
-// broadcasts it to every configuration member at a chosen index and tracks
-// it until resolution (the paper's proposal-timeout retry loop).
+// broadcasts it to every configuration member at a chosen index (with
+// Config.DisableFastTrack, hands it to the leader instead; see
+// forwardProposal) and tracks it until resolution (the paper's
+// proposal-timeout retry loop).
 func (n *Node) Propose(now time.Duration, data []byte) types.ProposalID {
 	return n.ProposeEntry(now, types.Entry{
 		Kind: types.KindNormal,
@@ -90,12 +92,72 @@ func (n *Node) byteWindowClosed(p *pendingProposal) bool {
 	return cap > 0 && n.inflightProposals > 0 && n.inflightProposalBytes+p.size > cap
 }
 
-// admitProposal charges the window, arms the retry deadline and broadcasts.
+// admitProposal charges the window, arms the retry deadline and submits.
 func (n *Node) admitProposal(p *pendingProposal) {
 	n.inflightProposals++
 	n.inflightProposalBytes += p.size
 	n.armRetry(p)
+	n.submit(p)
+}
+
+// submit sends a proposal on its way: broadcast on the fast track, or
+// through the leader when the fast track is disabled.
+func (n *Node) submit(p *pendingProposal) {
+	if n.cfg.DisableFastTrack {
+		n.forwardProposal(p.entry)
+		return
+	}
 	n.broadcastProposal(p)
+}
+
+// forwardProposal is classic Raft's proposer, the one DisableFastTrack
+// selects: a leader appends the entry itself, a follower forwards it to the
+// leader it knows as a ClientPropose, and with no leader known the retry
+// timer submits it again. Nothing is inserted, voted on or tallied.
+func (n *Node) forwardProposal(e types.Entry) {
+	if n.role == types.RoleLeader {
+		n.appendProposal(e)
+		return
+	}
+	if n.leaderID != types.None && n.leaderID != n.cfg.ID {
+		n.rec.TraceHop(n.now, e.TraceID, trace.HopForward, n.leaderID, 0)
+		n.send(n.leaderID, types.ClientPropose{Entry: e})
+	}
+}
+
+// onClientPropose takes in a forwarded classic proposal. A site that does
+// not lead passes it on toward the leader it knows (never back to the
+// sender); with none known it drops it, and the proposer retries.
+func (n *Node) onClientPropose(from types.NodeID, m types.ClientPropose) {
+	if n.role == types.RoleLeader {
+		n.appendProposal(m.Entry)
+		return
+	}
+	if n.leaderID != types.None && n.leaderID != from {
+		n.send(n.leaderID, m)
+	}
+}
+
+// appendProposal is the leader's intake of a classic proposal. A retry of
+// an applied session sequence is answered with the cached index; a proposal
+// already in the log is answered if committed and otherwise resolves when
+// it commits (the payload check keeps a restarted proposer's reused PID
+// from matching an old entry); anything else is appended, and replicated
+// and committed like any leader entry.
+func (n *Node) appendProposal(e types.Entry) {
+	if !e.Session.IsZero() {
+		if idx, dup := n.sessions.LookupDup(e.Session, e.SessionSeq); dup {
+			n.answerProposer(e.PID, idx, true)
+			return
+		}
+	}
+	if idx := n.log.FindProposalFor(e.PID, e.Data); idx != 0 {
+		if idx <= n.commitIndex {
+			n.send(e.PID.Proposer, types.CommitNotify{PID: e.PID, Index: idx, Term: n.log.Term(idx)})
+		}
+		return
+	}
+	n.appendLeaderEntry(e)
 }
 
 // armRetry sets p's retry deadline one proposal timeout from now and queues
@@ -211,11 +273,12 @@ func (n *Node) retryProposals(now time.Duration) {
 	for _, pid := range due {
 		p := n.pending[pid]
 		n.armRetry(p)
-		// Re-propose at a fresh index: the old slot may have been decided
-		// for a different entry. De-duplication (leader pid map + commit
-		// notifications) keeps the proposal single-commit. Queued proposals
-		// have never been broadcast; they wait for the window instead.
-		n.broadcastProposal(p)
+		// Re-propose at a fresh index (or to the current leader): the old
+		// slot may have been decided for a different entry. De-duplication
+		// (leader pid map + commit notifications) keeps the proposal
+		// single-commit. Queued proposals have never been submitted; they
+		// wait for the window instead.
+		n.submit(p)
 	}
 }
 
@@ -632,10 +695,9 @@ func (n *Node) observeCommitted(e types.Entry) {
 
 // --- Replication (AppendEntries) -------------------------------------------
 
-// logView exposes the leader-approved prefix to the shared dispatch layer
-// (Fast Raft replicates only decided entries; classic Raft passes its full
-// log instead — that accessor pair is the whole difference between the
-// cores' replication).
+// logView exposes the leader-approved prefix to the shared dispatch layer:
+// Fast Raft replicates only decided entries (with the fast track off, the
+// classic proposer's log holds nothing else).
 func (n *Node) logView() replica.LogView {
 	return replica.LogView{
 		LastIndex:     n.log.LastLeaderIndex,
@@ -826,6 +888,14 @@ func (n *Node) applyLeaderEntry(e types.Entry) {
 			panic(fmt.Sprintf("fastraft %s: overwrite: %v", n.cfg.ID, err))
 		}
 		n.persistEntry(idx)
+		// What followed the replaced entry is the deposed leader's suffix.
+		// Left leader-approved it would make this site look more up to date
+		// in elections than it is (and vote for a candidate missing idx), so
+		// it stays only as self-approved insertions.
+		lo, hi := n.log.DemoteAbove(idx)
+		for i := lo; i <= hi; i++ {
+			n.persistEntry(i)
+		}
 		n.rec.TraceHop(n.now, e.TraceID, trace.HopReplicate, n.leaderID, idx)
 		return
 	}

@@ -480,6 +480,55 @@ func TestFollowerCommitsOnlyWhatTheMessageVouchesFor(t *testing.T) {
 	}
 }
 
+// TestFollowerDemotesDeposedSuffix: n2 holds term 1's entries 1..3; the
+// term-2 leader replaces index 2 and commits it with n2. What followed the
+// replaced entry is term 1's suffix, so n2's log now ends in term 2 at
+// index 2 — also after a restart — and n2 refuses a term-3 candidate that
+// holds only term 1's log (3, t1), which lacks the committed entry. Both
+// modes of the core share the rule.
+func TestFollowerDemotesDeposedSuffix(t *testing.T) {
+	for _, classic := range []bool{false, true} {
+		cfg := testConfig("n2", "n1", "n2", "n3")
+		cfg.DisableFastTrack = classic
+		n, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var suffix []types.Entry
+		for i := types.Index(1); i <= 3; i++ {
+			e := proposal("n1", uint64(i))
+			e.Index, e.Term, e.Approval = i, 1, types.ApprovedLeader
+			suffix = append(suffix, e)
+		}
+		n.Step(time.Second, types.Envelope{From: "n1", To: "n2", Layer: types.LayerLocal,
+			Msg: types.AppendEntries{Term: 1, LeaderID: "n1", Entries: suffix}})
+		e := proposal("n3", 1)
+		e.Index, e.Term, e.Approval = 2, 2, types.ApprovedLeader
+		n.Step(2*time.Second, types.Envelope{From: "n3", To: "n2", Layer: types.LayerLocal,
+			Msg: types.AppendEntries{Term: 2, LeaderID: "n3", PrevLogIndex: 1, PrevLogTerm: 1,
+				Entries: []types.Entry{e}, LeaderCommit: 2}})
+		n.DrainOutbox(nil)
+		if n.CommitIndex() != 2 || n.LastLeaderIndex() != 2 {
+			t.Fatalf("classic=%v: commit %d, leader prefix %d; want 2 and 2", classic, n.CommitIndex(), n.LastLeaderIndex())
+		}
+		cfg.Rand = rand.New(rand.NewSource(2))
+		restarted, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if restarted.LastLeaderIndex() != 2 {
+			t.Fatalf("classic=%v: restarted leader prefix %d, want 2", classic, restarted.LastLeaderIndex())
+		}
+		n.Step(time.Minute, types.Envelope{From: "n1", To: "n2", Layer: types.LayerLocal,
+			Msg: types.RequestVote{Term: 3, CandidateID: "n1", LastLogIndex: 3, LastLogTerm: 1}})
+		for _, env := range n.DrainOutbox(nil) {
+			if r, ok := env.Msg.(types.RequestVoteResp); ok && r.Granted {
+				t.Fatalf("classic=%v: voted for a candidate missing committed index 2", classic)
+			}
+		}
+	}
+}
+
 func TestStaleTermMessagesRejected(t *testing.T) {
 	peers := []types.NodeID{"n1", "n2", "n3"}
 	n := newTestNode(t, "n2", peers...)

@@ -24,6 +24,10 @@
 //   - Membership is dynamic: join/leave requests go to the leader, which
 //     serializes configuration changes one member at a time, and silent
 //     leaves are detected by missed heartbeat responses.
+//   - With Config.DisableFastTrack a site proposes as in classic Raft: it
+//     hands the entry to the leader (ClientPropose), which appends it and
+//     commits it on a classic quorum of acks. That mode is the paper's
+//     classic Raft baseline; nothing else in the core changes.
 //
 // The spec refinements this implementation pins down are documented where
 // they live: proposer index selection (broadcastProposal), the follower's
@@ -547,6 +551,8 @@ func (n *Node) Step(now time.Duration, env types.Envelope) {
 		n.onProposeEntry(env.From, m)
 	case types.VoteEntry:
 		n.onVoteEntry(env.From, m)
+	case types.ClientPropose:
+		n.onClientPropose(env.From, m)
 	case types.AppendEntries:
 		n.onAppendEntries(env.From, m)
 	case types.AppendEntriesResp:

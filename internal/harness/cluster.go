@@ -7,7 +7,6 @@ import (
 
 	"github.com/hraft-io/hraft/internal/audit"
 	"github.com/hraft-io/hraft/internal/core/fastraft"
-	"github.com/hraft-io/hraft/internal/raft"
 	"github.com/hraft-io/hraft/internal/simnet"
 	"github.com/hraft-io/hraft/internal/stats"
 	"github.com/hraft-io/hraft/internal/storage"
@@ -19,7 +18,8 @@ import (
 type Kind int
 
 const (
-	// KindRaft runs the classic Raft baseline.
+	// KindRaft runs the classic Raft baseline: Fast Raft with the fast
+	// track off (a classic proposer) and static membership.
 	KindRaft Kind = iota + 1
 	// KindFastRaft runs Fast Raft.
 	KindFastRaft
@@ -100,7 +100,8 @@ type Options struct {
 	MaxInflightProposalBytes int
 	// SessionTTL expires idle client sessions (0 = no expiry).
 	SessionTTL time.Duration
-	// DisableFastTrack forces Fast Raft onto the classic track (ablation).
+	// DisableFastTrack makes Fast Raft a classic proposer, every entry on
+	// the classic track (ablation A1; KindRaft sets it).
 	DisableFastTrack bool
 	// Trace equips every node with a flight recorder; recorders survive
 	// Crash/Restart so a node's ring spans its whole simulated lifetime.
@@ -281,51 +282,36 @@ func (c *Cluster) addHost(id types.NodeID, bootstrap types.Config) (*Host, error
 }
 
 func (c *Cluster) makeMachine(id types.NodeID, bootstrap types.Config, store storage.Storage, rec *trace.Recorder) (Machine, error) {
-	nodeRand := rand.New(rand.NewSource(c.rng.Int63()))
+	cfg := fastraft.Config{
+		ID:                       id,
+		Bootstrap:                bootstrap,
+		Storage:                  store,
+		HeartbeatInterval:        c.opts.HeartbeatInterval,
+		ElectionTimeoutMin:       c.opts.ElectionTimeoutMin,
+		ElectionTimeoutMax:       c.opts.ElectionTimeoutMax,
+		ProposalTimeout:          c.opts.ProposalTimeout,
+		MemberTimeoutRounds:      c.opts.MemberTimeoutRounds,
+		SnapshotThreshold:        c.opts.SnapshotThreshold,
+		MaxEntriesPerAppend:      c.opts.MaxEntriesPerAppend,
+		MaxInflightAppends:       c.opts.MaxInflightAppends,
+		MaxInflightBytes:         c.opts.MaxInflightBytes,
+		MaxSnapshotChunk:         c.opts.MaxSnapshotChunk,
+		MaxInflightProposals:     c.opts.MaxInflightProposals,
+		MaxInflightProposalBytes: c.opts.MaxInflightProposalBytes,
+		SessionTTL:               c.opts.SessionTTL,
+		DisableFastTrack:         c.opts.DisableFastTrack,
+		Rand:                     rand.New(rand.NewSource(c.rng.Int63())),
+		Recorder:                 rec,
+	}
 	switch c.opts.Kind {
 	case KindRaft:
-		return raft.New(raft.Config{
-			ID:                  id,
-			Bootstrap:           bootstrap,
-			Storage:             store,
-			HeartbeatInterval:   c.opts.HeartbeatInterval,
-			ElectionTimeoutMin:  c.opts.ElectionTimeoutMin,
-			ElectionTimeoutMax:  c.opts.ElectionTimeoutMax,
-			ProposalTimeout:     c.opts.ProposalTimeout,
-			SnapshotThreshold:   c.opts.SnapshotThreshold,
-			MaxEntriesPerAppend: c.opts.MaxEntriesPerAppend,
-			MaxInflightAppends:  c.opts.MaxInflightAppends,
-			MaxInflightBytes:    c.opts.MaxInflightBytes,
-			MaxSnapshotChunk:    c.opts.MaxSnapshotChunk,
-			SessionTTL:          c.opts.SessionTTL,
-			Rand:                nodeRand,
-			Recorder:            rec,
-		})
+		// Classic Raft: the fast track off, static membership.
+		cfg.DisableFastTrack, cfg.MemberTimeoutRounds, cfg.NoAutoRejoin = true, -1, true
 	case KindFastRaft:
-		return fastraft.New(fastraft.Config{
-			ID:                       id,
-			Bootstrap:                bootstrap,
-			Storage:                  store,
-			HeartbeatInterval:        c.opts.HeartbeatInterval,
-			ElectionTimeoutMin:       c.opts.ElectionTimeoutMin,
-			ElectionTimeoutMax:       c.opts.ElectionTimeoutMax,
-			ProposalTimeout:          c.opts.ProposalTimeout,
-			MemberTimeoutRounds:      c.opts.MemberTimeoutRounds,
-			SnapshotThreshold:        c.opts.SnapshotThreshold,
-			MaxEntriesPerAppend:      c.opts.MaxEntriesPerAppend,
-			MaxInflightAppends:       c.opts.MaxInflightAppends,
-			MaxInflightBytes:         c.opts.MaxInflightBytes,
-			MaxSnapshotChunk:         c.opts.MaxSnapshotChunk,
-			MaxInflightProposals:     c.opts.MaxInflightProposals,
-			MaxInflightProposalBytes: c.opts.MaxInflightProposalBytes,
-			SessionTTL:               c.opts.SessionTTL,
-			DisableFastTrack:         c.opts.DisableFastTrack,
-			Rand:                     nodeRand,
-			Recorder:                 rec,
-		})
 	default:
 		return nil, fmt.Errorf("harness: unknown kind %v", c.opts.Kind)
 	}
+	return fastraft.New(cfg)
 }
 
 // drain flushes a host's outputs into the network, the safety checker and
@@ -524,15 +510,7 @@ func (c *Cluster) OpenSession(id types.NodeID) (types.ProposalID, error) {
 		return types.ProposalID{}, fmt.Errorf("harness: node %s not running", id)
 	}
 	now := c.Sched.Now()
-	var pid types.ProposalID
-	switch m := h.machine.(type) {
-	case *fastraft.Node:
-		pid = m.OpenSession(now)
-	case *raft.Node:
-		pid = m.OpenSession(now)
-	default:
-		return types.ProposalID{}, fmt.Errorf("harness: %T does not support sessions", h.machine)
-	}
+	pid := h.machine.(*fastraft.Node).OpenSession(now)
 	h.proposeStart[pid] = now
 	c.drain(h)
 	return pid, nil
@@ -551,15 +529,7 @@ func (c *Cluster) ProposeSessionAck(id types.NodeID, sid types.SessionID, seq, a
 		return types.ProposalID{}, fmt.Errorf("harness: node %s not running", id)
 	}
 	now := c.Sched.Now()
-	var pid types.ProposalID
-	switch m := h.machine.(type) {
-	case *fastraft.Node:
-		pid = m.ProposeSession(now, sid, seq, ack, data)
-	case *raft.Node:
-		pid = m.ProposeSession(now, sid, seq, ack, data)
-	default:
-		return types.ProposalID{}, fmt.Errorf("harness: %T does not support sessions", h.machine)
-	}
+	pid := h.machine.(*fastraft.Node).ProposeSession(now, sid, seq, ack, data)
 	h.proposeStart[pid] = now
 	c.drain(h)
 	return pid, nil
@@ -650,11 +620,7 @@ func (c *Cluster) AddNode(id types.NodeID, contacts []types.NodeID) (*Host, erro
 	if err != nil {
 		return nil, err
 	}
-	fr, ok := h.machine.(*fastraft.Node)
-	if !ok {
-		return nil, fmt.Errorf("harness: unexpected machine type %T", h.machine)
-	}
-	fr.Join(c.Sched.Now(), contacts)
+	h.machine.(*fastraft.Node).Join(c.Sched.Now(), contacts)
 	c.drain(h)
 	return h, nil
 }
@@ -665,11 +631,10 @@ func (c *Cluster) Leave(id types.NodeID) error {
 	if h == nil || !h.alive {
 		return fmt.Errorf("harness: node %s not running", id)
 	}
-	fr, ok := h.machine.(*fastraft.Node)
-	if !ok {
+	if c.opts.Kind != KindFastRaft {
 		return fmt.Errorf("harness: Leave requires Fast Raft")
 	}
-	fr.Leave(c.Sched.Now())
+	h.machine.(*fastraft.Node).Leave(c.Sched.Now())
 	c.drain(h)
 	return nil
 }

@@ -74,6 +74,48 @@ func TestRaftCommitsProposals(t *testing.T) {
 	t.Logf("classic raft latency: %s", sum)
 }
 
+// TestRaftClassicWireShape pins what KindRaft puts on the wire on a
+// loss-free run: every follower proposal reaches the leader as exactly one
+// ClientPropose, nothing takes the fast track (no ProposeEntry, no
+// VoteEntry, no fast commit), and each commit is answered with one
+// CommitNotify.
+func TestRaftClassicWireShape(t *testing.T) {
+	c := newTestCluster(t, KindRaft, 4, 0)
+	leader, ok := c.WaitForLeader(5 * time.Second)
+	if !ok {
+		t.Fatal("no leader")
+	}
+	proposer := types.NodeID("n2")
+	if leader == proposer {
+		proposer = "n3"
+	}
+	sent := map[string]int{}
+	c.Net.OnDeliver = func(env types.Envelope) { sent[env.Msg.MsgName()]++ }
+	const n = 30
+	if _, err := c.RunProposals(proposer, n, c.Sched.Now()+60*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if sent["ClientPropose"] != n || sent["CommitNotify"] != n {
+		t.Fatalf("%d ClientPropose and %d CommitNotify for %d follower proposals, want %d each",
+			sent["ClientPropose"], sent["CommitNotify"], n, n)
+	}
+	if sent["ProposeEntry"] != 0 || sent["VoteEntry"] != 0 {
+		t.Fatalf("fast-track traffic in a classic group: %v", sent)
+	}
+	for id, h := range c.Hosts() {
+		if m := metricsOf(h.Machine()); m["fastraft.commits_fast"] != 0 {
+			t.Fatalf("%s committed %d entries on the fast track", id, m["fastraft.commits_fast"])
+		}
+	}
+	lm := metricsOf(c.Host(leader).Machine())
+	if lm["fastraft.commits_classic"] < n {
+		t.Fatalf("leader counted %d classic commits for %d proposals", lm["fastraft.commits_classic"], n)
+	}
+	if err := c.Safety.Err(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestFastRaftCommitsProposals(t *testing.T) {
 	c := newTestCluster(t, KindFastRaft, 2, 0)
 	if _, ok := c.WaitForLeader(5 * time.Second); !ok {

@@ -40,29 +40,54 @@ func TestCraftElectsLeadersBothLevels(t *testing.T) {
 	}
 }
 
+// TestCraftCommitsBatchesGlobally runs with the fast track on and off: C-Raft
+// passes DisableFastTrack to both levels, so with it off a cluster's global
+// member forwards its batches to the global leader as classic proposals.
 func TestCraftCommitsBatchesGlobally(t *testing.T) {
-	c := newCraft(t, twoClusterSpecs(), 2, 0)
-	if !c.WaitForLeaders(30 * time.Second) {
-		t.Fatal("no leaders")
-	}
-	// Propose 25 entries in cluster A: at batch size 10 at least two full
-	// batches must reach the global log.
-	p, err := c.StartProposer(ProposerOptions{Node: "a1", MaxProposals: 25})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ok := c.RunUntil(func() bool { return p.Completed >= 25 }, c.Sched.Now()+2*time.Minute)
-	if !ok {
-		t.Fatalf("only %d/25 local proposals resolved", p.Completed)
-	}
-	ok = c.RunUntil(func() bool {
-		return c.GlobalItemsCommitted(0, c.Sched.Now()+1) >= 20
-	}, c.Sched.Now()+2*time.Minute)
-	if !ok {
-		t.Fatalf("only %d items committed globally", c.GlobalItemsCommitted(0, c.Sched.Now()+1))
-	}
-	if err := c.Safety.Err(); err != nil {
-		t.Fatal(err)
+	for _, classic := range []bool{false, true} {
+		c, err := NewCraftCluster(CraftOptions{Clusters: twoClusterSpecs(), Seed: 2, DisableFastTrack: classic})
+		if err != nil {
+			t.Fatalf("NewCraftCluster: %v", err)
+		}
+		if !c.WaitForLeaders(30 * time.Second) {
+			t.Fatal("no leaders")
+		}
+		global := map[string]int{}
+		c.Net.OnDeliver = func(env types.Envelope) {
+			if env.Layer == types.LayerGlobal {
+				global[env.Msg.MsgName()]++
+			}
+		}
+		// Propose 25 entries in cluster A: at batch size 10 at least two full
+		// batches must reach the global log. The classic run proposes in
+		// whichever cluster does not lead the global ring, so its batches
+		// must be forwarded.
+		proposer := types.NodeID("a1")
+		if g, _ := c.GlobalLeaderCluster(); classic && g == "cA" {
+			proposer = "b1"
+		}
+		p, err := c.StartProposer(ProposerOptions{Node: proposer, MaxProposals: 25})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ok := c.RunUntil(func() bool { return p.Completed >= 25 }, c.Sched.Now()+2*time.Minute)
+		if !ok {
+			t.Fatalf("classic=%v: only %d/25 local proposals resolved", classic, p.Completed)
+		}
+		ok = c.RunUntil(func() bool {
+			return c.GlobalItemsCommitted(0, c.Sched.Now()+1) >= 20
+		}, c.Sched.Now()+2*time.Minute)
+		if !ok {
+			t.Fatalf("classic=%v: only %d items committed globally", classic, c.GlobalItemsCommitted(0, c.Sched.Now()+1))
+		}
+		if fast := global["ProposeEntry"] + global["VoteEntry"]; classic && (fast != 0 || global["ClientPropose"] == 0) {
+			t.Fatalf("classic global level: %d fast-track messages, %d ClientPropose", fast, global["ClientPropose"])
+		} else if !classic && global["ProposeEntry"] == 0 {
+			t.Fatal("fast global level sent no ProposeEntry")
+		}
+		if err := c.Safety.Err(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

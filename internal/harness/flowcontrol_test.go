@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"github.com/hraft-io/hraft/internal/core/fastraft"
-	"github.com/hraft-io/hraft/internal/raft"
 	"github.com/hraft-io/hraft/internal/replica"
 	"github.com/hraft-io/hraft/internal/simnet"
 	"github.com/hraft-io/hraft/internal/types"
@@ -14,14 +13,7 @@ import (
 // progressOf returns the machine's replication tracker (nil unless it
 // currently leads).
 func progressOf(m Machine) *replica.Tracker {
-	switch v := m.(type) {
-	case *fastraft.Node:
-		return v.Progress()
-	case *raft.Node:
-		return v.Progress()
-	default:
-		return nil
-	}
+	return m.(*fastraft.Node).Progress()
 }
 
 // metricsOf returns the machine's counter snapshot.

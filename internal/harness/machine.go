@@ -11,8 +11,9 @@ import (
 	"github.com/hraft-io/hraft/internal/types"
 )
 
-// Machine is the sans-io node interface shared by classic Raft and Fast
-// Raft nodes (C-Raft nodes wrap two of these).
+// Machine is the sans-io node interface of the flat clusters' nodes: Fast
+// Raft, or classic Raft as Fast Raft with the fast track off (C-Raft nodes
+// wrap two of these).
 type Machine interface {
 	// ID returns the node's identity.
 	ID() types.NodeID

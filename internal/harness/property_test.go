@@ -13,7 +13,8 @@ import (
 // scenarios that combine message loss, leader crashes, restarts,
 // partitions and membership churn under continuous proposal load, and
 // asserts the paper's safety property (Definition 2.1) plus election
-// safety on every one.
+// safety on every one. The raft/ subtests run the same scenarios on the
+// classic mode of the same core (KindRaft: no membership churn there).
 func TestPropertyFastRaftSafetyUnderChaos(t *testing.T) {
 	seeds := 30
 	if testing.Short() {
@@ -23,16 +24,25 @@ func TestPropertyFastRaftSafetyUnderChaos(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
-			runChaosScenario(t, seed)
+			runChaosScenario(t, KindFastRaft, seed)
 		})
 	}
+	t.Run("raft", func(t *testing.T) {
+		for seed := int64(1); seed <= int64(seeds); seed++ {
+			seed := seed
+			t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+				t.Parallel()
+				runChaosScenario(t, KindRaft, seed)
+			})
+		}
+	})
 }
 
-func runChaosScenario(t *testing.T, seed int64) {
+func runChaosScenario(t *testing.T, kind Kind, seed int64) {
 	rng := rand.New(rand.NewSource(seed * 7919))
 	nodes := fiveNodes()
 	c, err := NewCluster(Options{
-		Kind:     KindFastRaft,
+		Kind:     kind,
 		Nodes:    nodes,
 		Seed:     seed,
 		LossProb: []float64{0, 0.02, 0.05, 0.10}[rng.Intn(4)],
@@ -178,40 +188,46 @@ func runCraftChurnScenario(t *testing.T, seed int64) {
 // TestPropertyLivenessAfterQuorumRestore checks Definition 2.2 under the
 // paper's liveness conditions: after arbitrary crashes, as long as a
 // classic quorum is restored and a leader holds long enough, every pending
-// proposal eventually commits.
+// proposal eventually commits. It runs on both modes of the core.
 func TestPropertyLivenessAfterQuorumRestore(t *testing.T) {
-	for seed := int64(1); seed <= 10; seed++ {
-		c, err := NewCluster(Options{Kind: KindFastRaft, Nodes: fiveNodes(), Seed: seed})
-		if err != nil {
-			t.Fatal(err)
+	for _, kind := range []Kind{KindFastRaft, KindRaft} {
+		for seed := int64(1); seed <= 10; seed++ {
+			testLivenessAfterQuorumRestore(t, kind, seed)
 		}
-		if _, ok := c.WaitForLeader(30 * time.Second); !ok {
-			t.Fatal("no leader")
-		}
-		// Crash a majority: consensus must stall.
-		c.Crash("n3")
-		c.Crash("n4")
-		c.Crash("n5")
-		p, err := c.StartProposer(ProposerOptions{Node: "n1", MaxProposals: 5})
-		if err != nil {
-			t.Fatal(err)
-		}
-		c.RunFor(5 * time.Second)
-		stalled := p.Completed
-		// Restore the quorum: everything must drain.
-		if err := c.Restart("n3"); err != nil {
-			t.Fatal(err)
-		}
-		if err := c.Restart("n4"); err != nil {
-			t.Fatal(err)
-		}
-		ok := c.RunUntil(func() bool { return p.Completed >= 5 }, c.Sched.Now()+2*time.Minute)
-		if !ok {
-			t.Fatalf("seed %d: stalled at %d then %d/5 after quorum restore",
-				seed, stalled, p.Completed)
-		}
-		if err := c.Safety.Err(); err != nil {
-			t.Fatal(err)
-		}
+	}
+}
+
+func testLivenessAfterQuorumRestore(t *testing.T, kind Kind, seed int64) {
+	c, err := NewCluster(Options{Kind: kind, Nodes: fiveNodes(), Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := c.WaitForLeader(30 * time.Second); !ok {
+		t.Fatal("no leader")
+	}
+	// Crash a majority: consensus must stall.
+	c.Crash("n3")
+	c.Crash("n4")
+	c.Crash("n5")
+	p, err := c.StartProposer(ProposerOptions{Node: "n1", MaxProposals: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.RunFor(5 * time.Second)
+	stalled := p.Completed
+	// Restore the quorum: everything must drain.
+	if err := c.Restart("n3"); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Restart("n4"); err != nil {
+		t.Fatal(err)
+	}
+	ok := c.RunUntil(func() bool { return p.Completed >= 5 }, c.Sched.Now()+2*time.Minute)
+	if !ok {
+		t.Fatalf("%v seed %d: stalled at %d then %d/5 after quorum restore",
+			kind, seed, stalled, p.Completed)
+	}
+	if err := c.Safety.Err(); err != nil {
+		t.Fatal(err)
 	}
 }

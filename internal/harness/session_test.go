@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"github.com/hraft-io/hraft/internal/core/fastraft"
-	"github.com/hraft-io/hraft/internal/raft"
 	"github.com/hraft-io/hraft/internal/types"
 )
 
@@ -581,7 +580,7 @@ func TestRaftSessionSurvivesSnapshotInstall(t *testing.T) {
 	}
 	c.RunFor(time.Second)
 
-	rn := c.Host(proposer).Machine().(*raft.Node)
+	rn := c.Host(proposer).Machine().(*fastraft.Node)
 	if !rn.Sessions().Has(sid) {
 		t.Fatalf("restarted node lost session %v (registry not in snapshot?)", sid)
 	}

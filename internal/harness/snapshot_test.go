@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"github.com/hraft-io/hraft/internal/core/fastraft"
-	"github.com/hraft-io/hraft/internal/raft"
 	"github.com/hraft-io/hraft/internal/types"
 )
 
@@ -59,14 +58,7 @@ func minAliveBoundary(t *testing.T, c *Cluster, skip types.NodeID) types.Index {
 // snapshotIndexOf returns a flat-cluster machine's compaction boundary.
 func snapshotIndexOf(t *testing.T, m Machine) types.Index {
 	t.Helper()
-	switch m := m.(type) {
-	case *fastraft.Node:
-		return m.SnapshotIndex()
-	case *raft.Node:
-		return m.SnapshotIndex()
-	}
-	t.Fatalf("unexpected machine type %T", m)
-	return 0
+	return m.(*fastraft.Node).SnapshotIndex()
 }
 
 // testSnapshotCatchUp is the acceptance scenario for both protocol kinds: a
@@ -106,15 +98,7 @@ func testSnapshotCatchUp(t *testing.T, kind Kind) {
 	if boundary == 0 {
 		t.Fatal("no alive node compacted; threshold not reached")
 	}
-	laggerLast := func() types.Index {
-		switch m := c.Host(lagger).Machine().(type) {
-		case *fastraft.Node:
-			return m.LastIndex()
-		case *raft.Node:
-			return m.LastIndex()
-		}
-		return 0
-	}()
+	laggerLast := c.Host(lagger).Machine().(*fastraft.Node).LastIndex()
 	if laggerLast >= boundary {
 		t.Fatalf("scenario broken: lagger last index %d not behind boundary %d", laggerLast, boundary)
 	}
@@ -142,15 +126,8 @@ func testSnapshotCatchUp(t *testing.T, kind Kind) {
 		t.Fatalf("lagger received compacted entry %d (boundary %d)", tap.minAEIdx, boundary)
 	}
 	// The restarted node's own log must now start above 1.
-	switch m := c.Host(lagger).Machine().(type) {
-	case *fastraft.Node:
-		if m.FirstIndex() == 1 {
-			t.Fatal("lagger log not based on a snapshot after catch-up")
-		}
-	case *raft.Node:
-		if m.FirstIndex() == 1 {
-			t.Fatal("lagger log not based on a snapshot after catch-up")
-		}
+	if c.Host(lagger).Machine().(*fastraft.Node).FirstIndex() == 1 {
+		t.Fatal("lagger log not based on a snapshot after catch-up")
 	}
 	if err := c.Safety.Err(); err != nil {
 		t.Fatal(err)

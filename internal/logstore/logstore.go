@@ -349,6 +349,21 @@ func (l *Log) OverwriteLeader(idx types.Index, e types.Entry) error {
 	return nil
 }
 
+// DemoteAbove cuts the leader-approved prefix back to idx: the entries
+// above it become self-approved. A follower calls it when a newer leader's
+// entry at idx replaced a deposed leader's, so the rest of that deposed
+// leader's suffix no longer counts as leader-approved (classic Raft would
+// truncate it; this log keeps every insertion). It returns the demoted
+// range lo..hi, empty when lo > hi.
+func (l *Log) DemoteAbove(idx types.Index) (lo, hi types.Index) {
+	lo, hi = idx+1, l.lastLeader
+	for i := lo; i <= hi; i++ {
+		l.at(i).Approval = types.ApprovedSelf
+	}
+	l.lastLeader = min(l.lastLeader, idx)
+	return lo, hi
+}
+
 // PromoteToLeader marks the existing entry at idx leader-approved without
 // changing its contents, used when a follower receives from the leader an
 // entry it already inserted. idx must be LastLeaderIndex()+1.

@@ -24,8 +24,8 @@
 // The Tracker owns the peer map and, since the dispatch hoist, the whole
 // append-round/heartbeat protocol: AppendMessage and HeartbeatMessage
 // build the AppendEntries traffic for a round, parameterized over a
-// LogView (last-index/term/entry-range accessors) so classic Raft's full
-// log and Fast Raft's leader-approved prefix share one implementation. It
+// LogView (last-index/term/entry-range accessors) over the part of the log
+// a core replicates (Fast Raft's leader-approved prefix). It
 // answers the quorum questions commit evaluation asks and plans snapshot
 // chunk transmission. The Reassembler is the follower-side counterpart
 // that rebuilds a chunked stream into a Snapshot.
@@ -440,8 +440,8 @@ type Round struct {
 	Commit types.Index
 	// Seq numbers the heartbeat round (silent-leave accounting).
 	Seq uint64
-	// NextHint seeds Next for peers first tracked this round (classic Raft
-	// probes from LastIndex+1, Fast Raft from commitIndex+1).
+	// NextHint seeds Next for peers first tracked this round (Fast Raft
+	// probes from commitIndex+1).
 	NextHint types.Index
 	// ReadCtx is the read-batch ID stamped onto every AppendEntries message
 	// of the round (0 = none); followers echo it and a quorum of echoes

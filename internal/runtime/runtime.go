@@ -13,8 +13,9 @@ import (
 	"github.com/hraft-io/hraft/internal/types"
 )
 
-// Machine is the sans-io node interface the runtime can host. Both
-// fastraft.Node, raft.Node and craft.Node satisfy it.
+// Machine is the sans-io node interface the runtime can host. fastraft.Node
+// (Fast Raft, or classic Raft with its fast track off) and craft.Node
+// satisfy it.
 type Machine interface {
 	// ID returns the node identity.
 	ID() types.NodeID
@@ -52,7 +53,7 @@ type GlobalCommitter interface {
 }
 
 // Reader is implemented by machines exposing the linearizable read
-// subsystem (all three cores).
+// subsystem (both cores).
 type Reader interface {
 	// DrainReadDone appends resolved reads to dst.
 	DrainReadDone(dst []types.ReadDone) []types.ReadDone

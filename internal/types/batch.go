@@ -94,6 +94,37 @@ func DecodeBatch(data []byte) (Batch, error) {
 	return b, nil
 }
 
+// BatchHeader reads a batch payload's cluster, sequence and item count
+// without decoding its items. It walks the whole payload as DecodeBatch
+// does and fails on exactly the inputs DecodeBatch rejects, but allocates
+// nothing on success; cluster aliases data (compare it as
+// string(cluster) == string(id), which does not allocate either).
+func BatchHeader(data []byte) (cluster []byte, seq uint64, items int, err error) {
+	r := reader{buf: data, owned: true}
+	cluster = r.field()
+	seq = r.u64()
+	n := r.u64()
+	if r.err == nil && n > uint64(len(data)) {
+		return nil, 0, 0, fmt.Errorf("types: batch item count %d exceeds payload", n)
+	}
+	for i := uint64(0); i < n && r.err == nil; i++ {
+		r.field()
+		r.u64()
+		r.field()
+	}
+	for r.err == nil && r.off < len(data) {
+		i := r.u64()
+		r.u64()
+		if r.err == nil && i >= n {
+			return nil, 0, 0, fmt.Errorf("types: batch trace index %d out of range", i)
+		}
+	}
+	if r.err != nil {
+		return nil, 0, 0, fmt.Errorf("types: decode batch: %w", r.err)
+	}
+	return cluster, seq, int(n), nil
+}
+
 // GlobalStateDelta is the payload of a KindGlobalState local-log entry. It
 // replicates, through intra-cluster consensus, every externally visible
 // change a cluster leader made to its inter-cluster (global) Fast Raft

@@ -95,7 +95,10 @@ type Options struct {
 	// replica. 0 disables expiry: sessions then live until the registry's
 	// LRU cap evicts them.
 	SessionTTL time.Duration
-	// DisableFastTrack forces the classic track (for comparisons).
+	// DisableFastTrack makes the node a classic Raft proposer (for
+	// comparisons): proposals go to the leader, which commits them on a
+	// classic quorum of acks, and nothing commits on the fast track.
+	// NewRaftNode sets it.
 	DisableFastTrack bool
 	// Seed drives randomized timeouts (0 = time-based).
 	Seed int64
@@ -140,7 +143,12 @@ func mixSeed(seed int64, id NodeID) int64 {
 
 // Node is a Fast Raft site running on real time. Propose copies the
 // caller's buffer; committed entries share the log's Data, read-only.
-type Node struct {
+type Node struct{ *site }
+
+// site is the implementation Node and RaftNode share: one Fast Raft core
+// (classic Raft is that core with the fast track off) on a runtime host.
+// RaftNode exposes a subset of Node's methods: the ones defined here.
+type site struct {
 	host    *runtime.Host
 	fr      *fastraft.Node
 	aud     *audit.Auditor
@@ -151,6 +159,17 @@ type Node struct {
 
 // NewNode builds and starts a Fast Raft node.
 func NewNode(opts Options) (*Node, error) {
+	s, err := newSite(opts, false)
+	if err != nil {
+		return nil, err
+	}
+	return &Node{s}, nil
+}
+
+// newSite builds and starts the core behind Node and RaftNode. classic
+// selects classic Raft: the fast track off, static membership (no
+// silent-leave detection, no automatic rejoin).
+func newSite(opts Options, classic bool) (*site, error) {
 	if opts.ID == types.None {
 		return nil, errors.New("hraft: Options.ID is required")
 	}
@@ -162,7 +181,7 @@ func NewNode(opts Options) (*Node, error) {
 	}
 	seed := mixSeed(opts.Seed, opts.ID)
 	rec, aud := newRecorder(opts.ID, opts.Trace)
-	fr, err := fastraft.New(fastraft.Config{
+	cfg := fastraft.Config{
 		ID:                       opts.ID,
 		Bootstrap:                types.NewConfig(opts.Peers...),
 		Storage:                  opts.Storage,
@@ -183,7 +202,11 @@ func NewNode(opts Options) (*Node, error) {
 		DisableFastTrack:         opts.DisableFastTrack,
 		Rand:                     rand.New(rand.NewSource(seed)),
 		Recorder:                 rec,
-	})
+	}
+	if classic {
+		cfg.DisableFastTrack, cfg.MemberTimeoutRounds, cfg.NoAutoRejoin = true, -1, true
+	}
+	fr, err := fastraft.New(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("hraft: %w", err)
 	}
@@ -191,7 +214,7 @@ func NewNode(opts Options) (*Node, error) {
 	if buf <= 0 {
 		buf = 1024
 	}
-	n := &Node{
+	n := &site{
 		fr:              fr,
 		aud:             aud,
 		commits:         make(chan Entry, buf),
@@ -239,31 +262,31 @@ func wireDurability(host *runtime.Host, s Storage, rec *trace.Recorder) {
 }
 
 // ID returns the node's identity.
-func (n *Node) ID() NodeID { return n.fr.ID() }
+func (n *site) ID() NodeID { return n.fr.ID() }
 
 // Role returns the node's current role.
-func (n *Node) Role() Role {
+func (n *site) Role() Role {
 	var r Role
 	n.host.Do(func(_ time.Duration, _ runtime.Machine) { r = n.fr.Role() })
 	return r
 }
 
 // Leader returns the node's view of the current leader (empty if unknown).
-func (n *Node) Leader() NodeID {
+func (n *site) Leader() NodeID {
 	var l NodeID
 	n.host.Do(func(_ time.Duration, _ runtime.Machine) { l = n.fr.LeaderID() })
 	return l
 }
 
 // Term returns the node's current term.
-func (n *Node) Term() Term {
+func (n *site) Term() Term {
 	var t Term
 	n.host.Do(func(_ time.Duration, _ runtime.Machine) { t = n.fr.Term() })
 	return t
 }
 
 // CommitIndex returns the node's commit index.
-func (n *Node) CommitIndex() Index {
+func (n *site) CommitIndex() Index {
 	var i Index
 	n.host.Do(func(_ time.Duration, _ runtime.Machine) { i = n.fr.CommitIndex() })
 	return i
@@ -294,13 +317,13 @@ func (n *Node) Members() Membership {
 
 // Commits streams committed entries (Data read-only) in log order. The
 // channel must be consumed.
-func (n *Node) Commits() <-chan Entry { return n.commits }
+func (n *site) Commits() <-chan Entry { return n.commits }
 
 // Metrics returns a snapshot of the node's monotonic replication counters
 // (snapshot chunks sent/resent, appends throttled, pending-install rounds,
 // proposals queued, ...). Publish them with PublishExpvar or scrape
 // periodically; counters only ever increase.
-func (n *Node) Metrics() map[string]uint64 {
+func (n *site) Metrics() map[string]uint64 {
 	var m map[string]uint64
 	n.host.Do(func(_ time.Duration, _ runtime.Machine) { m = n.fr.Metrics() })
 	n.aud.MergeMetrics(m)
@@ -309,7 +332,7 @@ func (n *Node) Metrics() map[string]uint64 {
 
 // ProposeAsync submits an entry without waiting; the proposal is re-sent
 // until it commits (watch Commits or use Propose to await it).
-func (n *Node) ProposeAsync(data []byte) ProposalID {
+func (n *site) ProposeAsync(data []byte) ProposalID {
 	var pid ProposalID
 	n.host.Do(func(now time.Duration, _ runtime.Machine) {
 		pid = n.fr.Propose(now, data)
@@ -320,7 +343,7 @@ func (n *Node) ProposeAsync(data []byte) ProposalID {
 // Propose submits an entry and waits for it to commit, returning its log
 // index. Note that a retry after a lost acknowledgment can commit twice;
 // use OpenSession/Session.Propose for exactly-once semantics.
-func (n *Node) Propose(ctx context.Context, data []byte) (Index, error) {
+func (n *site) Propose(ctx context.Context, data []byte) (Index, error) {
 	return n.await(ctx, n.host, func(now time.Duration) ProposalID {
 		return n.fr.Propose(now, data)
 	})
@@ -344,7 +367,7 @@ func (n *Node) Leave() {
 
 // Stop halts the node (equivalent to a crash: peers detect the silence).
 // Its storage remains usable for a restart.
-func (n *Node) Stop() {
+func (n *site) Stop() {
 	n.markStopped()
 	n.markReadsStopped()
 	n.host.Stop()

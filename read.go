@@ -120,7 +120,7 @@ func (w *readWaiters) awaitRead(ctx context.Context, host *runtime.Host, submit 
 	}
 }
 
-// --- Node (Fast Raft) -------------------------------------------------------
+// --- Node and RaftNode (one Fast Raft core) ----------------------------------
 
 // Read performs a linearizable read: it returns a log index such that
 // every write acknowledged before Read was called is at or below it, and
@@ -128,13 +128,13 @@ func (w *readWaiters) awaitRead(ctx context.Context, host *runtime.Host, submit 
 // applying (consuming Commits) through the returned index. Reads from any
 // node are forwarded to the leader and confirmed with a single heartbeat
 // round shared by all concurrently pending reads.
-func (n *Node) Read(ctx context.Context) (Index, error) {
+func (n *site) Read(ctx context.Context) (Index, error) {
 	return n.ReadWith(ctx, ReadLinearizable)
 }
 
 // ReadWith performs a read under an explicit consistency mode (see
 // ReadConsistency).
-func (n *Node) ReadWith(ctx context.Context, c ReadConsistency) (Index, error) {
+func (n *site) ReadWith(ctx context.Context, c ReadConsistency) (Index, error) {
 	return n.awaitRead(ctx, n.host, func(now time.Duration) uint64 {
 		return n.fr.Read(now, c)
 	})
@@ -143,31 +143,9 @@ func (n *Node) ReadWith(ctx context.Context, c ReadConsistency) (Index, error) {
 // PeerStatus reports the per-peer replication progress tracked by this
 // node (empty unless it currently leads): progress state, match/next,
 // srtt/rttvar and inflight bytes.
-func (n *Node) PeerStatus() []PeerStatus {
+func (n *site) PeerStatus() []PeerStatus {
 	var s []PeerStatus
 	n.host.Do(func(_ time.Duration, _ runtime.Machine) { s = n.fr.PeerStatus() })
-	return s
-}
-
-// --- RaftNode (classic Raft baseline) ---------------------------------------
-
-// Read performs a linearizable read (see Node.Read).
-func (n *RaftNode) Read(ctx context.Context) (Index, error) {
-	return n.ReadWith(ctx, ReadLinearizable)
-}
-
-// ReadWith performs a read under an explicit consistency mode.
-func (n *RaftNode) ReadWith(ctx context.Context, c ReadConsistency) (Index, error) {
-	return n.awaitRead(ctx, n.host, func(now time.Duration) uint64 {
-		return n.rn.Read(now, c)
-	})
-}
-
-// PeerStatus reports the per-peer replication progress tracked by this
-// node (empty unless it currently leads).
-func (n *RaftNode) PeerStatus() []PeerStatus {
-	var s []PeerStatus
-	n.host.Do(func(_ time.Duration, _ runtime.Machine) { s = n.rn.PeerStatus() })
 	return s
 }
 

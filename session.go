@@ -127,8 +127,8 @@ func (s *Session) proposeSerialized(ctx context.Context, seq, ack uint64, data [
 // --- Waiter plumbing shared by the three node wrappers ----------------------
 
 // proposalWaiters is the per-wrapper bookkeeping that turns proposal
-// resolutions into completed Propose calls. Node, RaftNode and CRaftNode
-// embed it; its methods are the single implementation of submit-and-await.
+// resolutions into completed Propose calls. Node and RaftNode (through
+// site), CRaftNode and ShardNode embed it; its methods are the single implementation of submit-and-await.
 type proposalWaiters struct {
 	mu      sync.Mutex
 	waiters map[ProposalID]chan Index
@@ -196,12 +196,12 @@ func (w *proposalWaiters) await(ctx context.Context, host *runtime.Host, submit 
 	}
 }
 
-// --- Node (Fast Raft) -------------------------------------------------------
+// --- Node and RaftNode (one Fast Raft core) ----------------------------------
 
 // OpenSession registers a new client session and waits for the
 // registration to commit. The resulting Session provides exactly-once
 // Propose semantics across retries, node restarts and log compaction.
-func (n *Node) OpenSession(ctx context.Context) (*Session, error) {
+func (n *site) OpenSession(ctx context.Context) (*Session, error) {
 	idx, err := n.await(ctx, n.host, func(now time.Duration) ProposalID {
 		return n.fr.OpenSession(now)
 	})
@@ -215,40 +215,13 @@ func (n *Node) OpenSession(ctx context.Context) (*Session, error) {
 // and last used sequence number (e.g. after the client process
 // restarted). Attaching does not verify the session still exists; an
 // expired session surfaces as ErrSessionExpired on the next Propose.
-func (n *Node) AttachSession(id SessionID, lastSeq uint64) *Session {
+func (n *site) AttachSession(id SessionID, lastSeq uint64) *Session {
 	return &Session{
 		id:  id,
 		seq: lastSeq,
 		propose: func(ctx context.Context, sid SessionID, seq, ack uint64, data []byte) (Index, error) {
 			return n.await(ctx, n.host, func(now time.Duration) ProposalID {
 				return n.fr.ProposeSession(now, sid, seq, ack, data)
-			})
-		},
-	}
-}
-
-// --- RaftNode (classic Raft baseline) ---------------------------------------
-
-// OpenSession registers a new client session (see Node.OpenSession).
-func (n *RaftNode) OpenSession(ctx context.Context) (*Session, error) {
-	idx, err := n.await(ctx, n.host, func(now time.Duration) ProposalID {
-		return n.rn.OpenSession(now)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return n.AttachSession(SessionID(idx), 0), nil
-}
-
-// AttachSession resumes a previously opened session (see
-// Node.AttachSession).
-func (n *RaftNode) AttachSession(id SessionID, lastSeq uint64) *Session {
-	return &Session{
-		id:  id,
-		seq: lastSeq,
-		propose: func(ctx context.Context, sid SessionID, seq, ack uint64, data []byte) (Index, error) {
-			return n.await(ctx, n.host, func(now time.Duration) ProposalID {
-				return n.rn.ProposeSession(now, sid, seq, ack, data)
 			})
 		},
 	}
