@@ -179,6 +179,30 @@ func TestFollowerAppendConsistencyCheck(t *testing.T) {
 	}
 }
 
+// TestClassicFollowerCommitsOnlyWhatTheMessageVouchesFor: the classic-mode
+// run of TestFollowerCommitsOnlyWhatTheMessageVouchesFor. Term 1 replicates
+// 1..3 to n2 and commits 1; the term-2 leader heartbeats n2 at PrevLogIndex 1
+// with LeaderCommit 3, which vouches for n2's log through index 1 only.
+func TestClassicFollowerCommitsOnlyWhatTheMessageVouchesFor(t *testing.T) {
+	n := newClassicNode(t, "n2", "n1", "n2", "n3")
+	var suffix []types.Entry
+	for i := types.Index(1); i <= 3; i++ {
+		suffix = append(suffix, types.Entry{Index: i, Term: 1, Kind: types.KindNormal,
+			Approval: types.ApprovedLeader,
+			PID:      types.ProposalID{Proposer: "n1", Seq: uint64(i)}, Data: []byte("old")})
+	}
+	n.Step(time.Second, types.Envelope{From: "n1", To: "n2", Layer: types.LayerLocal,
+		Msg: types.AppendEntries{Term: 1, LeaderID: "n1", Entries: suffix, LeaderCommit: 1}})
+	if n.CommitIndex() != 1 || n.LastLeaderIndex() != 3 {
+		t.Fatalf("setup: commit=%d head=%d, want 1 and 3", n.CommitIndex(), n.LastLeaderIndex())
+	}
+	n.Step(2*time.Second, types.Envelope{From: "n3", To: "n2", Layer: types.LayerLocal,
+		Msg: types.AppendEntries{Term: 2, LeaderID: "n3", PrevLogIndex: 1, PrevLogTerm: 1, LeaderCommit: 3}})
+	if n.CommitIndex() != 1 {
+		t.Fatalf("commitIndex = %d: committed a deposed leader's suffix the heartbeat did not cover", n.CommitIndex())
+	}
+}
+
 // TestFollowerReplacesConflictingEntry: a new leader's entry replaces the
 // deposed leader's at the index where their logs conflict. Classic Raft
 // truncates the suffix there; this core overwrites the slot in place
