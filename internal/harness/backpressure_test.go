@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/hraft-io/hraft/internal/core/fastraft"
 	"github.com/hraft-io/hraft/internal/types"
 )
 
@@ -64,7 +63,7 @@ func TestFastRaftProposerBackpressureCapsInflight(t *testing.T) {
 		}
 		pids = append(pids, pid)
 	}
-	fr := h.Machine().(*fastraft.Node)
+	fr := h.Machine()
 	if q := fr.QueuedProposals(); q == 0 {
 		t.Fatal("burst past the cap queued nothing; backpressure inactive")
 	}

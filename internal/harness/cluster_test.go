@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -103,11 +104,11 @@ func TestRaftClassicWireShape(t *testing.T) {
 		t.Fatalf("fast-track traffic in a classic group: %v", sent)
 	}
 	for id, h := range c.Hosts() {
-		if m := metricsOf(h.Machine()); m["fastraft.commits_fast"] != 0 {
+		if m := h.Machine().Metrics(); m["fastraft.commits_fast"] != 0 {
 			t.Fatalf("%s committed %d entries on the fast track", id, m["fastraft.commits_fast"])
 		}
 	}
-	lm := metricsOf(c.Host(leader).Machine())
+	lm := c.Host(leader).Machine().Metrics()
 	if lm["fastraft.commits_classic"] < n {
 		t.Fatalf("leader counted %d classic commits for %d proposals", lm["fastraft.commits_classic"], n)
 	}
@@ -229,23 +230,199 @@ func TestFastRaftCommitsUnderLoss(t *testing.T) {
 	t.Logf("fast raft at 5%% loss: %s", sum)
 }
 
+// TestDeterminismSameSeedSameResult runs one scenario per cluster type
+// twice under the same seed and requires the same record both times: every
+// host's full commit stream and every proposal resolution, each with its
+// virtual instant, plus the final clock. Each scenario crashes where the
+// host loop's event order matters most — inside a group-commit fsync window,
+// a C-Raft site, a shard process after a split.
 func TestDeterminismSameSeedSameResult(t *testing.T) {
-	run := func() (types.Index, time.Duration) {
-		c := newTestCluster(t, KindFastRaft, 42, 0.02)
-		if _, ok := c.WaitForLeader(10 * time.Second); !ok {
-			t.Fatal("no leader")
-		}
-		if _, err := c.RunProposals("n1", 15, c.Sched.Now()+2*time.Minute); err != nil {
-			t.Fatalf("proposals: %v", err)
-		}
-		h, _ := c.Leader()
-		return h.Machine().CommitIndex(), c.Sched.Now()
+	for _, tc := range []struct {
+		name string
+		run  func(t *testing.T) []string
+	}{
+		{"cluster-groupcommit", flatDeterminismRun},
+		{"craft-3x3", craftDeterminismRun},
+		{"shard-split-crash", shardDeterminismRun},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a, b := tc.run(t), tc.run(t)
+			for i := range min(len(a), len(b)) {
+				if a[i] != b[i] {
+					t.Fatalf("same seed diverged at record %d:\n  %s\nvs\n  %s", i, a[i], b[i])
+				}
+			}
+			if len(a) != len(b) {
+				t.Fatalf("same seed diverged: %d records vs %d", len(a), len(b))
+			}
+			commits, resolutions := 0, 0
+			for _, r := range a {
+				switch {
+				case strings.Contains(r, " commit "):
+					commits++
+				case strings.Contains(r, " resolve "):
+					resolutions++
+				}
+			}
+			if commits == 0 || resolutions == 0 {
+				t.Fatalf("scenario recorded %d commits and %d resolutions", commits, resolutions)
+			}
+		})
 	}
-	i1, t1 := run()
-	i2, t2 := run()
-	if i1 != i2 || t1 != t2 {
-		t.Fatalf("same seed diverged: (%d,%s) vs (%d,%s)", i1, t1, i2, t2)
+}
+
+// watchNode appends n's commits and proposal resolutions, with their
+// virtual instants, to rec.
+func watchNode[M machine](rec *[]string, n *node[M]) {
+	n.OnCommit = func(e types.Entry) {
+		*rec = append(*rec, fmt.Sprintf("%s commit %d/%d %s %x @%s", n.id, e.Index, e.Term, e.PID, e.Data, n.s.Sched.Now()))
 	}
+	n.OnResolve = func(pid types.ProposalID, at, latency time.Duration) {
+		*rec = append(*rec, fmt.Sprintf("%s resolve %s @%s after %s", n.id, pid, at, latency))
+	}
+}
+
+// flatDeterminismRun: Fast Raft on group-commit storage at 2% loss, the
+// leader crashing half a millisecond into an fsync window it holds open.
+func flatDeterminismRun(t *testing.T) []string {
+	c, err := NewCluster(Options{Kind: KindFastRaft, Nodes: fiveNodes(), Seed: 42, LossProb: 0.02, GroupCommit: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec []string
+	for _, h := range c.Hosts() {
+		watchNode(&rec, &h.node)
+	}
+	leader, ok := c.WaitForLeader(10 * time.Second)
+	if !ok {
+		t.Fatal("no leader")
+	}
+	propose := func(rounds int, at ...types.NodeID) {
+		for i := range rounds {
+			if _, err := c.Propose(at[i%len(at)], []byte(fmt.Sprintf("w%d@%s", i, c.Sched.Now()))); err != nil {
+				t.Fatal(err)
+			}
+			c.RunFor(5 * time.Millisecond)
+		}
+	}
+	propose(12, "n1", "n2", "n3", "n4", "n5")
+	if _, err := c.Propose(leader, []byte("in-window")); err != nil {
+		t.Fatal(err)
+	}
+	c.RunFor(500 * time.Microsecond)
+	if !c.Host(leader).durable.Pending() {
+		t.Fatal("the crash is not inside an open fsync window")
+	}
+	c.Crash(leader)
+	var rest []types.NodeID
+	for _, id := range fiveNodes() {
+		if id != leader {
+			rest = append(rest, id)
+		}
+	}
+	propose(12, rest...)
+	if err := c.Restart(leader); err != nil {
+		t.Fatal(err)
+	}
+	propose(12, fiveNodes()...)
+	c.RunFor(time.Second)
+	if err := c.Safety.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return append(rec, fmt.Sprintf("end @%s", c.Sched.Now()))
+}
+
+// craftDeterminismRun: three clusters of three sites, one cluster's leader
+// site crashing and restarting under load.
+func craftDeterminismRun(t *testing.T) []string {
+	c, err := NewCraftCluster(CraftOptions{
+		Clusters: []ClusterSpec{
+			{ID: "cA", Sites: ids("a1", "a2", "a3"), Region: "us-east-1"},
+			{ID: "cB", Sites: ids("b1", "b2", "b3"), Region: "eu-west-1"},
+			{ID: "cC", Sites: ids("c1", "c2", "c3"), Region: "ap-southeast-1"},
+		},
+		Seed:      42,
+		BatchSize: 4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec []string
+	for _, spec := range c.Specs() {
+		for _, site := range spec.Sites {
+			h := c.Host(site)
+			watchNode(&rec, &h.node)
+			h.OnGlobalCommit = func(e types.Entry) {
+				rec = append(rec, fmt.Sprintf("%s commit global %d/%d %x @%s", h.id, e.Index, e.Term, e.Data, c.Sched.Now()))
+			}
+		}
+	}
+	if !c.WaitForLeaders(time.Minute) {
+		t.Fatal("no leaders")
+	}
+	propose := func(rounds int, at ...types.NodeID) {
+		for i := range rounds {
+			if _, err := c.Propose(at[i%len(at)], []byte(fmt.Sprintf("w%d@%s", i, c.Sched.Now()))); err != nil {
+				t.Fatal(err)
+			}
+			c.RunFor(20 * time.Millisecond)
+		}
+	}
+	propose(15, "a1", "b2", "c3")
+	victim, ok := c.LocalLeader("cB")
+	if !ok {
+		t.Fatal("cB has no leader")
+	}
+	c.Crash(victim.ID())
+	propose(15, "a1", "c3")
+	if err := c.Restart(victim.ID()); err != nil {
+		t.Fatal(err)
+	}
+	propose(15, "a1", "b2", "c3")
+	c.RunFor(3 * time.Second)
+	if err := c.Safety.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return append(rec, fmt.Sprintf("end @%s", c.Sched.Now()))
+}
+
+// shardDeterminismRun: four groups on three processes, a split, then one
+// process crashing and restarting with traffic on the survivors.
+func shardDeterminismRun(t *testing.T) []string {
+	c := newShardCluster(t, ShardOptions{Seed: 42, RetireDrain: 50 * time.Millisecond})
+	var rec []string
+	for _, h := range c.Hosts() {
+		watchNode(&rec, &h.node)
+	}
+	if !c.WaitForAllLeaders(10 * time.Second) {
+		t.Fatal("not every group elected a leader")
+	}
+	propose := func(tag string, at ...types.NodeID) {
+		for i, key := range []string{"alpha", "golf", "kilo", "november", "tango", "zulu"} {
+			if _, _, err := c.ProposeKey(at[i%len(at)], key, []byte(tag+":"+key)); err != nil {
+				t.Fatal(err)
+			}
+			c.RunFor(10 * time.Millisecond)
+		}
+	}
+	propose("pre", "p1", "p2", "p3")
+	if _, _, err := c.Split("g-k", "k"); err != nil {
+		t.Fatal(err)
+	}
+	propose("split", "p1", "p2", "p3")
+	c.RunFor(time.Second)
+	c.Crash("p3")
+	propose("down", "p1", "p2")
+	c.RunFor(500 * time.Millisecond)
+	if err := c.Restart("p3"); err != nil {
+		t.Fatal(err)
+	}
+	propose("after", "p1", "p2", "p3")
+	c.RunFor(2 * time.Second)
+	if err := c.Safety.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return append(rec, fmt.Sprintf("end @%s", c.Sched.Now()))
 }
 
 // TestFastTrackResumesAfterCollision pins the end of PR 12's finding (a): a
@@ -281,7 +458,7 @@ func TestFastTrackResumesAfterCollision(t *testing.T) {
 		}
 	}
 	counters := func() (fast, classic, onTick uint64) {
-		m := metricsOf(c.Host(leader).Machine())
+		m := c.Host(leader).Machine().Metrics()
 		return m["fastraft.commits_fast"], m["fastraft.commits_classic"], m["fastraft.decisions_on_tick"]
 	}
 	load := func(d time.Duration) (proposed uint64) {

@@ -5,10 +5,8 @@ import (
 	"math/rand"
 	"time"
 
-	"github.com/hraft-io/hraft/internal/audit"
 	"github.com/hraft-io/hraft/internal/core/craft"
 	"github.com/hraft-io/hraft/internal/simnet"
-	"github.com/hraft-io/hraft/internal/stats"
 	"github.com/hraft-io/hraft/internal/storage"
 	"github.com/hraft-io/hraft/internal/trace"
 	"github.com/hraft-io/hraft/internal/types"
@@ -95,80 +93,33 @@ type GlobalCommit struct {
 
 // CraftHost binds one C-Raft site to the simulated network.
 type CraftHost struct {
+	node[*craft.Node]
 	c     *CraftCluster
-	id    types.NodeID
-	clust types.NodeID
-	node  *craft.Node
+	spec  ClusterSpec
 	store *storage.Memory
-	alive bool
-	wake  *simnet.Timer
-	// rec is the site's flight recorder (nil unless CraftOptions.Trace),
-	// reused across Crash/Restart.
-	rec *trace.Recorder
-
-	proposeStart map[types.ProposalID]time.Duration
-	// resolved records the resolution index of every tracked proposal.
-	resolved map[types.ProposalID]types.Index
-	// readDone records the resolution of every tracked read.
-	readDone map[uint64]types.ReadDone
-	// OnResolve observes local application proposal resolutions.
-	OnResolve func(pid types.ProposalID, at, latency time.Duration)
-	// OnCommit, when set, observes every locally applied entry (session
-	// duplicates never appear here).
-	OnCommit func(e types.Entry)
 	// OnGlobalCommit, when set, observes this site's global replay stream:
 	// every global-log entry, in the order the site delivers it.
 	OnGlobalCommit func(e types.Entry)
 }
 
-// ReadResult returns the resolution of a tracked read, if it resolved.
-func (h *CraftHost) ReadResult(token uint64) (types.ReadDone, bool) {
-	d, ok := h.readDone[token]
-	return d, ok
-}
-
-// Resolved returns the resolution index of a tracked proposal, if it
-// resolved.
-func (h *CraftHost) Resolved(pid types.ProposalID) (types.Index, bool) {
-	idx, ok := h.resolved[pid]
-	return idx, ok
-}
-
-// ID returns the site identity.
-func (h *CraftHost) ID() types.NodeID { return h.id }
-
 // ClusterID returns the site's cluster.
-func (h *CraftHost) ClusterID() types.NodeID { return h.clust }
+func (h *CraftHost) ClusterID() types.NodeID { return h.spec.ID }
 
 // Node returns the hosted C-Raft state machine.
-func (h *CraftHost) Node() *craft.Node { return h.node }
-
-// Alive reports whether the host is running.
-func (h *CraftHost) Alive() bool { return h.alive }
+func (h *CraftHost) Node() *craft.Node { return h.machine }
 
 // CraftCluster simulates a full C-Raft deployment: multiple clusters over a
-// region topology with a shared global log.
+// region topology with a shared global log, on the shared host loop. Its
+// Safety checker keys the per-cluster local logs and the global log apart;
+// its auditor watches the local and global layers alike, since they share
+// one ring per site.
 type CraftCluster struct {
-	opts CraftOptions
-	// Sched is the virtual-time scheduler.
-	Sched *simnet.Scheduler
-	// Net is the simulated network.
-	Net *simnet.Network
-	// Safety accumulates invariant violations (per-cluster local logs and
-	// the global log).
-	Safety *SafetyChecker
-	// Latencies collects local proposal resolution latencies.
-	Latencies *stats.Series
+	*sim[*craft.Node]
 	// GlobalCommits records each global-log index when first observed
 	// committed anywhere.
 	GlobalCommits []GlobalCommit
-	// Timeline records leadership and churn events at both levels.
-	Timeline *Timeline
-	// Audit is the streaming safety auditor attached to every site's
-	// recorder — local and global layers alike, since the layers share one
-	// ring per site (nil when CraftOptions.Audit is AuditOff).
-	Audit *audit.Auditor
 
+	opts          CraftOptions
 	hosts         map[types.NodeID]*CraftHost
 	specs         []ClusterSpec
 	endpointOwner map[types.NodeID]types.NodeID // cluster -> site owning its endpoint
@@ -185,29 +136,16 @@ func NewCraftCluster(opts CraftOptions) (*CraftCluster, error) {
 	if topo == nil {
 		topo = simnet.AWSTopology()
 	}
-	sched := simnet.NewScheduler()
-	net := simnet.NewNetwork(sched, topo, opts.Seed)
-	net.LossProb = opts.LossProb
-	net.DupProb = opts.DupProb
 	c := &CraftCluster{
+		sim:           newSim[*craft.Node]("site", topo, opts.Seed, opts.LossProb, opts.DupProb, opts.Audit),
 		opts:          opts,
-		Sched:         sched,
-		Net:           net,
-		Safety:        NewSafetyChecker(),
-		Latencies:     &stats.Series{},
-		Timeline:      NewTimeline(),
 		hosts:         make(map[types.NodeID]*CraftHost),
 		specs:         opts.Clusters,
 		endpointOwner: make(map[types.NodeID]types.NodeID),
 		globalSeen:    make(map[types.Index]bool),
 		rng:           rand.New(rand.NewSource(opts.Seed + 2)),
 	}
-	c.Audit = newAuditor(opts.Audit)
-	globalIDs := make([]types.NodeID, len(opts.Clusters))
-	for i, spec := range opts.Clusters {
-		globalIDs[i] = spec.ID
-	}
-	globalBootstrap := types.NewConfig(globalIDs...)
+	globalBootstrap := c.globalConfig()
 	for _, spec := range opts.Clusters {
 		topo.SetRegion(string(spec.ID), spec.Region)
 		for _, site := range spec.Sites {
@@ -220,45 +158,44 @@ func NewCraftCluster(opts CraftOptions) (*CraftCluster, error) {
 	return c, nil
 }
 
+// globalConfig is the global level's configuration over every known
+// cluster.
+func (c *CraftCluster) globalConfig() types.Config {
+	ids := make([]types.NodeID, len(c.specs))
+	for i, s := range c.specs {
+		ids[i] = s.ID
+	}
+	return types.NewConfig(ids...)
+}
+
 func (c *CraftCluster) addSite(spec ClusterSpec, site types.NodeID, globalBootstrap types.Config) (*CraftHost, error) {
-	h := &CraftHost{
-		c:            c,
-		id:           site,
-		clust:        spec.ID,
-		store:        storage.NewMemory(),
-		proposeStart: make(map[types.ProposalID]time.Duration),
-		resolved:     make(map[types.ProposalID]types.Index),
-		readDone:     make(map[uint64]types.ReadDone),
-	}
+	h := &CraftHost{c: c, spec: spec, store: storage.NewMemory()}
+	h.node = c.newNode(site, h)
 	if c.opts.Trace || c.Audit != nil {
-		h.rec = trace.New(trace.Config{Node: string(site), Size: c.opts.TraceRing, SampleRate: c.opts.TraceSample})
-		c.Audit.AttachTo(h.rec)
+		h.rec = c.recorder(trace.Config{Node: string(site), Size: c.opts.TraceRing, SampleRate: c.opts.TraceSample})
 	}
-	node, err := c.makeNode(spec, site, globalBootstrap, h.store, h.rec)
+	m, err := h.makeNode(globalBootstrap)
 	if err != nil {
 		return nil, err
 	}
-	h.node = node
-	h.alive = true
 	c.hosts[site] = h
-	c.Net.Register(site, func(env types.Envelope) {
-		if !h.alive {
-			return
-		}
-		h.node.Step(c.Sched.Now(), env)
-		c.drain(h)
-	})
-	c.drain(h)
+	h.start(m)
+	h.drain()
 	return h, nil
 }
 
-func (c *CraftCluster) makeNode(spec ClusterSpec, site types.NodeID, globalBootstrap types.Config, store storage.Storage, rec *trace.Recorder) (*craft.Node, error) {
+// boot rebuilds a crashed site, now knowing every cluster at the global
+// level.
+func (h *CraftHost) boot() (*craft.Node, error) { return h.makeNode(h.c.globalConfig()) }
+
+func (h *CraftHost) makeNode(globalBootstrap types.Config) (*craft.Node, error) {
+	c := h.c
 	return craft.New(craft.Config{
-		ID:                  site,
-		Cluster:             spec.ID,
-		ClusterBootstrap:    types.NewConfig(spec.Sites...),
+		ID:                  h.id,
+		Cluster:             h.spec.ID,
+		ClusterBootstrap:    types.NewConfig(h.spec.Sites...),
 		GlobalBootstrap:     globalBootstrap,
-		Storage:             store,
+		Storage:             h.store,
 		BatchSize:           c.opts.BatchSize,
 		BatchDelay:          c.opts.BatchDelay,
 		LocalHeartbeat:      c.opts.LocalHeartbeat,
@@ -272,28 +209,27 @@ func (c *CraftCluster) makeNode(spec ClusterSpec, site types.NodeID, globalBoots
 		SessionTTL:          c.opts.SessionTTL,
 		DisableFastTrack:    c.opts.DisableFastTrack,
 		Rand:                rand.New(rand.NewSource(c.rng.Int63())),
-		Recorder:            rec,
+		Recorder:            h.rec,
 	})
 }
 
-// drain flushes a host's outputs and re-arms its wake timer.
-func (c *CraftCluster) drain(h *CraftHost) {
-	now := c.Sched.Now()
-	for _, env := range h.node.DrainOutbox(nil) {
-		c.Net.Send(env)
-	}
-	group := "local/" + string(h.clust)
-	for _, e := range h.node.DrainCommitted(nil) {
+// record feeds the site's local and global commits and leadership to the
+// safety checker, the Timeline and GlobalCommits, and keeps the cluster's
+// endpoint routed to the site running its global instance.
+func (h *CraftHost) record(now time.Duration) {
+	c := h.c
+	group := "local/" + string(h.spec.ID)
+	for _, e := range h.machine.DrainCommitted(nil) {
 		c.Safety.RecordCommit(group, h.id, e)
 		if h.OnCommit != nil {
 			h.OnCommit(e)
 		}
 	}
-	if h.node.Role() == types.RoleLeader {
-		c.Safety.RecordLeader(group, h.node.Term(), h.id)
-		c.Timeline.ObserveLeader(now, group, h.node.Term(), h.id)
+	if h.machine.Role() == types.RoleLeader {
+		c.Safety.RecordLeader(group, h.machine.Term(), h.id)
+		c.Timeline.ObserveLeader(now, group, h.machine.Term(), h.id)
 	}
-	for _, e := range h.node.DrainGlobalCommitted(nil) {
+	for _, e := range h.machine.DrainGlobalCommitted(nil) {
 		c.Safety.RecordCommit("global", h.id, e)
 		if h.OnGlobalCommit != nil {
 			h.OnGlobalCommit(e)
@@ -311,72 +247,35 @@ func (c *CraftCluster) drain(h *CraftHost) {
 			})
 		}
 	}
-	if h.node.IsGlobalMember() && h.node.GlobalRole() == types.RoleLeader {
-		c.Safety.RecordLeader("global", h.node.GlobalTerm(), h.clust)
-		c.Timeline.ObserveLeader(now, "global", h.node.GlobalTerm(), h.clust)
+	if h.machine.IsGlobalMember() && h.machine.GlobalRole() == types.RoleLeader {
+		c.Safety.RecordLeader("global", h.machine.GlobalTerm(), h.spec.ID)
+		c.Timeline.ObserveLeader(now, "global", h.machine.GlobalTerm(), h.spec.ID)
 	}
-	for _, res := range h.node.DrainResolved(nil) {
-		h.resolved[res.PID] = res.Index
-		start, ok := h.proposeStart[res.PID]
-		if !ok {
-			continue
-		}
-		delete(h.proposeStart, res.PID)
-		lat := now - start
-		c.Latencies.Add(now, lat)
-		if h.OnResolve != nil {
-			h.OnResolve(res.PID, now, lat)
-		}
-	}
-	for _, d := range h.node.DrainReadDone(nil) {
-		h.readDone[d.ID] = d
-	}
-	c.syncEndpoint(h)
-	c.schedule(h)
-}
-
-// syncEndpoint keeps the cluster-ID routing entry pointed at the site that
-// currently runs the cluster's global instance.
-func (c *CraftCluster) syncEndpoint(h *CraftHost) {
-	owner := c.endpointOwner[h.clust]
-	if h.node.IsGlobalMember() && h.alive {
+	owner := c.endpointOwner[h.spec.ID]
+	switch {
+	case h.machine.IsGlobalMember() && h.alive:
 		if owner != h.id {
-			c.endpointOwner[h.clust] = h.id
-			c.Net.Register(h.clust, func(env types.Envelope) {
-				if !h.alive {
-					return
-				}
-				h.node.Step(c.Sched.Now(), env)
-				c.drain(h)
-			})
+			c.endpointOwner[h.spec.ID] = h.id
+			c.Net.Register(h.spec.ID, h.deliver)
 		}
-		return
-	}
-	if owner == h.id {
-		delete(c.endpointOwner, h.clust)
-		c.Net.Unregister(h.clust)
+	case owner == h.id:
+		h.releaseEndpoint()
 	}
 }
 
-func (c *CraftCluster) schedule(h *CraftHost) {
-	if h.wake != nil {
-		h.wake.Cancel()
-		h.wake = nil
+// down retires both layers' recording instances, which die with the site,
+// and the cluster endpoint if the site held it.
+func (h *CraftHost) down() {
+	h.c.Audit.NodeDown(string(h.id))
+	h.c.Audit.NodeDown(string(h.id) + "/global")
+	if h.c.endpointOwner[h.spec.ID] == h.id {
+		h.releaseEndpoint()
 	}
-	if !h.alive {
-		return
-	}
-	d := h.node.NextDeadline()
-	if d == 0 {
-		return
-	}
-	h.wake = c.Sched.At(d, func() {
-		if !h.alive {
-			return
-		}
-		h.node.Tick(c.Sched.Now())
-		c.drain(h)
-	})
+}
+
+func (h *CraftHost) releaseEndpoint() {
+	delete(h.c.endpointOwner, h.spec.ID)
+	h.c.Net.Unregister(h.spec.ID)
 }
 
 // Host returns the host for a site.
@@ -385,32 +284,14 @@ func (c *CraftCluster) Host(id types.NodeID) *CraftHost { return c.hosts[id] }
 // Specs returns the deployment's cluster specifications.
 func (c *CraftCluster) Specs() []ClusterSpec { return c.specs }
 
-// RunFor advances virtual time by d.
-func (c *CraftCluster) RunFor(d time.Duration) { c.Sched.RunUntil(c.Sched.Now() + d) }
-
-// RunUntil steps the simulation until cond holds or deadline passes.
-func (c *CraftCluster) RunUntil(cond func() bool, deadline time.Duration) bool {
-	for {
-		if cond() {
-			return true
-		}
-		if c.Sched.Now() > deadline {
-			return false
-		}
-		if !c.Sched.Step() {
-			return cond()
-		}
-	}
-}
-
 // LocalLeader returns the current leader site of a cluster, if any.
 func (c *CraftCluster) LocalLeader(cluster types.NodeID) (*CraftHost, bool) {
 	var best *CraftHost
 	for _, h := range c.hosts {
-		if !h.alive || h.clust != cluster || h.node.Role() != types.RoleLeader {
+		if !h.alive || h.spec.ID != cluster || h.machine.Role() != types.RoleLeader {
 			continue
 		}
-		if best == nil || h.node.Term() > best.node.Term() {
+		if best == nil || h.machine.Term() > best.machine.Term() {
 			best = h
 		}
 	}
@@ -426,11 +307,11 @@ func (c *CraftCluster) GlobalLeaderCluster() (types.NodeID, bool) {
 		found    bool
 	)
 	for _, h := range c.hosts {
-		if !h.alive || !h.node.IsGlobalMember() {
+		if !h.alive || !h.machine.IsGlobalMember() {
 			continue
 		}
-		if h.node.GlobalRole() == types.RoleLeader && (!found || h.node.GlobalTerm() > bestTerm) {
-			best, bestTerm, found = h.clust, h.node.GlobalTerm(), true
+		if h.machine.GlobalRole() == types.RoleLeader && (!found || h.machine.GlobalTerm() > bestTerm) {
+			best, bestTerm, found = h.spec.ID, h.machine.GlobalTerm(), true
 		}
 	}
 	return best, found
@@ -452,161 +333,40 @@ func (c *CraftCluster) WaitForLeaders(deadline time.Duration) bool {
 
 // Propose submits an application payload at the given site.
 func (c *CraftCluster) Propose(id types.NodeID, data []byte) (types.ProposalID, error) {
-	h := c.hosts[id]
-	if h == nil || !h.alive {
-		return types.ProposalID{}, fmt.Errorf("harness: site %s not running", id)
-	}
-	now := c.Sched.Now()
-	pid := h.node.Propose(now, data)
-	h.proposeStart[pid] = now
-	c.drain(h)
-	return pid, nil
+	return c.propose(id, func(m *craft.Node, now time.Duration) types.ProposalID {
+		return m.Propose(now, data)
+	})
 }
 
 // OpenSession proposes a client-session registration at the given site; the
 // returned proposal resolves with the new session's ID.
 func (c *CraftCluster) OpenSession(id types.NodeID) (types.ProposalID, error) {
-	h := c.hosts[id]
-	if h == nil || !h.alive {
-		return types.ProposalID{}, fmt.Errorf("harness: site %s not running", id)
-	}
-	now := c.Sched.Now()
-	pid := h.node.OpenSession(now)
-	h.proposeStart[pid] = now
-	c.drain(h)
-	return pid, nil
+	return c.propose(id, (*craft.Node).OpenSession)
 }
 
 // ProposeSession submits a payload under (sid, seq) at the given site.
 func (c *CraftCluster) ProposeSession(id types.NodeID, sid types.SessionID, seq uint64, data []byte) (types.ProposalID, error) {
-	h := c.hosts[id]
-	if h == nil || !h.alive {
-		return types.ProposalID{}, fmt.Errorf("harness: site %s not running", id)
-	}
-	now := c.Sched.Now()
-	pid := h.node.ProposeSession(now, sid, seq, 0, data)
-	h.proposeStart[pid] = now
-	c.drain(h)
-	return pid, nil
+	return c.propose(id, func(m *craft.Node, now time.Duration) types.ProposalID {
+		return m.ProposeSession(now, sid, seq, 0, data)
+	})
 }
 
-// AwaitResolution runs the simulation until the proposal tracked at site id
-// resolves, returning its resolution index.
 // Read registers a site-local read on the given site under the given
 // consistency mode; await its local linearization index with AwaitRead.
-func (c *CraftCluster) Read(id types.NodeID, consistency types.ReadConsistency) (uint64, error) {
-	h := c.hosts[id]
-	if h == nil || !h.alive {
-		return 0, fmt.Errorf("harness: site %s not running", id)
-	}
-	token := h.node.Read(c.Sched.Now(), consistency)
-	c.drain(h)
-	return token, nil
+func (c *CraftCluster) Read(id types.NodeID, consistency types.ReadConsistency) (token uint64, err error) {
+	err = c.do(id, func(n *node[*craft.Node], now time.Duration) {
+		token = n.machine.Read(now, consistency)
+	})
+	return token, err
 }
 
 // ReadGlobal registers a global-ring read on the given site (which must
 // lead its cluster); await its global linearization index with AwaitRead.
-func (c *CraftCluster) ReadGlobal(id types.NodeID, consistency types.ReadConsistency) (uint64, error) {
-	h := c.hosts[id]
-	if h == nil || !h.alive {
-		return 0, fmt.Errorf("harness: site %s not running", id)
-	}
-	token := h.node.ReadGlobal(c.Sched.Now(), consistency)
-	c.drain(h)
-	return token, nil
-}
-
-// AwaitRead runs the simulation until the read tracked on site id
-// resolves, returning its outcome.
-func (c *CraftCluster) AwaitRead(id types.NodeID, token uint64, deadline time.Duration) (types.ReadDone, bool) {
-	h := c.hosts[id]
-	if h == nil {
-		return types.ReadDone{}, false
-	}
-	ok := c.RunUntil(func() bool {
-		_, done := h.readDone[token]
-		return done
-	}, deadline)
-	if !ok {
-		return types.ReadDone{}, false
-	}
-	return h.readDone[token], true
-}
-
-func (c *CraftCluster) AwaitResolution(id types.NodeID, pid types.ProposalID, deadline time.Duration) (types.Index, bool) {
-	h := c.hosts[id]
-	if h == nil {
-		return 0, false
-	}
-	ok := c.RunUntil(func() bool {
-		_, done := h.resolved[pid]
-		return done
-	}, deadline)
-	if !ok {
-		return 0, false
-	}
-	return h.resolved[pid], true
-}
-
-// Crash stops a site without warning.
-func (c *CraftCluster) Crash(id types.NodeID) {
-	h := c.hosts[id]
-	if h == nil || !h.alive {
-		return
-	}
-	h.alive = false
-	if h.wake != nil {
-		h.wake.Cancel()
-		h.wake = nil
-	}
-	c.Net.Unregister(id)
-	// Both layers' recording instances die with the site.
-	c.Audit.NodeDown(string(id))
-	c.Audit.NodeDown(string(id) + "/global")
-	if c.endpointOwner[h.clust] == h.id {
-		delete(c.endpointOwner, h.clust)
-		c.Net.Unregister(h.clust)
-	}
-}
-
-// Restart revives a crashed site from its stable storage.
-func (c *CraftCluster) Restart(id types.NodeID) error {
-	h := c.hosts[id]
-	if h == nil {
-		return fmt.Errorf("harness: unknown site %s", id)
-	}
-	if h.alive {
-		return fmt.Errorf("harness: site %s already running", id)
-	}
-	var spec ClusterSpec
-	for _, s := range c.specs {
-		if s.ID == h.clust {
-			spec = s
-			break
-		}
-	}
-	globalIDs := make([]types.NodeID, len(c.specs))
-	for i, s := range c.specs {
-		globalIDs[i] = s.ID
-	}
-	node, err := c.makeNode(spec, id, types.NewConfig(globalIDs...), h.store, h.rec)
-	if err != nil {
-		return err
-	}
-	h.node = node
-	h.alive = true
-	h.proposeStart = make(map[types.ProposalID]time.Duration)
-	h.resolved = make(map[types.ProposalID]types.Index)
-	h.readDone = make(map[uint64]types.ReadDone)
-	c.Net.Register(id, func(env types.Envelope) {
-		if !h.alive {
-			return
-		}
-		h.node.Step(c.Sched.Now(), env)
-		c.drain(h)
+func (c *CraftCluster) ReadGlobal(id types.NodeID, consistency types.ReadConsistency) (token uint64, err error) {
+	err = c.do(id, func(n *node[*craft.Node], now time.Duration) {
+		token = n.machine.ReadGlobal(now, consistency)
 	})
-	c.drain(h)
-	return nil
+	return token, err
 }
 
 // AddCluster forms a brand-new cluster at runtime: its sites boot with the
@@ -630,8 +390,8 @@ func (c *CraftCluster) AddCluster(spec ClusterSpec) error {
 		if err != nil {
 			return err
 		}
-		h.node.JoinGlobal(c.Sched.Now(), contacts)
-		c.drain(h)
+		h.machine.JoinGlobal(c.Sched.Now(), contacts)
+		h.drain()
 	}
 	return nil
 }
@@ -650,74 +410,6 @@ func (c *CraftCluster) GlobalItemsCommitted(lo, hi time.Duration) int {
 
 // StartProposer attaches a closed-loop proposer to a site (local commits
 // gate the loop, as in the paper's throughput experiment).
-func (c *CraftCluster) StartProposer(opts ProposerOptions) (*CraftProposer, error) {
-	h := c.hosts[opts.Node]
-	if h == nil {
-		return nil, fmt.Errorf("harness: unknown proposer site %s", opts.Node)
-	}
-	if opts.PayloadSize == 0 {
-		opts.PayloadSize = 16
-	}
-	p := &CraftProposer{c: c, opts: opts, Series: &stats.Series{}}
-	h.OnResolve = func(_ types.ProposalID, at, latency time.Duration) {
-		p.Series.Add(at, latency)
-		p.Completed++
-		p.next()
-	}
-	p.propose()
-	return p, nil
-}
-
-// CraftProposer is a closed-loop proposer over a C-Raft site.
-type CraftProposer struct {
-	c    *CraftCluster
-	opts ProposerOptions
-	// Series records (completion time, latency) per resolved proposal.
-	Series *stats.Series
-	// Completed counts resolved proposals.
-	Completed int
-	seq       int
-	stopped   bool
-}
-
-// Stop halts the proposer.
-func (p *CraftProposer) Stop() { p.stopped = true }
-
-func (p *CraftProposer) done() bool {
-	if p.stopped {
-		return true
-	}
-	if p.opts.MaxProposals > 0 && p.Completed >= p.opts.MaxProposals {
-		return true
-	}
-	if p.opts.StopAfter > 0 && p.c.Sched.Now() >= p.opts.StopAfter {
-		return true
-	}
-	return false
-}
-
-func (p *CraftProposer) next() {
-	if p.done() {
-		return
-	}
-	delay := p.opts.ThinkTime
-	p.c.Sched.After(delay, p.propose)
-}
-
-func (p *CraftProposer) propose() {
-	if p.done() {
-		return
-	}
-	h := p.c.hosts[p.opts.Node]
-	if h == nil || !h.alive {
-		return
-	}
-	p.seq++
-	payload := make([]byte, p.opts.PayloadSize)
-	for i := range payload {
-		payload[i] = byte(p.seq + i)
-	}
-	if _, err := p.c.Propose(p.opts.Node, payload); err != nil {
-		p.stopped = true
-	}
+func (c *CraftCluster) StartProposer(opts ProposerOptions) (*Proposer, error) {
+	return startProposer(c.sim, opts, c.Propose)
 }

@@ -4,22 +4,10 @@ import (
 	"testing"
 	"time"
 
-	"github.com/hraft-io/hraft/internal/core/fastraft"
 	"github.com/hraft-io/hraft/internal/replica"
 	"github.com/hraft-io/hraft/internal/simnet"
 	"github.com/hraft-io/hraft/internal/types"
 )
-
-// progressOf returns the machine's replication tracker (nil unless it
-// currently leads).
-func progressOf(m Machine) *replica.Tracker {
-	return m.(*fastraft.Node).Progress()
-}
-
-// metricsOf returns the machine's counter snapshot.
-func metricsOf(m Machine) map[string]uint64 {
-	return m.(interface{ Metrics() map[string]uint64 }).Metrics()
-}
 
 // testByteBudgetBoundedOnWire pins the byte-budgeted append window: with a
 // small MaxInflightBytes and a generous message cap, a catching-up
@@ -86,7 +74,7 @@ func testByteBudgetBoundedOnWire(t *testing.T, kind Kind) {
 		if !ok {
 			return false
 		}
-		if tr := progressOf(h.Machine()); tr != nil {
+		if tr := h.Machine().Progress(); tr != nil {
 			if pr := tr.Get(lagger); pr != nil && pr.BytesInFlight() > maxInflightSeen {
 				maxInflightSeen = pr.BytesInFlight()
 			}
@@ -107,7 +95,7 @@ func testByteBudgetBoundedOnWire(t *testing.T, kind Kind) {
 	}
 	var throttled uint64
 	for _, h := range c.Hosts() {
-		throttled += metricsOf(h.Machine())[replica.CounterBytesThrottled]
+		throttled += h.Machine().Metrics()[replica.CounterBytesThrottled]
 	}
 	if throttled == 0 {
 		t.Fatal("byte budget never throttled a batch; scenario broken")
@@ -179,7 +167,7 @@ func testSnapshotStreamResumesAcrossLeaderChange(t *testing.T, kind Kind, seed i
 		if id == lagger || !h.Alive() {
 			continue
 		}
-		if b := snapshotIndexOf(t, h.Machine()); b != boundary {
+		if b := h.Machine().SnapshotIndex(); b != boundary {
 			t.Fatalf("node %s compacted at %d, others at %d; scenario broken", id, b, boundary)
 		}
 	}
@@ -259,7 +247,7 @@ func testSnapshotStreamResumesAcrossLeaderChange(t *testing.T, kind Kind, seed i
 		if id == oldLeader || !h.Alive() {
 			continue
 		}
-		resumed += metricsOf(h.Machine())[replica.CounterStreamsResumed]
+		resumed += h.Machine().Metrics()[replica.CounterStreamsResumed]
 	}
 	if resumed == 0 {
 		t.Fatal("no stream resumption counted on the successor")
@@ -308,7 +296,7 @@ func TestAdaptiveResendTimeoutTracksLatency(t *testing.T) {
 		if !ok {
 			t.Fatal("leader lost")
 		}
-		tr := progressOf(h.Machine())
+		tr := h.Machine().Progress()
 		if tr == nil {
 			t.Fatal("leader has no tracker")
 		}

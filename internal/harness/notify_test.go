@@ -85,7 +85,7 @@ func TestProposerSiteCommitsOnNotification(t *testing.T) {
 	if len(streams[proposer]) < 200 {
 		t.Fatalf("proposer delivered %d entries, want at least its own 200", len(streams[proposer]))
 	}
-	m := metricsOf(ph.Machine())
+	m := ph.Machine().Metrics()
 	notified := m["fastraft.commits_notified"]
 	t.Logf("proposer %s: %d of %d resolutions found the entry committed here; notified=%d ahead=%d mismatch=%d",
 		proposer, resolvedAtCommit, resolved, notified, m["fastraft.notify_ahead"], m["fastraft.notify_mismatch"])

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/hraft-io/hraft/internal/core/fastraft"
 	"github.com/hraft-io/hraft/internal/types"
 )
 
@@ -351,12 +350,12 @@ func TestLeaseReadRefusedByDeposedLeader(t *testing.T) {
 	if _, ok := c.AwaitRead(oldLeader, tok, c.Sched.Now()+10*time.Second); !ok {
 		t.Fatal("warm-up lease read never resolved")
 	}
-	before := metricsOf(c.Host(oldLeader).Machine())["readpath.reads_lease"]
+	before := c.Host(oldLeader).Machine().Metrics()["readpath.reads_lease"]
 	tok, _ = c.Read(oldLeader, types.ReadLeaseBased)
 	if d, done := c.Host(oldLeader).ReadResult(tok); !done || !d.OK {
 		t.Fatalf("lease read not served instantly while lease valid: %+v done=%v", d, done)
 	}
-	if after := metricsOf(c.Host(oldLeader).Machine())["readpath.reads_lease"]; after != before+1 {
+	if after := c.Host(oldLeader).Machine().Metrics()["readpath.reads_lease"]; after != before+1 {
 		t.Fatalf("reads_lease = %d, want %d", after, before+1)
 	}
 	// Depose: partition the leader, let its lease lapse and the majority
@@ -384,7 +383,7 @@ func TestLeaseReadRefusedByDeposedLeader(t *testing.T) {
 	if d, done := c.Host(oldLeader).ReadResult(tok); done {
 		t.Fatalf("deposed leader served a lease read while partitioned: %+v", d)
 	}
-	if got := metricsOf(c.Host(oldLeader).Machine())["readpath.batches_expired"]; got == 0 {
+	if got := c.Host(oldLeader).Machine().Metrics()["readpath.batches_expired"]; got == 0 {
 		t.Fatal("missed quorum never expired a batch on the deposed leader")
 	}
 	c.Net.Heal()
@@ -417,7 +416,7 @@ func TestLeaseReadsZeroAppendsZeroRounds(t *testing.T) {
 	if _, ok := c.AwaitRead(leader, tok, c.Sched.Now()+10*time.Second); !ok {
 		t.Fatal("warm-up read never resolved")
 	}
-	fr := c.Host(leader).Machine().(*fastraft.Node)
+	fr := c.Host(leader).Machine()
 	lastBefore := fr.LastIndex()
 	sent := 0
 	c.Net.OnDeliver = func(env types.Envelope) { sent++ }
@@ -460,7 +459,7 @@ func TestReadBatchingCollapsesConcurrentReads(t *testing.T) {
 	if _, ok := c.AwaitResolution(leader, pid, c.Sched.Now()+10*time.Second); !ok {
 		t.Fatal("write never resolved")
 	}
-	batchesBefore := metricsOf(c.Host(leader).Machine())["readpath.read_batches"]
+	batchesBefore := c.Host(leader).Machine().Metrics()["readpath.read_batches"]
 	heartbeats := 0
 	c.Net.OnDeliver = func(env types.Envelope) {
 		if m, ok := env.Msg.(types.AppendEntries); ok && env.From == leader && m.ReadCtx != 0 {
@@ -483,7 +482,7 @@ func TestReadBatchingCollapsesConcurrentReads(t *testing.T) {
 			t.Fatalf("read %d never confirmed (%+v ok=%v)", i, d, ok)
 		}
 	}
-	if got := metricsOf(c.Host(leader).Machine())["readpath.read_batches"] - batchesBefore; got != 1 {
+	if got := c.Host(leader).Machine().Metrics()["readpath.read_batches"] - batchesBefore; got != 1 {
 		t.Fatalf("%d concurrent reads used %d read batches, want 1", reads, got)
 	}
 	// One broadcast round is 4 heartbeats (5 nodes); allow the release to
@@ -583,7 +582,7 @@ func TestProposerByteBackpressure(t *testing.T) {
 		t.Fatal("no leader")
 	}
 	const proposer = types.NodeID("n2")
-	fr := c.Host(proposer).Machine().(*fastraft.Node)
+	fr := c.Host(proposer).Machine()
 	payload := make([]byte, 200) // ~3 proposals fit the 600-byte budget
 	const burst = 12
 	pids := make([]types.ProposalID, 0, burst)
@@ -607,7 +606,7 @@ func TestProposerByteBackpressure(t *testing.T) {
 			t.Fatalf("proposal %d never resolved under byte backpressure", i)
 		}
 	}
-	if got := metricsOf(c.Host(proposer).Machine())["fastraft.proposals_byte_queued"]; got == 0 {
+	if got := c.Host(proposer).Machine().Metrics()["fastraft.proposals_byte_queued"]; got == 0 {
 		t.Fatal("byte-queued counter never moved")
 	}
 	if err := c.Safety.Err(); err != nil {

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/hraft-io/hraft/internal/core/fastraft"
 	"github.com/hraft-io/hraft/internal/types"
 )
 
@@ -87,7 +86,7 @@ func runDoubleCommitScenario(t *testing.T, withSessions bool) (applies int, firs
 		t.Fatal(err)
 	}
 	c.RunFor(2 * time.Second)
-	fr := c.Host(proposer).Machine().(*fastraft.Node)
+	fr := c.Host(proposer).Machine()
 	if fr.SnapshotIndex() < firstIdx {
 		t.Fatalf("scenario broken: proposer boundary %d below entry %d", fr.SnapshotIndex(), firstIdx)
 	}
@@ -179,7 +178,7 @@ func TestRestartedProposerFreshProposalCommits(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.RunFor(2 * time.Second)
-	if fr := c.Host(proposer).Machine().(*fastraft.Node); fr.SnapshotIndex() < firstIdx {
+	if fr := c.Host(proposer).Machine(); fr.SnapshotIndex() < firstIdx {
 		t.Fatalf("scenario broken: boundary %d below entry %d", fr.SnapshotIndex(), firstIdx)
 	}
 	c.Crash(proposer)
@@ -252,7 +251,7 @@ func TestDoubleCommitWhenWindowEvicted(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.RunFor(5 * time.Second)
-	fr := c.Host(proposer).Machine().(*fastraft.Node)
+	fr := c.Host(proposer).Machine()
 	if fr.SnapshotIndex() < firstIdx+types.Index(filler)/2 {
 		t.Fatalf("scenario broken: boundary %d did not pass the filler traffic", fr.SnapshotIndex())
 	}
@@ -450,7 +449,7 @@ func TestSessionExpiry(t *testing.T) {
 	// Idle well past the TTL; clock entries expire the session everywhere.
 	c.RunFor(4 * ttl)
 	for id, h := range c.Hosts() {
-		if h.Machine().(*fastraft.Node).Sessions().Has(sid) {
+		if h.Machine().Sessions().Has(sid) {
 			t.Fatalf("node %s still has session %v after TTL", id, sid)
 		}
 	}
@@ -580,7 +579,7 @@ func TestRaftSessionSurvivesSnapshotInstall(t *testing.T) {
 	}
 	c.RunFor(time.Second)
 
-	rn := c.Host(proposer).Machine().(*fastraft.Node)
+	rn := c.Host(proposer).Machine()
 	if !rn.Sessions().Has(sid) {
 		t.Fatalf("restarted node lost session %v (registry not in snapshot?)", sid)
 	}
@@ -648,7 +647,7 @@ func TestSessionAckTruncatesResponseCaches(t *testing.T) {
 	}
 	c.RunFor(2 * time.Second) // let every replica apply
 	for id, h := range c.Hosts() {
-		if got := h.Machine().(*fastraft.Node).Sessions().ResponseCount(sid); got != 5 {
+		if got := h.Machine().Sessions().ResponseCount(sid); got != 5 {
 			t.Fatalf("%s cached %d responses before ack, want 5", id, got)
 		}
 	}
@@ -656,7 +655,7 @@ func TestSessionAckTruncatesResponseCaches(t *testing.T) {
 	seq6 := propose(6, 5)
 	c.RunFor(2 * time.Second)
 	for id, h := range c.Hosts() {
-		if got := h.Machine().(*fastraft.Node).Sessions().ResponseCount(sid); got != 2 { // 5 and 6
+		if got := h.Machine().Sessions().ResponseCount(sid); got != 2 { // 5 and 6
 			t.Fatalf("%s cached %d responses after ack, want 2", id, got)
 		}
 	}

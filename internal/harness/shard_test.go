@@ -104,6 +104,10 @@ func TestShardClusterCommitsAcrossGroups(t *testing.T) {
 	if m["shard.coalesced_frames"] == 0 || m["shard.batches_sent"] == 0 {
 		t.Fatalf("no cross-group coalescing happened: %+v", m)
 	}
+	// The per-group auditor rings make the cluster a trace source.
+	if len(c.MergedTrace()) == 0 {
+		t.Fatal("shard cluster merged trace is empty")
+	}
 }
 
 // TestShardClusterSplitUnderTraffic splits a hot range while proposals keep

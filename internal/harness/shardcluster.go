@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"time"
 
-	"github.com/hraft-io/hraft/internal/audit"
 	"github.com/hraft-io/hraft/internal/core/fastraft"
 	"github.com/hraft-io/hraft/internal/shard"
 	"github.com/hraft-io/hraft/internal/simnet"
@@ -64,46 +63,38 @@ type ShardOptions struct {
 // ShardHost is one process: a shard.Manager over shared storage, bound to
 // the simulated network.
 type ShardHost struct {
-	c   *ShardCluster
-	id  types.NodeID
-	mgr *shard.Manager
-	sm  *storage.ShardMemory
+	node[shardMachine]
+	c  *ShardCluster
+	sm *storage.ShardMemory
 	// recs holds the per-group flight recorders, reused across restarts so
 	// one ring spans a group's whole lifetime on this process.
-	recs      map[types.GroupID]*trace.Recorder
-	alive     bool
-	wake      *simnet.Timer
-	syncTimer *simnet.Timer
-
-	proposeStart map[types.ProposalID]time.Duration
-	resolved     map[types.ProposalID]types.Index
-	readDone     map[uint64]types.ReadDone
+	recs map[types.GroupID]*trace.Recorder
 	// appliedCount counts KindNormal applications per (group, payload) on
 	// this process — the double-apply detector for lifecycle tests.
 	appliedCount map[types.GroupID]map[string]int
 }
 
-// ID returns the process identity.
-func (h *ShardHost) ID() types.NodeID { return h.id }
+// shardMachine adapts a shard.Manager to the host loop, which tracks
+// resolutions and reads without their group tags.
+type shardMachine struct{ *shard.Manager }
+
+func (m shardMachine) DrainResolved(dst []types.Resolution) []types.Resolution {
+	for _, gr := range m.DrainGroupResolved(nil) {
+		dst = append(dst, gr.Resolution)
+	}
+	return dst
+}
+
+func (m shardMachine) DrainReadDone(dst []types.ReadDone) []types.ReadDone {
+	for _, rd := range m.DrainGroupReadDone(nil) {
+		dst = append(dst, rd.Done)
+	}
+	return dst
+}
 
 // Manager returns the hosted shard manager (per-group state lives behind
 // Manager.Group). Only touch it from test code between scheduler steps.
-func (h *ShardHost) Manager() *shard.Manager { return h.mgr }
-
-// Alive reports whether the process is running.
-func (h *ShardHost) Alive() bool { return h.alive }
-
-// Resolved returns the resolution index of a tracked proposal, if resolved.
-func (h *ShardHost) Resolved(pid types.ProposalID) (types.Index, bool) {
-	idx, ok := h.resolved[pid]
-	return idx, ok
-}
-
-// ReadResult returns the resolution of a tracked read, if it resolved.
-func (h *ShardHost) ReadResult(token uint64) (types.ReadDone, bool) {
-	d, ok := h.readDone[token]
-	return d, ok
-}
+func (h *ShardHost) Manager() *shard.Manager { return h.machine.Manager }
 
 // AppliedCount returns how many times this process applied the given
 // KindNormal payload in the given group (1 = exactly-once).
@@ -112,19 +103,12 @@ func (h *ShardHost) AppliedCount(gid types.GroupID, payload string) int {
 }
 
 // ShardCluster simulates a set of processes each hosting every consensus
-// group of a sharded deployment.
+// group of a sharded deployment, on the shared host loop. Its Safety
+// checker keys each group apart; its auditor watches every (process,
+// group) recorder.
 type ShardCluster struct {
-	opts ShardOptions
-	// Sched is the virtual-time scheduler.
-	Sched *simnet.Scheduler
-	// Net is the simulated network.
-	Net *simnet.Network
-	// Safety accumulates invariant violations, keyed per group.
-	Safety *SafetyChecker
-	// Audit is the streaming safety auditor over every (process, group)
-	// recorder (nil when Options.Audit is AuditOff).
-	Audit *audit.Auditor
-
+	*sim[shardMachine]
+	opts  ShardOptions
 	hosts map[types.NodeID]*ShardHost
 }
 
@@ -133,38 +117,28 @@ func NewShardCluster(opts ShardOptions) (*ShardCluster, error) {
 	if len(opts.Procs) == 0 {
 		return nil, fmt.Errorf("harness: shard cluster needs processes")
 	}
-	sched := simnet.NewScheduler()
-	net := simnet.NewNetwork(sched, opts.Topology, opts.Seed)
-	net.LossProb = opts.LossProb
-	net.DupProb = opts.DupProb
 	c := &ShardCluster{
-		opts:   opts,
-		Sched:  sched,
-		Net:    net,
-		Safety: NewSafetyChecker(),
-		hosts:  make(map[types.NodeID]*ShardHost),
+		sim:   newSim[shardMachine]("process", opts.Topology, opts.Seed, opts.LossProb, opts.DupProb, opts.Audit),
+		opts:  opts,
+		hosts: make(map[types.NodeID]*ShardHost),
 	}
-	c.Audit = newAuditor(opts.Audit)
+	c.syncWindow = opts.SyncWindow
 	for _, id := range opts.Procs {
 		h := &ShardHost{
 			c:            c,
-			id:           id,
 			sm:           storage.NewShardMemory(),
 			recs:         make(map[types.GroupID]*trace.Recorder),
-			proposeStart: make(map[types.ProposalID]time.Duration),
-			resolved:     make(map[types.ProposalID]types.Index),
-			readDone:     make(map[uint64]types.ReadDone),
 			appliedCount: make(map[types.GroupID]map[string]int),
 		}
-		mgr, err := c.newManager(h)
+		h.node = c.newNode(id, h)
+		h.durable = h.sm
+		m, err := h.boot()
 		if err != nil {
 			return nil, err
 		}
-		h.mgr = mgr
-		h.alive = true
 		c.hosts[id] = h
-		c.register(h)
-		c.drain(h)
+		h.start(m)
+		h.drain()
 	}
 	return c, nil
 }
@@ -180,11 +154,12 @@ func (c *ShardCluster) coreSeed(id types.NodeID, gid types.GroupID) int64 {
 	return c.opts.Seed ^ int64(f.Sum64())
 }
 
-// newManager builds (or rebuilds, after a crash) a process's manager over
-// its surviving ShardMemory.
-func (c *ShardCluster) newManager(h *ShardHost) (*shard.Manager, error) {
+// boot builds (or rebuilds, after a crash) the process's manager over its
+// surviving ShardMemory.
+func (h *ShardHost) boot() (shardMachine, error) {
+	c := h.c
 	boot := types.NewConfig(c.opts.Procs...)
-	return shard.New(shard.Config{
+	mgr, err := shard.New(shard.Config{
 		ProcessID: h.id,
 		Groups:    c.opts.Groups,
 		Storage:   func(gid types.GroupID) storage.Storage { return h.sm.Group(gid) },
@@ -195,12 +170,11 @@ func (c *ShardCluster) newManager(h *ShardHost) (*shard.Manager, error) {
 			if rec == nil && c.Audit != nil {
 				// One recorder per (process, group): lease auditing needs a
 				// distinct instance label per group timeline.
-				rec = trace.New(trace.Config{
-					Node: string(h.id) + "/" + string(gid),
-					Size: c.opts.TraceRing,
+				rec = c.recorder(trace.Config{
+					Node:  string(h.id) + "/" + string(gid),
+					Group: string(gid),
+					Size:  c.opts.TraceRing,
 				})
-				rec.SetGroup(string(gid))
-				c.Audit.AttachTo(rec)
 				h.recs[gid] = rec
 			}
 			return fastraft.New(fastraft.Config{
@@ -219,26 +193,18 @@ func (c *ShardCluster) newManager(h *ShardHost) (*shard.Manager, error) {
 		MaxBatchBytes: c.opts.MaxBatchBytes,
 		RetireDrain:   c.opts.RetireDrain,
 	}, boot)
+	return shardMachine{mgr}, err
 }
 
-func (c *ShardCluster) register(h *ShardHost) {
-	c.Net.Register(h.id, func(env types.Envelope) {
-		if !h.alive {
-			return
-		}
-		h.mgr.Step(c.Sched.Now(), env)
-		c.drain(h)
-	})
-}
-
-// drain flushes a host's outputs into the network and the trackers, then
-// re-arms its timers — the harness mirror of runtime.Host.drainLocked.
-func (c *ShardCluster) drain(h *ShardHost) {
-	for _, env := range h.mgr.DrainOutbox(nil) {
-		c.Net.Send(env)
-	}
-	for _, ge := range h.mgr.DrainGroupCommitted(nil) {
+// record feeds every group's commits and leadership to the safety checker
+// and counts applications per payload.
+func (h *ShardHost) record(time.Duration) {
+	c := h.c
+	for _, ge := range h.machine.DrainGroupCommitted(nil) {
 		c.Safety.RecordCommit(string(ge.Group), h.id, ge.Entry)
+		if h.OnCommit != nil {
+			h.OnCommit(ge.Entry)
+		}
 		if ge.Entry.Kind == types.KindNormal {
 			g := h.appliedCount[ge.Group]
 			if g == nil {
@@ -248,72 +214,20 @@ func (c *ShardCluster) drain(h *ShardHost) {
 			g[string(ge.Entry.Data)]++
 		}
 	}
-	for _, gid := range h.mgr.Groups() {
-		core := h.mgr.Group(gid)
+	for _, gid := range h.machine.Groups() {
+		core := h.machine.Group(gid)
 		if core != nil && core.Role() == types.RoleLeader {
 			c.Safety.RecordLeader(string(gid), core.Term(), h.id)
 		}
 	}
-	for _, gr := range h.mgr.DrainGroupResolved(nil) {
-		h.resolved[gr.Resolution.PID] = gr.Resolution.Index
-		delete(h.proposeStart, gr.Resolution.PID)
-	}
-	for _, rd := range h.mgr.DrainGroupReadDone(nil) {
-		h.readDone[rd.Done.ID] = rd.Done
-	}
-	c.schedule(h)
-	c.armSync(h)
 }
 
-func (c *ShardCluster) syncWindow() time.Duration {
-	if c.opts.SyncWindow > 0 {
-		return c.opts.SyncWindow
+// down retires every group's recording instance: the groups go down
+// together.
+func (h *ShardHost) down() {
+	for gid := range h.recs {
+		h.c.Audit.NodeDown(string(h.id) + "/" + string(gid))
 	}
-	return 2 * time.Millisecond
-}
-
-// armSync schedules the shared fsync-window close: one Sync makes every
-// group's buffered writes durable at once and one SyncDone fan-out releases
-// every group's gated outputs — the cross-group group-commit the shared WAL
-// provides on real disks.
-func (c *ShardCluster) armSync(h *ShardHost) {
-	if !h.alive || !h.sm.Pending() || h.syncTimer != nil {
-		return
-	}
-	h.syncTimer = c.Sched.At(c.Sched.Now()+c.syncWindow(), func() {
-		h.syncTimer = nil
-		if !h.alive {
-			return
-		}
-		if err := h.sm.Sync(); err != nil {
-			panic(fmt.Sprintf("harness: sync %s: %v", h.id, err))
-		}
-		h.mgr.SyncDone(c.Sched.Now(), h.sm.DurableLSN())
-		c.drain(h)
-	})
-}
-
-// schedule re-arms the single wake timer from the manager's earliest
-// deadline across all groups — the shared ticker wheel.
-func (c *ShardCluster) schedule(h *ShardHost) {
-	if h.wake != nil {
-		h.wake.Cancel()
-		h.wake = nil
-	}
-	if !h.alive {
-		return
-	}
-	d := h.mgr.NextDeadline()
-	if d == 0 {
-		return
-	}
-	h.wake = c.Sched.At(d, func() {
-		if !h.alive {
-			return
-		}
-		h.mgr.Tick(c.Sched.Now())
-		c.drain(h)
-	})
 }
 
 // Host returns the process for id (nil if unknown).
@@ -321,27 +235,6 @@ func (c *ShardCluster) Host(id types.NodeID) *ShardHost { return c.hosts[id] }
 
 // Hosts returns all processes.
 func (c *ShardCluster) Hosts() map[types.NodeID]*ShardHost { return c.hosts }
-
-// RunFor advances virtual time by d.
-func (c *ShardCluster) RunFor(d time.Duration) {
-	c.Sched.RunUntil(c.Sched.Now() + d)
-}
-
-// RunUntil steps the simulation until cond holds or virtual time passes
-// deadline; it reports whether cond held.
-func (c *ShardCluster) RunUntil(cond func() bool, deadline time.Duration) bool {
-	for {
-		if cond() {
-			return true
-		}
-		if c.Sched.Now() > deadline {
-			return false
-		}
-		if !c.Sched.Step() {
-			return cond()
-		}
-	}
-}
 
 // GroupLeader returns the alive process leading the given group at the
 // highest term, if any.
@@ -352,7 +245,7 @@ func (c *ShardCluster) GroupLeader(gid types.GroupID) (*ShardHost, bool) {
 		if !h.alive {
 			continue
 		}
-		core := h.mgr.Group(gid)
+		core := h.machine.Group(gid)
 		if core == nil || core.Role() != types.RoleLeader {
 			continue
 		}
@@ -381,7 +274,7 @@ func (c *ShardCluster) WaitForGroupLeader(gid types.GroupID, deadline time.Durat
 func (c *ShardCluster) WaitForAllLeaders(deadline time.Duration) bool {
 	ref := c.hosts[c.opts.Procs[0]]
 	return c.RunUntil(func() bool {
-		for _, gid := range ref.mgr.Groups() {
+		for _, gid := range ref.machine.Groups() {
 			if _, ok := c.GroupLeader(gid); !ok {
 				return false
 			}
@@ -392,59 +285,20 @@ func (c *ShardCluster) WaitForAllLeaders(deadline time.Duration) bool {
 
 // ProposeKey submits a payload routed by key from the given process,
 // returning the owning group alongside the proposal ID.
-func (c *ShardCluster) ProposeKey(id types.NodeID, key string, data []byte) (types.GroupID, types.ProposalID, error) {
-	h := c.hosts[id]
-	if h == nil || !h.alive {
-		return "", types.ProposalID{}, fmt.Errorf("harness: process %s not running", id)
-	}
-	now := c.Sched.Now()
-	gid, pid := h.mgr.ProposeKey(now, key, data)
-	h.proposeStart[pid] = now
-	c.drain(h)
-	return gid, pid, nil
+func (c *ShardCluster) ProposeKey(id types.NodeID, key string, data []byte) (gid types.GroupID, pid types.ProposalID, err error) {
+	pid, err = c.propose(id, func(m shardMachine, now time.Duration) types.ProposalID {
+		gid, pid = m.ProposeKey(now, key, data)
+		return pid
+	})
+	return gid, pid, err
 }
 
 // Read registers a read routed by key on the given process.
-func (c *ShardCluster) Read(id types.NodeID, key string, consistency types.ReadConsistency) (types.GroupID, uint64, error) {
-	h := c.hosts[id]
-	if h == nil || !h.alive {
-		return "", 0, fmt.Errorf("harness: process %s not running", id)
-	}
-	gid, token := h.mgr.Read(c.Sched.Now(), key, consistency)
-	c.drain(h)
-	return gid, token, nil
-}
-
-// AwaitResolution runs until the proposal tracked on process id resolves.
-func (c *ShardCluster) AwaitResolution(id types.NodeID, pid types.ProposalID, deadline time.Duration) (types.Index, bool) {
-	h := c.hosts[id]
-	if h == nil {
-		return 0, false
-	}
-	ok := c.RunUntil(func() bool {
-		_, done := h.resolved[pid]
-		return done
-	}, deadline)
-	if !ok {
-		return 0, false
-	}
-	return h.resolved[pid], true
-}
-
-// AwaitRead runs until the read tracked on process id resolves.
-func (c *ShardCluster) AwaitRead(id types.NodeID, token uint64, deadline time.Duration) (types.ReadDone, bool) {
-	h := c.hosts[id]
-	if h == nil {
-		return types.ReadDone{}, false
-	}
-	ok := c.RunUntil(func() bool {
-		_, done := h.readDone[token]
-		return done
-	}, deadline)
-	if !ok {
-		return types.ReadDone{}, false
-	}
-	return h.readDone[token], true
+func (c *ShardCluster) Read(id types.NodeID, key string, consistency types.ReadConsistency) (gid types.GroupID, token uint64, err error) {
+	err = c.do(id, func(n *node[shardMachine], now time.Duration) {
+		gid, token = n.machine.Read(now, key, consistency)
+	})
+	return gid, token, err
 }
 
 // Split proposes a range split through the process currently leading the
@@ -452,16 +306,16 @@ func (c *ShardCluster) AwaitRead(id types.NodeID, token uint64, deadline time.Du
 // any other proposal; proposing at the leader keeps tests deterministic).
 func (c *ShardCluster) Split(daughter types.GroupID, pivot string) (types.NodeID, types.ProposalID, error) {
 	ref := c.hosts[c.opts.Procs[0]]
-	parent := ref.mgr.Route(pivot)
+	parent := ref.machine.Route(pivot)
 	h, ok := c.GroupLeader(parent)
 	if !ok {
 		return types.None, types.ProposalID{}, fmt.Errorf("harness: group %q has no leader", parent)
 	}
-	pid, err := h.mgr.Split(c.Sched.Now(), daughter, pivot)
+	pid, err := h.machine.Split(c.Sched.Now(), daughter, pivot)
 	if err != nil {
 		return types.None, types.ProposalID{}, err
 	}
-	c.drain(h)
+	h.drain()
 	return h.id, pid, nil
 }
 
@@ -472,11 +326,11 @@ func (c *ShardCluster) Merge(right types.GroupID) (types.NodeID, types.ProposalI
 	if !ok {
 		return types.None, types.ProposalID{}, fmt.Errorf("harness: group %q has no leader", right)
 	}
-	pid, err := h.mgr.Merge(c.Sched.Now(), right)
+	pid, err := h.machine.Merge(c.Sched.Now(), right)
 	if err != nil {
 		return types.None, types.ProposalID{}, err
 	}
-	c.drain(h)
+	h.drain()
 	return h.id, pid, nil
 }
 
@@ -486,58 +340,9 @@ func (c *ShardCluster) TransferLeader(gid types.GroupID, target types.NodeID) er
 	if !ok {
 		return fmt.Errorf("harness: group %q has no leader", gid)
 	}
-	if !h.mgr.TransferLeader(gid, target) {
+	if !h.machine.TransferLeader(gid, target) {
 		return fmt.Errorf("harness: transfer of %q to %s refused", gid, target)
 	}
-	c.drain(h)
-	return nil
-}
-
-// Crash stops a process without warning: every group on it goes down
-// together and the shared unsynced window is lost, like one machine losing
-// its page cache.
-func (c *ShardCluster) Crash(id types.NodeID) {
-	h := c.hosts[id]
-	if h == nil || !h.alive {
-		return
-	}
-	h.alive = false
-	if h.wake != nil {
-		h.wake.Cancel()
-		h.wake = nil
-	}
-	if h.syncTimer != nil {
-		h.syncTimer.Cancel()
-		h.syncTimer = nil
-	}
-	h.sm.Crash()
-	c.Net.Unregister(id)
-	for gid := range h.recs {
-		c.Audit.NodeDown(string(id) + "/" + string(gid))
-	}
-}
-
-// Restart brings a crashed process back: the manager rebuilds from the
-// surviving ShardMemory — meta journal replays the routing table, every
-// recovered group reopens its core.
-func (c *ShardCluster) Restart(id types.NodeID) error {
-	h := c.hosts[id]
-	if h == nil {
-		return fmt.Errorf("harness: unknown process %s", id)
-	}
-	if h.alive {
-		return fmt.Errorf("harness: process %s already running", id)
-	}
-	mgr, err := c.newManager(h)
-	if err != nil {
-		return err
-	}
-	h.mgr = mgr
-	h.alive = true
-	h.proposeStart = make(map[types.ProposalID]time.Duration)
-	h.resolved = make(map[types.ProposalID]types.Index)
-	h.readDone = make(map[uint64]types.ReadDone)
-	c.register(h)
-	c.drain(h)
+	h.drain()
 	return nil
 }

@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/hraft-io/hraft/internal/core/fastraft"
 	"github.com/hraft-io/hraft/internal/types"
 )
 
@@ -48,17 +47,11 @@ func minAliveBoundary(t *testing.T, c *Cluster, skip types.NodeID) types.Index {
 		if id == skip || !h.Alive() {
 			continue
 		}
-		if b := snapshotIndexOf(t, h.Machine()); first || b < min {
+		if b := h.Machine().SnapshotIndex(); first || b < min {
 			min, first = b, false
 		}
 	}
 	return min
-}
-
-// snapshotIndexOf returns a flat-cluster machine's compaction boundary.
-func snapshotIndexOf(t *testing.T, m Machine) types.Index {
-	t.Helper()
-	return m.(*fastraft.Node).SnapshotIndex()
 }
 
 // testSnapshotCatchUp is the acceptance scenario for both protocol kinds: a
@@ -98,7 +91,7 @@ func testSnapshotCatchUp(t *testing.T, kind Kind) {
 	if boundary == 0 {
 		t.Fatal("no alive node compacted; threshold not reached")
 	}
-	laggerLast := c.Host(lagger).Machine().(*fastraft.Node).LastIndex()
+	laggerLast := c.Host(lagger).Machine().LastIndex()
 	if laggerLast >= boundary {
 		t.Fatalf("scenario broken: lagger last index %d not behind boundary %d", laggerLast, boundary)
 	}
@@ -126,7 +119,7 @@ func testSnapshotCatchUp(t *testing.T, kind Kind) {
 		t.Fatalf("lagger received compacted entry %d (boundary %d)", tap.minAEIdx, boundary)
 	}
 	// The restarted node's own log must now start above 1.
-	if c.Host(lagger).Machine().(*fastraft.Node).FirstIndex() == 1 {
+	if c.Host(lagger).Machine().FirstIndex() == 1 {
 		t.Fatal("lagger log not based on a snapshot after catch-up")
 	}
 	if err := c.Safety.Err(); err != nil {

@@ -315,7 +315,7 @@ func TestChunkedInstallMetrics(t *testing.T) {
 	}
 	var sent, installed uint64
 	for id, h := range c.Hosts() {
-		m := h.Machine().(interface{ Metrics() map[string]uint64 }).Metrics()
+		m := h.Machine().Metrics()
 		sent += m[replica.CounterChunksSent]
 		if id == lagger {
 			installed = m[replica.CounterInstalls]

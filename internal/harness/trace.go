@@ -16,46 +16,24 @@ import (
 // stuck proposal, without re-running under a debugger.
 
 // TraceSnapshot returns node id's retained flight-recorder events (nil if
-// tracing is off or the node is unknown). Works on crashed nodes too: the
-// recorder outlives the machine.
-func (c *Cluster) TraceSnapshot(id types.NodeID) []trace.Event {
-	h := c.hosts[id]
-	if h == nil {
+// tracing is off, the node is unknown, or it records per group as a shard
+// process does). Works on crashed nodes too: the recorder outlives the
+// machine. A C-Raft site's local and global layers interleave in one ring.
+func (s *sim[M]) TraceSnapshot(id types.NodeID) []trace.Event {
+	n := s.nodes[id]
+	if n == nil {
 		return nil
 	}
-	return h.rec.Snapshot()
+	return n.rec.Snapshot()
 }
 
-// MergedTrace combines every node's ring (alive and crashed) into one
-// sequence ordered by simulated time.
-func (c *Cluster) MergedTrace() []trace.Event {
+// MergedTrace combines every recorder's ring (alive and crashed nodes
+// alike) into one sequence ordered by simulated time.
+func (s *sim[M]) MergedTrace() []trace.Event {
 	var snaps [][]trace.Event
-	for _, h := range c.hosts {
-		if s := h.rec.Snapshot(); len(s) > 0 {
-			snaps = append(snaps, s)
-		}
-	}
-	return trace.Merge(snaps...)
-}
-
-// TraceSnapshot returns site id's retained flight-recorder events (local
-// and global layers interleaved; nil if tracing is off or the site is
-// unknown).
-func (c *CraftCluster) TraceSnapshot(id types.NodeID) []trace.Event {
-	h := c.hosts[id]
-	if h == nil {
-		return nil
-	}
-	return h.rec.Snapshot()
-}
-
-// MergedTrace combines every site's ring (local and global layers
-// interleaved per site) into one sequence ordered by simulated time.
-func (c *CraftCluster) MergedTrace() []trace.Event {
-	var snaps [][]trace.Event
-	for _, h := range c.hosts {
-		if s := h.rec.Snapshot(); len(s) > 0 {
-			snaps = append(snaps, s)
+	for _, rec := range s.recs {
+		if snap := rec.Snapshot(); len(snap) > 0 {
+			snaps = append(snaps, snap)
 		}
 	}
 	return trace.Merge(snaps...)
@@ -71,8 +49,8 @@ type TB interface {
 	Name() string
 }
 
-// TraceSource is anything producing a merged cluster trace: Cluster and
-// CraftCluster both qualify.
+// TraceSource is anything producing a merged cluster trace: Cluster,
+// CraftCluster and ShardCluster all qualify.
 type TraceSource interface {
 	MergedTrace() []trace.Event
 }

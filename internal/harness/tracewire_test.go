@@ -143,7 +143,7 @@ func TestWireTraceAssemblesAcrossNodes(t *testing.T) {
 		if id == leader {
 			continue
 		}
-		if m := progressOf(c.Host(leader).Machine()).Match(id); m < idx {
+		if m := c.Host(leader).Machine().Progress().Match(id); m < idx {
 			t.Errorf("leader's match index for %s = %d, want >= %d", id, m, idx)
 		}
 	}

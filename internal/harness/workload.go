@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"github.com/hraft-io/hraft/internal/simnet"
 	"github.com/hraft-io/hraft/internal/stats"
 	"github.com/hraft-io/hraft/internal/types"
 )
@@ -39,8 +40,10 @@ type ProposerOptions struct {
 
 // Proposer is a running closed-loop proposer.
 type Proposer struct {
-	c    *Cluster
-	opts ProposerOptions
+	sched  *simnet.Scheduler
+	host   interface{ Alive() bool }
+	submit func(types.NodeID, []byte) (types.ProposalID, error)
+	opts   ProposerOptions
 	// Series records (completion time, latency) per resolved proposal.
 	Series *stats.Series
 	// Completed counts resolved proposals.
@@ -51,15 +54,27 @@ type Proposer struct {
 
 // StartProposer attaches a closed-loop proposer to a node.
 func (c *Cluster) StartProposer(opts ProposerOptions) (*Proposer, error) {
-	h := c.hosts[opts.Node]
-	if h == nil {
-		return nil, fmt.Errorf("harness: unknown proposer node %s", opts.Node)
+	return startProposer(c.sim, opts, c.Propose)
+}
+
+// startProposer attaches a closed-loop proposer to node opts.Node of s,
+// submitting its payloads through propose.
+func startProposer[M machine](s *sim[M], opts ProposerOptions, propose func(types.NodeID, []byte) (types.ProposalID, error)) (*Proposer, error) {
+	n := s.nodes[opts.Node]
+	if n == nil {
+		return nil, fmt.Errorf("harness: unknown proposer %s %s", s.noun, opts.Node)
 	}
 	if opts.PayloadSize == 0 {
 		opts.PayloadSize = 16
 	}
-	p := &Proposer{c: c, opts: opts, Series: &stats.Series{}}
-	h.OnResolve = func(_ types.ProposalID, at, latency time.Duration) {
+	p := &Proposer{
+		sched:  s.Sched,
+		host:   n,
+		submit: propose,
+		opts:   opts,
+		Series: &stats.Series{},
+	}
+	n.OnResolve = func(_ types.ProposalID, at, latency time.Duration) {
 		p.Series.Add(at, latency)
 		p.Completed++
 		p.next()
@@ -78,7 +93,7 @@ func (p *Proposer) done() bool {
 	if p.opts.MaxProposals > 0 && p.Completed >= p.opts.MaxProposals {
 		return true
 	}
-	if p.opts.StopAfter > 0 && p.c.Sched.Now() >= p.opts.StopAfter {
+	if p.opts.StopAfter > 0 && p.sched.Now() >= p.opts.StopAfter {
 		return true
 	}
 	return false
@@ -88,21 +103,16 @@ func (p *Proposer) next() {
 	if p.done() {
 		return
 	}
-	if p.opts.ThinkTime > 0 {
-		p.c.Sched.After(p.opts.ThinkTime, p.propose)
-		return
-	}
-	// Propose at the same virtual instant as the resolution; scheduling an
-	// immediate event keeps stack depth bounded.
-	p.c.Sched.After(0, p.propose)
+	// Without think time this proposes at the same virtual instant as the
+	// resolution; scheduling an immediate event keeps stack depth bounded.
+	p.sched.After(p.opts.ThinkTime, p.propose)
 }
 
 func (p *Proposer) propose() {
 	if p.done() {
 		return
 	}
-	h := p.c.hosts[p.opts.Node]
-	if h == nil || !h.alive {
+	if !p.host.Alive() {
 		return
 	}
 	p.seq++
@@ -110,7 +120,7 @@ func (p *Proposer) propose() {
 	for i := range payload {
 		payload[i] = byte(p.seq + i)
 	}
-	if _, err := p.c.Propose(p.opts.Node, payload); err != nil {
+	if _, err := p.submit(p.opts.Node, payload); err != nil {
 		// Node stopped mid-run; the proposer simply ends.
 		p.stopped = true
 	}

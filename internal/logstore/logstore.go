@@ -384,29 +384,6 @@ func (l *Log) PromoteToLeader(idx types.Index, term types.Term) error {
 	return nil
 }
 
-// TruncateSuffix removes all entries with index > idx. Classic Raft uses it
-// to resolve AppendEntries conflicts. Fast Raft never truncates (it would
-// discard self-approved entries), which the core enforces by not calling
-// this. idx is clamped to the compaction boundary.
-func (l *Log) TruncateSuffix(idx types.Index) {
-	if idx < l.snapIndex {
-		idx = l.snapIndex
-	}
-	for i := l.lastIndex; i > idx; i-- {
-		l.remove(i)
-	}
-	if l.lastIndex > idx {
-		l.lastIndex = idx
-	}
-	for l.lastIndex > l.snapIndex && l.at(l.lastIndex) == nil {
-		l.lastIndex--
-	}
-	if l.lastLeader > idx {
-		l.lastLeader = idx
-	}
-	l.recomputeConfig()
-}
-
 // CompactTo discards every entry at or below idx, recording idx/term as the
 // new snapshot boundary. The boundary must lie inside the leader-approved
 // prefix (callers additionally restrict it to committed, applied entries)

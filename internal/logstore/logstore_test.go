@@ -182,25 +182,6 @@ func TestConfigTracking(t *testing.T) {
 	}
 }
 
-func TestTruncateSuffix(t *testing.T) {
-	l := New(types.NewConfig("a"))
-	for i := types.Index(1); i <= 5; i++ {
-		if err := l.AppendLeader(i, normal("p", uint64(i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	l.TruncateSuffix(2)
-	if l.LastIndex() != 2 || l.LastLeaderIndex() != 2 {
-		t.Fatalf("after truncate: last=%d leader=%d", l.LastIndex(), l.LastLeaderIndex())
-	}
-	if l.FindProposal(pid("p", 4)) != 0 {
-		t.Fatal("truncated pid still indexed")
-	}
-	if err := l.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestRangeAndLeaderRange(t *testing.T) {
 	l := New(types.NewConfig("a"))
 	for i := types.Index(1); i <= 3; i++ {
@@ -260,7 +241,7 @@ func TestQuickRandomOpsKeepInvariants(t *testing.T) {
 		for op := 0; op < 60; op++ {
 			seq++
 			e := normal("p", seq)
-			switch rng.Intn(5) {
+			switch rng.Intn(4) {
 			case 0: // self insert at a random nearby slot
 				idx := types.Index(rng.Intn(20) + 1)
 				err := l.InsertSelf(idx, e)
@@ -284,10 +265,6 @@ func TestQuickRandomOpsKeepInvariants(t *testing.T) {
 					if err := l.PromoteToLeader(idx, types.Term(op)); err != nil {
 						return false
 					}
-				}
-			case 4: // occasional truncation (classic-raft style)
-				if rng.Intn(4) == 0 && l.LastIndex() > 0 {
-					l.TruncateSuffix(types.Index(rng.Intn(int(l.LastIndex()) + 1)))
 				}
 			}
 			if err := l.CheckInvariants(); err != nil {
@@ -552,44 +529,6 @@ func TestCompactedPIDWindowRefresh(t *testing.T) {
 	}
 	if idx := l.FindProposal(pid("p", 2)); idx != 0 {
 		t.Fatalf("unrefreshed pid from the same round survived at %d", idx)
-	}
-}
-
-// TestTruncatedPIDsNeverEnterWindow: suffix truncation removes uncommitted
-// entries, which must not become claimable through the retry window — only
-// compaction (committed prefixes) feeds it.
-func TestTruncatedPIDsNeverEnterWindow(t *testing.T) {
-	l := buildLeaderLog(t, 5, 1)
-	l.TruncateSuffix(3) // entries 4 and 5 never committed
-	if err := l.CompactTo(3, 1); err != nil {
-		t.Fatal(err)
-	}
-	if idx := l.FindProposal(pid("p", 4)); idx != 0 {
-		t.Fatalf("truncated pid resolves to %d via window", idx)
-	}
-	if idx := l.FindProposal(pid("p", 2)); idx != 2 {
-		t.Fatalf("compacted pid resolves to %d, want 2", idx)
-	}
-	if got := l.CompactedPIDCount(); got != 3 {
-		t.Fatalf("window holds %d mappings, want 3", got)
-	}
-}
-
-func TestCompactThenTruncateSuffixClampsAtBoundary(t *testing.T) {
-	l := buildLeaderLog(t, 8, 1)
-	if err := l.CompactTo(5, 1); err != nil {
-		t.Fatal(err)
-	}
-	l.TruncateSuffix(2) // below boundary: clamps
-	if l.LastIndex() != 5 || l.LastLeaderIndex() != 5 || l.FirstIndex() != 6 {
-		t.Fatalf("after clamped truncate: last=%d lastLeader=%d first=%d",
-			l.LastIndex(), l.LastLeaderIndex(), l.FirstIndex())
-	}
-	if err := l.AppendLeader(6, leaderEntry(2, "q", 1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.CheckInvariants(); err != nil {
-		t.Fatal(err)
 	}
 }
 

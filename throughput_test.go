@@ -160,17 +160,17 @@ func shardRate(t *testing.T, n, perGroup int) float64 {
 // round trip (append → fsync → resolve); eight independent groups overlap
 // those round trips while the shared flusher folds their appends into common
 // fsyncs, so their aggregate must reach at least 2x one group's. The arms
-// alternate (1, 8, 1, 8, 1, 8) and their medians are compared, so a burst of
-// CPU contention — other test binaries building on a small machine — lands
-// on both arms instead of deciding the ratio. On a fast disk that round trip
-// is mostly CPU, which -race slows several-fold, so the ratio then measures
-// the instrumentation rather than the overlap: the gate runs in ordinary
-// builds only.
+// alternate (1, 8, 1, 8, ...) for five runs each and their medians are
+// compared, so a burst of CPU contention — other test binaries building on
+// a small machine — lands on both arms instead of deciding the ratio. On a
+// fast disk that round trip is mostly CPU, which -race slows several-fold,
+// so the ratio then measures the instrumentation rather than the overlap:
+// the gate runs in ordinary builds only.
 func TestShardScaling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("CPU-bound ratio gate; not meaningful under -race")
 	}
-	const perGroup, runs = 24, 3
+	const perGroup, runs = 24, 5
 	var one, eight []float64
 	for range runs {
 		one = append(one, shardRate(t, 1, perGroup))
