@@ -72,7 +72,6 @@ func run() error {
 		walWin   = flag.Duration("wal-sync-window", 0, "max time a write waits for its fsync batch (0 = 2ms default, negative = eager)")
 		walSyncB = flag.Int("wal-sync-bytes", 0, "flush the fsync batch early past this many buffered bytes (0 = 256 KiB default)")
 		walSegB  = flag.Int("wal-segment-bytes", 0, "seal WAL segments past this size (0 = 4 MiB default)")
-		applyQ   = flag.Int("apply-queue", 0, "commit→apply pipeline depth in output batches (0 = 256 default)")
 		loss     = flag.Float64("loss", 0, "injected send-side message loss probability [0,1)")
 		hb       = flag.Duration("heartbeat", 100*time.Millisecond, "leader heartbeat interval")
 		snapN    = flag.Int("snapshot-threshold", 0, "compact the log every N committed entries (0 = never)")
@@ -132,7 +131,7 @@ func run() error {
 				SyncBytes:    *walSyncB,
 				SegmentBytes: *walSegB,
 			},
-			applyQ: *applyQ, hb: *hb, snapN: *snapN, chunk: *chunk,
+			hb: *hb, snapN: *snapN, chunk: *chunk,
 			metrics: *metrics, dbgAddr: *dbgAddr, dbgPeer: *dbgPeer,
 			doTrace: *doTrace || *dbgAddr != "" || *slowOp > 0 || *sampleN > 0,
 			slowOp:  *slowOp, sampleN: *sampleN,
@@ -181,7 +180,6 @@ func run() error {
 		Snapshotter:       snapshotter,
 		MaxSnapshotChunk:  *chunk,
 		MaxInflightBytes:  *maxInfl,
-		ApplyQueueSize:    *applyQ,
 		Trace:             traceOpts,
 	})
 	if err != nil {
@@ -329,7 +327,6 @@ type shardParams struct {
 	ranges  string
 	walPath string
 	walOpts hraft.WALOptions
-	applyQ  int
 	hb      time.Duration
 	snapN   int
 	chunk   int
@@ -415,7 +412,6 @@ func runShard(p shardParams) error {
 		HeartbeatInterval: p.hb,
 		SnapshotThreshold: p.snapN,
 		MaxSnapshotChunk:  p.chunk,
-		ApplyQueueSize:    p.applyQ,
 	}
 	if p.walPath != "" {
 		stores, meta, werr := hraft.OpenShardWAL(p.walPath, p.walOpts)

@@ -7,9 +7,7 @@ import (
 	"math/rand"
 	"time"
 
-	"github.com/hraft-io/hraft/internal/audit"
 	"github.com/hraft-io/hraft/internal/core/craft"
-	"github.com/hraft-io/hraft/internal/runtime"
 	"github.com/hraft-io/hraft/internal/types"
 )
 
@@ -88,9 +86,6 @@ type CRaftOptions struct {
 	OnGlobalCommit func(Entry)
 	// CommitBuffer sizes the commit channels (default 1024).
 	CommitBuffer int
-	// ApplyQueueSize bounds the commit→apply pipeline in drained output
-	// batches (0 = a 256-batch default); see Options.ApplyQueueSize.
-	ApplyQueueSize int
 	// Trace, when set, enables the protocol flight recorder across both
 	// consensus layers: local and global events (elections, appends,
 	// snapshot streams, batching, global ordering, replay) share one ring
@@ -104,22 +99,28 @@ type CRaftOptions struct {
 // inter-cluster consensus. Propose copies the caller's buffer; committed
 // entries, local and global, share the log's Data, read-only.
 type CRaftNode struct {
-	host          *runtime.Host
+	base[craftCommit]
 	cn            *craft.Node
-	aud           *audit.Auditor
 	commits       chan Entry
 	globalCommits chan Entry
-	proposalWaiters
-	readWaiters
+	// drained is drainCommitted's buffer for the core's two commit streams.
+	drained []Entry
+}
+
+// craftCommit is a C-Raft site's commit record: an entry of its cluster's
+// local log, or of the global log.
+type craftCommit struct {
+	entry  Entry
+	global bool
 }
 
 // NewCRaftNode builds and starts a C-Raft site.
 func NewCRaftNode(opts CRaftOptions) (*CRaftNode, error) {
-	if opts.ID == types.None || opts.Cluster == types.None {
-		return nil, errors.New("hraft: CRaftOptions.ID and Cluster are required")
+	if err := checkRequired("CRaftOptions", opts.ID, opts.Transport); err != nil {
+		return nil, err
 	}
-	if opts.Transport == nil {
-		return nil, errors.New("hraft: CRaftOptions.Transport is required")
+	if opts.Cluster == types.None {
+		return nil, errors.New("hraft: CRaftOptions.Cluster is required")
 	}
 	if opts.Storage == nil {
 		opts.Storage = NewMemoryStorage()
@@ -151,38 +152,37 @@ func NewCRaftNode(opts CRaftOptions) (*CRaftNode, error) {
 	if err != nil {
 		return nil, fmt.Errorf("hraft: %w", err)
 	}
-	buf := opts.CommitBuffer
-	if buf <= 0 {
-		buf = 1024
-	}
-	n := &CRaftNode{
-		cn:              cn,
-		aud:             aud,
-		commits:         make(chan Entry, buf),
-		globalCommits:   make(chan Entry, buf),
-		proposalWaiters: newProposalWaiters(),
-		readWaiters:     newReadWaiters(),
-	}
-	n.host = runtime.NewHost(cn, opts.Transport, runtime.Callbacks{
-		OnCommit: func(e Entry) {
-			if opts.OnCommit != nil {
-				opts.OnCommit(e)
-			}
-			n.commits <- e
-		},
-		OnGlobalCommit: func(e Entry) {
+	buf := commitBuffer(opts.CommitBuffer)
+	n := &CRaftNode{cn: cn, commits: make(chan Entry, buf), globalCommits: make(chan Entry, buf)}
+	n.start(aud, rec, cn, n.drainCommitted, func(c craftCommit) {
+		if c.global {
 			if opts.OnGlobalCommit != nil {
-				opts.OnGlobalCommit(e)
+				opts.OnGlobalCommit(c.entry)
 			}
-			n.globalCommits <- e
-		},
-		OnResolve:      n.resolve,
-		OnReadDone:     n.resolveRead,
-		ApplyQueueSize: opts.ApplyQueueSize,
-		Recorder:       rec,
-	})
-	wireDurability(n.host, opts.Storage, rec)
+			n.globalCommits <- c.entry
+			return
+		}
+		if opts.OnCommit != nil {
+			opts.OnCommit(c.entry)
+		}
+		n.commits <- c.entry
+	}, opts.Transport, opts.Storage)
 	return n, nil
+}
+
+// drainCommitted appends the site's new local commits, then its new global
+// ones, to dst. The host calls it under its lock.
+func (n *CRaftNode) drainCommitted(dst []craftCommit) []craftCommit {
+	n.drained = n.cn.DrainCommitted(n.drained[:0])
+	for _, e := range n.drained {
+		dst = append(dst, craftCommit{entry: e})
+	}
+	n.drained = n.cn.DrainGlobalCommitted(n.drained[:0])
+	for _, e := range n.drained {
+		dst = append(dst, craftCommit{entry: e, global: true})
+	}
+	clear(n.drained)
+	return dst
 }
 
 // ID returns the site identity.
@@ -194,7 +194,7 @@ func (n *CRaftNode) ClusterID() NodeID { return n.cn.ClusterID() }
 // Role returns the site's local-consensus role.
 func (n *CRaftNode) Role() Role {
 	var r Role
-	n.host.Do(func(_ time.Duration, _ runtime.Machine) { r = n.cn.Role() })
+	n.host.Do(func(time.Duration) { r = n.cn.Role() })
 	return r
 }
 
@@ -202,7 +202,7 @@ func (n *CRaftNode) Role() Role {
 // (and therefore represents it globally).
 func (n *CRaftNode) IsClusterLeader() bool {
 	var ok bool
-	n.host.Do(func(_ time.Duration, _ runtime.Machine) { ok = n.cn.IsGlobalMember() })
+	n.host.Do(func(time.Duration) { ok = n.cn.IsGlobalMember() })
 	return ok
 }
 
@@ -210,7 +210,7 @@ func (n *CRaftNode) IsClusterLeader() bool {
 // committed.
 func (n *CRaftNode) GlobalCommitIndex() Index {
 	var i Index
-	n.host.Do(func(_ time.Duration, _ runtime.Machine) { i = n.cn.GlobalCommitIndex() })
+	n.host.Do(func(time.Duration) { i = n.cn.GlobalCommitIndex() })
 	return i
 }
 
@@ -223,7 +223,7 @@ func (n *CRaftNode) Commits() <-chan Entry { return n.commits }
 // "global." and batch-layer counters under "craft.".
 func (n *CRaftNode) Metrics() map[string]uint64 {
 	var m map[string]uint64
-	n.host.Do(func(_ time.Duration, _ runtime.Machine) { m = n.cn.Metrics() })
+	n.host.Do(func(time.Duration) { m = n.cn.Metrics() })
 	n.aud.MergeMetrics(m)
 	return m
 }
@@ -238,7 +238,7 @@ func (n *CRaftNode) GlobalCommits() <-chan Entry { return n.globalCommits }
 // after a lost acknowledgment can commit twice; use
 // OpenSession/Session.Propose for exactly-once semantics.
 func (n *CRaftNode) Propose(ctx context.Context, data []byte) (Index, error) {
-	return n.await(ctx, n.host, func(now time.Duration) ProposalID {
+	return n.await(ctx, func(now time.Duration) ProposalID {
 		return n.cn.Propose(now, data)
 	})
 }
@@ -246,7 +246,7 @@ func (n *CRaftNode) Propose(ctx context.Context, data []byte) (Index, error) {
 // ProposeAsync submits an application entry without waiting.
 func (n *CRaftNode) ProposeAsync(data []byte) ProposalID {
 	var pid ProposalID
-	n.host.Do(func(now time.Duration, _ runtime.Machine) {
+	n.host.Do(func(now time.Duration) {
 		pid = n.cn.Propose(now, data)
 	})
 	return pid
@@ -256,16 +256,9 @@ func (n *CRaftNode) ProposeAsync(data []byte) ProposalID {
 // new cluster forming, paper Section V-C). It takes effect once this site
 // leads its cluster.
 func (n *CRaftNode) JoinGlobal(contacts []NodeID) {
-	n.host.Do(func(now time.Duration, _ runtime.Machine) {
+	n.host.Do(func(now time.Duration) {
 		n.cn.JoinGlobal(now, contacts)
 	})
-}
-
-// Stop halts the site (a crash; storage remains for restart).
-func (n *CRaftNode) Stop() {
-	n.markStopped()
-	n.markReadsStopped()
-	n.host.Stop()
 }
 
 // RegisterClusterEndpoint wires an in-process network so messages
@@ -276,8 +269,6 @@ func (n *CRaftNode) Stop() {
 func RegisterClusterEndpoint(net *InProcNetwork, cluster NodeID, node *CRaftNode) {
 	ep := net.Endpoint(cluster)
 	ep.SetHandler(func(env Envelope) {
-		node.host.Do(func(now time.Duration, m runtime.Machine) {
-			m.Step(now, env)
-		})
+		node.host.Do(func(now time.Duration) { node.cn.Step(now, env) })
 	})
 }

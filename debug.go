@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"github.com/hraft-io/hraft/internal/audit"
-	"github.com/hraft-io/hraft/internal/runtime"
 	"github.com/hraft-io/hraft/internal/stats"
 	"github.com/hraft-io/hraft/internal/trace"
 )
@@ -192,7 +191,7 @@ func debugPeers(ps []PeerStatus) []DebugPeer {
 // flight-recorder events included (0 = none).
 func (n *site) DebugStatus(traceTail int) DebugStatus {
 	var s DebugStatus
-	n.host.Do(func(_ time.Duration, _ runtime.Machine) {
+	n.host.Do(func(time.Duration) {
 		s = DebugStatus{
 			Node:        string(n.fr.ID()),
 			Role:        n.fr.Role().String(),
@@ -215,18 +214,13 @@ func (n *site) DebugStatus(traceTail int) DebugStatus {
 // was set). Safe from any goroutine.
 func (n *site) Recorder() *TraceRecorder { return n.fr.Recorder() }
 
-// AuditReport snapshots the node's online safety auditor (trivially clean
-// when tracing — and with it auditing — is disabled). Safe from any
-// goroutine.
-func (n *site) AuditReport() AuditReport { return n.aud.Snapshot() }
-
 // DebugStatus snapshots the site's debug state across both consensus
 // layers; traceTail bounds the flight-recorder events included (0 =
 // none). The trace interleaves local and global events (the layers share
 // one ring).
 func (n *CRaftNode) DebugStatus(traceTail int) DebugStatus {
 	var s DebugStatus
-	n.host.Do(func(_ time.Duration, _ runtime.Machine) {
+	n.host.Do(func(time.Duration) {
 		s = DebugStatus{
 			Node:        string(n.cn.ID()),
 			Cluster:     string(n.cn.ClusterID()),
@@ -255,11 +249,6 @@ func (n *CRaftNode) DebugStatus(traceTail int) DebugStatus {
 // Recorder returns the site's flight recorder (nil unless
 // CRaftOptions.Trace was set). Safe from any goroutine.
 func (n *CRaftNode) Recorder() *TraceRecorder { return n.cn.Recorder() }
-
-// AuditReport snapshots the site's online safety auditor, which watches
-// both consensus layers (trivially clean when tracing — and with it
-// auditing — is disabled). Safe from any goroutine.
-func (n *CRaftNode) AuditReport() AuditReport { return n.aud.Snapshot() }
 
 // StatusSource is anything serving a DebugStatus; Node, RaftNode and
 // CRaftNode all qualify.
@@ -566,7 +555,7 @@ func fillTrackCommits(g *DebugTopGroup, m map[string]uint64, prefix string) {
 // /debug/hraft/top). Safe from any goroutine.
 func (n *site) DebugTop() DebugTop {
 	var t DebugTop
-	n.host.Do(func(now time.Duration, _ runtime.Machine) {
+	n.host.Do(func(now time.Duration) {
 		g := DebugTopGroup{
 			Role:        n.fr.Role().String(),
 			Term:        uint64(n.fr.Term()),
@@ -588,7 +577,7 @@ func (n *site) DebugTop() DebugTop {
 // consensus layers (served at /debug/hraft/top). Safe from any goroutine.
 func (n *CRaftNode) DebugTop() DebugTop {
 	var t DebugTop
-	n.host.Do(func(now time.Duration, _ runtime.Machine) {
+	n.host.Do(func(now time.Duration) {
 		live := n.cn.Recorder().LiveStats(now)
 		local := DebugTopGroup{
 			Group:       "local",

@@ -165,7 +165,7 @@ func NewCluster(opts Options) (*Cluster, error) {
 		hosts: make(map[types.NodeID]*Host),
 		rng:   rand.New(rand.NewSource(opts.Seed + 1)),
 	}
-	c.syncWindow, c.churnTimeline = opts.SyncWindow, true
+	c.syncWindow = opts.SyncWindow
 	bootstrap := types.NewConfig(opts.Nodes...)
 	for _, id := range opts.Nodes {
 		if _, err := c.addHost(id, bootstrap); err != nil {

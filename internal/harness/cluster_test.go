@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/hraft-io/hraft/internal/runtime"
 	"github.com/hraft-io/hraft/internal/types"
 )
 
@@ -273,7 +274,7 @@ func TestDeterminismSameSeedSameResult(t *testing.T) {
 
 // watchNode appends n's commits and proposal resolutions, with their
 // virtual instants, to rec.
-func watchNode[M machine](rec *[]string, n *node[M]) {
+func watchNode[M runtime.Machine](rec *[]string, n *node[M]) {
 	n.OnCommit = func(e types.Entry) {
 		*rec = append(*rec, fmt.Sprintf("%s commit %d/%d %s %x @%s", n.id, e.Index, e.Term, e.PID, e.Data, n.s.Sched.Now()))
 	}

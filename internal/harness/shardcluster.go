@@ -63,7 +63,7 @@ type ShardOptions struct {
 // ShardHost is one process: a shard.Manager over shared storage, bound to
 // the simulated network.
 type ShardHost struct {
-	node[shardMachine]
+	node[*shard.Manager]
 	c  *ShardCluster
 	sm *storage.ShardMemory
 	// recs holds the per-group flight recorders, reused across restarts so
@@ -74,27 +74,9 @@ type ShardHost struct {
 	appliedCount map[types.GroupID]map[string]int
 }
 
-// shardMachine adapts a shard.Manager to the host loop, which tracks
-// resolutions and reads without their group tags.
-type shardMachine struct{ *shard.Manager }
-
-func (m shardMachine) DrainResolved(dst []types.Resolution) []types.Resolution {
-	for _, gr := range m.DrainGroupResolved(nil) {
-		dst = append(dst, gr.Resolution)
-	}
-	return dst
-}
-
-func (m shardMachine) DrainReadDone(dst []types.ReadDone) []types.ReadDone {
-	for _, rd := range m.DrainGroupReadDone(nil) {
-		dst = append(dst, rd.Done)
-	}
-	return dst
-}
-
 // Manager returns the hosted shard manager (per-group state lives behind
 // Manager.Group). Only touch it from test code between scheduler steps.
-func (h *ShardHost) Manager() *shard.Manager { return h.machine.Manager }
+func (h *ShardHost) Manager() *shard.Manager { return h.machine }
 
 // AppliedCount returns how many times this process applied the given
 // KindNormal payload in the given group (1 = exactly-once).
@@ -107,7 +89,7 @@ func (h *ShardHost) AppliedCount(gid types.GroupID, payload string) int {
 // checker keys each group apart; its auditor watches every (process,
 // group) recorder.
 type ShardCluster struct {
-	*sim[shardMachine]
+	*sim[*shard.Manager]
 	opts  ShardOptions
 	hosts map[types.NodeID]*ShardHost
 }
@@ -118,7 +100,7 @@ func NewShardCluster(opts ShardOptions) (*ShardCluster, error) {
 		return nil, fmt.Errorf("harness: shard cluster needs processes")
 	}
 	c := &ShardCluster{
-		sim:   newSim[shardMachine]("process", opts.Topology, opts.Seed, opts.LossProb, opts.DupProb, opts.Audit),
+		sim:   newSim[*shard.Manager]("process", opts.Topology, opts.Seed, opts.LossProb, opts.DupProb, opts.Audit),
 		opts:  opts,
 		hosts: make(map[types.NodeID]*ShardHost),
 	}
@@ -156,10 +138,10 @@ func (c *ShardCluster) coreSeed(id types.NodeID, gid types.GroupID) int64 {
 
 // boot builds (or rebuilds, after a crash) the process's manager over its
 // surviving ShardMemory.
-func (h *ShardHost) boot() (shardMachine, error) {
+func (h *ShardHost) boot() (*shard.Manager, error) {
 	c := h.c
 	boot := types.NewConfig(c.opts.Procs...)
-	mgr, err := shard.New(shard.Config{
+	return shard.New(shard.Config{
 		ProcessID: h.id,
 		Groups:    c.opts.Groups,
 		Storage:   func(gid types.GroupID) storage.Storage { return h.sm.Group(gid) },
@@ -193,14 +175,13 @@ func (h *ShardHost) boot() (shardMachine, error) {
 		MaxBatchBytes: c.opts.MaxBatchBytes,
 		RetireDrain:   c.opts.RetireDrain,
 	}, boot)
-	return shardMachine{mgr}, err
 }
 
 // record feeds every group's commits and leadership to the safety checker
 // and counts applications per payload.
 func (h *ShardHost) record(time.Duration) {
 	c := h.c
-	for _, ge := range h.machine.DrainGroupCommitted(nil) {
+	for _, ge := range h.machine.DrainCommitted(nil) {
 		c.Safety.RecordCommit(string(ge.Group), h.id, ge.Entry)
 		if h.OnCommit != nil {
 			h.OnCommit(ge.Entry)
@@ -286,7 +267,7 @@ func (c *ShardCluster) WaitForAllLeaders(deadline time.Duration) bool {
 // ProposeKey submits a payload routed by key from the given process,
 // returning the owning group alongside the proposal ID.
 func (c *ShardCluster) ProposeKey(id types.NodeID, key string, data []byte) (gid types.GroupID, pid types.ProposalID, err error) {
-	pid, err = c.propose(id, func(m shardMachine, now time.Duration) types.ProposalID {
+	pid, err = c.propose(id, func(m *shard.Manager, now time.Duration) types.ProposalID {
 		gid, pid = m.ProposeKey(now, key, data)
 		return pid
 	})
@@ -295,7 +276,7 @@ func (c *ShardCluster) ProposeKey(id types.NodeID, key string, data []byte) (gid
 
 // Read registers a read routed by key on the given process.
 func (c *ShardCluster) Read(id types.NodeID, key string, consistency types.ReadConsistency) (gid types.GroupID, token uint64, err error) {
-	err = c.do(id, func(n *node[shardMachine], now time.Duration) {
+	err = c.do(id, func(n *node[*shard.Manager], now time.Duration) {
 		gid, token = n.machine.Read(now, key, consistency)
 	})
 	return gid, token, err

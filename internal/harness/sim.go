@@ -5,8 +5,9 @@
 // experiment harness in internal/bench is built on top of it.
 //
 // One virtual-time host loop (sim and node) runs under all three cluster
-// types; Cluster, CraftCluster and ShardCluster only build their machines
-// and record what they alone track.
+// types and drives the same runtime.Machine interface as the wall-clock
+// host in internal/runtime; Cluster, CraftCluster and ShardCluster only
+// build their machines and record what they alone track.
 package harness
 
 import (
@@ -14,26 +15,12 @@ import (
 	"time"
 
 	"github.com/hraft-io/hraft/internal/audit"
+	"github.com/hraft-io/hraft/internal/runtime"
 	"github.com/hraft-io/hraft/internal/simnet"
 	"github.com/hraft-io/hraft/internal/stats"
 	"github.com/hraft-io/hraft/internal/trace"
 	"github.com/hraft-io/hraft/internal/types"
 )
-
-// machine is the sans-io surface the host loop drives: a Fast Raft node, a
-// C-Raft site or a shard manager.
-type machine interface {
-	Step(now time.Duration, env types.Envelope)
-	Tick(now time.Duration)
-	// NextDeadline reports when the machine next needs Tick (0 = never).
-	NextDeadline() time.Duration
-	// SyncDone advances the storage durability horizon (see
-	// internal/durable).
-	SyncDone(now time.Duration, durableLSN uint64)
-	DrainOutbox(dst []types.Envelope) []types.Envelope
-	DrainResolved(dst []types.Resolution) []types.Resolution
-	DrainReadDone(dst []types.ReadDone) []types.ReadDone
-}
 
 // deferred is group-commit storage: mutations buffer until Sync closes the
 // fsync window, and Crash loses whatever had not synced
@@ -46,7 +33,7 @@ type deferred interface {
 }
 
 // hooks is what a cluster type adds to the host loop for its nodes.
-type hooks[M machine] interface {
+type hooks[M runtime.Machine] interface {
 	// boot rebuilds the machine from the node's stable storage (Restart).
 	boot() (M, error)
 	// record drains and records the outputs only this cluster type tracks
@@ -58,7 +45,7 @@ type hooks[M machine] interface {
 
 // sim is the virtual-time host loop shared by the cluster types: one
 // scheduler and network, and the checkers every node reports into.
-type sim[M machine] struct {
+type sim[M runtime.Machine] struct {
 	// Sched is the virtual-time scheduler.
 	Sched *simnet.Scheduler
 	// Net is the simulated network.
@@ -82,11 +69,9 @@ type sim[M machine] struct {
 	// syncWindow is the virtual-time group-commit flush interval (0 = 2ms,
 	// matching storage.WALOptions).
 	syncWindow time.Duration
-	// churnTimeline records crashes and restarts on the Timeline.
-	churnTimeline bool
 }
 
-func newSim[M machine](noun string, topo *simnet.Topology, seed int64, loss, dup float64, mode AuditMode) *sim[M] {
+func newSim[M runtime.Machine](noun string, topo *simnet.Topology, seed int64, loss, dup float64, mode AuditMode) *sim[M] {
 	sched := simnet.NewScheduler()
 	net := simnet.NewNetwork(sched, topo, seed)
 	net.LossProb = loss
@@ -106,7 +91,7 @@ func newSim[M machine](noun string, topo *simnet.Topology, seed int64, loss, dup
 // node is one simulated process on the host loop, embedded in Host,
 // CraftHost and ShardHost. Its stable storage outlives the machine across
 // Crash/Restart.
-type node[M machine] struct {
+type node[M runtime.Machine] struct {
 	s       *sim[M]
 	id      types.NodeID
 	hooks   hooks[M]
@@ -362,9 +347,7 @@ func (s *sim[M]) Crash(id types.NodeID) {
 	}
 	s.Net.Unregister(id)
 	n.hooks.down()
-	if s.churnTimeline {
-		s.Timeline.Crash(s.Sched.Now(), id)
-	}
+	s.Timeline.Crash(s.Sched.Now(), id)
 }
 
 // Restart brings a crashed node back from its stable storage.
@@ -381,9 +364,7 @@ func (s *sim[M]) Restart(id types.NodeID) error {
 		return err
 	}
 	n.start(m)
-	if s.churnTimeline {
-		s.Timeline.Restart(s.Sched.Now(), id)
-	}
+	s.Timeline.Restart(s.Sched.Now(), id)
 	n.drain()
 	return nil
 }

@@ -74,6 +74,28 @@ func TestTimelineRecordsRealRun(t *testing.T) {
 	_ = types.NodeID(leader)
 }
 
+// TestCraftTimelineRecordsChurn crashes and restarts a C-Raft site: the
+// deployment's Timeline carries both markers, as a flat cluster's does.
+func TestCraftTimelineRecordsChurn(t *testing.T) {
+	c := newCraft(t, twoClusterSpecs(), 3, 0)
+	if !c.WaitForLeaders(30 * time.Second) {
+		t.Fatal("no leaders")
+	}
+	c.Crash("b2")
+	c.RunFor(time.Second)
+	if err := c.Restart("b2"); err != nil {
+		t.Fatal(err)
+	}
+	var crashed, restarted bool
+	for _, e := range c.Timeline.Events() {
+		crashed = crashed || (e.Kind == EventCrash && e.Node == "b2")
+		restarted = restarted || (e.Kind == EventRestart && e.Node == "b2")
+	}
+	if !crashed || !restarted {
+		t.Fatalf("timeline crash=%v restart=%v for b2, want both", crashed, restarted)
+	}
+}
+
 func TestTimelineRecordsConfigChanges(t *testing.T) {
 	c, err := NewCluster(Options{
 		Kind: KindFastRaft, Nodes: fiveNodes(), Seed: 37, MemberTimeoutRounds: 3,

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"github.com/hraft-io/hraft/internal/runtime"
 	"github.com/hraft-io/hraft/internal/simnet"
 	"github.com/hraft-io/hraft/internal/stats"
 	"github.com/hraft-io/hraft/internal/types"
@@ -59,7 +60,7 @@ func (c *Cluster) StartProposer(opts ProposerOptions) (*Proposer, error) {
 
 // startProposer attaches a closed-loop proposer to node opts.Node of s,
 // submitting its payloads through propose.
-func startProposer[M machine](s *sim[M], opts ProposerOptions, propose func(types.NodeID, []byte) (types.ProposalID, error)) (*Proposer, error) {
+func startProposer[M runtime.Machine](s *sim[M], opts ProposerOptions, propose func(types.NodeID, []byte) (types.ProposalID, error)) (*Proposer, error) {
 	n := s.nodes[opts.Node]
 	if n == nil {
 		return nil, fmt.Errorf("harness: unknown proposer %s %s", s.noun, opts.Node)

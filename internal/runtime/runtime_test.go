@@ -10,24 +10,19 @@ import (
 )
 
 // echoMachine is a minimal Machine: it records deliveries, replies to
-// JoinRequest with JoinRedirect, emits a committed entry per tick, and
+// JoinRequest with JoinRedirect, emits a committed entry per tick, commits
+// a KindNormal entry indexed by the durable LSN on each SyncDone, and
 // requests a tick every 10ms.
 type echoMachine struct {
-	mu        sync.Mutex
 	id        types.NodeID
 	delivered []types.Envelope
 	outbox    []types.Envelope
 	committed []types.Entry
 	ticks     int
+	synced    uint64
 	now       time.Duration
 }
 
-func (m *echoMachine) ID() types.NodeID            { return m.id }
-func (m *echoMachine) Role() types.Role            { return types.RoleFollower }
-func (m *echoMachine) Term() types.Term            { return 1 }
-func (m *echoMachine) LeaderID() types.NodeID      { return types.None }
-func (m *echoMachine) CommitIndex() types.Index    { return 0 }
-func (m *echoMachine) PendingProposals() int       { return 0 }
 func (m *echoMachine) NextDeadline() time.Duration { return m.now + 10*time.Millisecond }
 
 func (m *echoMachine) Step(now time.Duration, env types.Envelope) {
@@ -49,9 +44,12 @@ func (m *echoMachine) Tick(now time.Duration) {
 	})
 }
 
-func (m *echoMachine) Propose(now time.Duration, data []byte) types.ProposalID {
+func (m *echoMachine) SyncDone(now time.Duration, durableLSN uint64) {
 	m.now = now
-	return types.ProposalID{Proposer: m.id, Seq: uint64(len(m.delivered) + 1)}
+	m.synced = durableLSN
+	m.committed = append(m.committed, types.Entry{
+		Index: types.Index(durableLSN), Kind: types.KindNormal,
+	})
 }
 
 func (m *echoMachine) DrainOutbox(dst []types.Envelope) []types.Envelope {
@@ -63,6 +61,8 @@ func (m *echoMachine) DrainCommitted(dst []types.Entry) []types.Entry {
 }
 
 func (m *echoMachine) DrainResolved(dst []types.Resolution) []types.Resolution { return dst }
+
+func (m *echoMachine) DrainReadDone(dst []types.ReadDone) []types.ReadDone { return dst }
 
 func TestInProcNetworkDelivery(t *testing.T) {
 	net := NewInProcNetwork(1)
@@ -150,7 +150,7 @@ func TestHostTicksAndCommits(t *testing.T) {
 	defer net.Close()
 	m := &echoMachine{id: "a"}
 	var commits atomic.Int64
-	h := NewHost(m, net.Endpoint("a"), Callbacks{
+	h := NewHost(m, m.DrainCommitted, net.Endpoint("a"), Callbacks[types.Entry]{
 		OnCommit: func(types.Entry) { commits.Add(1) },
 	})
 	defer h.Stop()
@@ -169,13 +169,13 @@ func TestHostRoutesMessagesBothWays(t *testing.T) {
 	defer net.Close()
 	ma := &echoMachine{id: "a"}
 	mb := &echoMachine{id: "b"}
-	ha := NewHost(ma, net.Endpoint("a"), Callbacks{})
-	hb := NewHost(mb, net.Endpoint("b"), Callbacks{})
+	ha := NewHost(ma, ma.DrainCommitted, net.Endpoint("a"), Callbacks[types.Entry]{})
+	hb := NewHost(mb, mb.DrainCommitted, net.Endpoint("b"), Callbacks[types.Entry]{})
 	defer ha.Stop()
 	defer hb.Stop()
 	// a sends a JoinRequest to b via Do; b's machine answers with a
 	// redirect, which must come back to a.
-	ha.Do(func(now time.Duration, m Machine) {
+	ha.Do(func(time.Duration) {
 		ma.outbox = append(ma.outbox, types.Envelope{
 			From: "a", To: "b", Layer: types.LayerLocal,
 			Msg: types.JoinRequest{Site: "a"},
@@ -184,7 +184,7 @@ func TestHostRoutesMessagesBothWays(t *testing.T) {
 	deadline := time.After(2 * time.Second)
 	for {
 		var redirected bool
-		ha.Do(func(_ time.Duration, _ Machine) {
+		ha.Do(func(time.Duration) {
 			for _, env := range ma.delivered {
 				if _, ok := env.Msg.(types.JoinRedirect); ok {
 					redirected = true
@@ -206,11 +206,11 @@ func TestHostStopIsIdempotentAndHaltsTicks(t *testing.T) {
 	net := NewInProcNetwork(1)
 	defer net.Close()
 	m := &echoMachine{id: "a"}
-	h := NewHost(m, net.Endpoint("a"), Callbacks{})
+	h := NewHost(m, m.DrainCommitted, net.Endpoint("a"), Callbacks[types.Entry]{})
 	h.Stop()
 	h.Stop() // second stop must not panic
 	var before int
-	h.Do(func(_ time.Duration, _ Machine) { before = m.ticks }) // no-op when stopped
+	h.Do(func(time.Duration) { before = m.ticks }) // no-op when stopped
 	time.Sleep(60 * time.Millisecond)
 	after := m.ticks
 	if after > before+1 {
@@ -224,7 +224,7 @@ func TestHostCommitOrderPreserved(t *testing.T) {
 	m := &echoMachine{id: "a"}
 	var mu sync.Mutex
 	var order []types.Index
-	h := NewHost(m, net.Endpoint("a"), Callbacks{
+	h := NewHost(m, m.DrainCommitted, net.Endpoint("a"), Callbacks[types.Entry]{
 		OnCommit: func(e types.Entry) {
 			mu.Lock()
 			order = append(order, e.Index)
@@ -252,5 +252,34 @@ func TestHostCommitOrderPreserved(t *testing.T) {
 		if order[i] != order[i-1]+1 {
 			t.Fatalf("commit order broken: %v", order)
 		}
+	}
+}
+
+func TestHostNotifyDurableReleasesCommits(t *testing.T) {
+	net := NewInProcNetwork(1)
+	defer net.Close()
+	m := &echoMachine{id: "a"}
+	released := make(chan types.Entry, 1)
+	h := NewHost(m, m.DrainCommitted, net.Endpoint("a"), Callbacks[types.Entry]{
+		OnCommit: func(e types.Entry) {
+			if e.Kind == types.KindNormal {
+				released <- e
+			}
+		},
+	})
+	defer h.Stop()
+	h.NotifyDurable(7)
+	var synced uint64
+	h.Do(func(time.Duration) { synced = m.synced })
+	if synced != 7 {
+		t.Fatalf("machine saw durable LSN %d, want 7", synced)
+	}
+	select {
+	case e := <-released:
+		if e.Index != 7 {
+			t.Fatalf("released entry index %d, want 7", e.Index)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("the entry SyncDone released never reached OnCommit")
 	}
 }

@@ -1,6 +1,7 @@
 // Package shard multiplexes many consensus groups over one process's shared
-// resources. A Manager hosts N Fast Raft cores behind a single
-// runtime.Machine face: one host timer serves every group's tick wheel, one
+// resources. A Manager hosts N Fast Raft cores behind the one
+// runtime.Machine surface a single core offers, its commits tagged with
+// their group (Commit): one host timer serves every group's tick wheel, one
 // transport endpoint carries every group's traffic (messages are tagged with
 // their group; messages to the same destination process coalesce into
 // ShardBatch datagrams), and one shared WAL directory absorbs every group's
@@ -152,7 +153,6 @@ type Manager struct {
 	// keeps them past the drain that fills them.
 	envBuf   []types.Envelope
 	entryBuf []types.Entry
-	resBuf   []types.Resolution
 	readBuf  []types.ReadDone
 
 	// stats (monotonic counters except groups gauges).
@@ -271,7 +271,7 @@ func (m *Manager) Group(gid types.GroupID) *fastraft.Node {
 	return nil
 }
 
-// --- runtime.Machine -------------------------------------------------------
+// --- process-wide views -----------------------------------------------------
 
 // ID returns the process identity shared by every group's core.
 func (m *Manager) ID() types.NodeID { return m.cfg.ProcessID }
@@ -318,6 +318,8 @@ func (m *Manager) CommitIndex() types.Index {
 	}
 	return sum
 }
+
+// --- runtime.Machine -------------------------------------------------------
 
 // Step delivers a message: ShardBatch frames unpack and route by their
 // group tag, everything else routes by the envelope's group tag. Messages
@@ -371,13 +373,6 @@ func (m *Manager) NextDeadline() time.Duration {
 	return min
 }
 
-// Propose routes by the payload's key and submits to the owning group. The
-// whole payload is the key — use ProposeKey when key and value differ.
-func (m *Manager) Propose(now time.Duration, data []byte) types.ProposalID {
-	_, pid := m.ProposeKey(now, string(data), data)
-	return pid
-}
-
 // shardSeqBase tags manager-minted proposal sequence numbers: cores count
 // their internal proposals from 1, so the two spaces never meet.
 const shardSeqBase = uint64(1) << 63
@@ -410,7 +405,7 @@ func (m *Manager) ProposeKey(now time.Duration, key string, data []byte) (types.
 
 // Read registers a linearizable read in the group owning key (see
 // fastraft.Node.Read); the returned token is process-wide and resolves
-// through DrainGroupReadDone.
+// through DrainReadDone.
 func (m *Manager) Read(now time.Duration, key string, c types.ReadConsistency) (types.GroupID, uint64) {
 	m.now = now
 	gid := m.Route(key)
@@ -533,18 +528,17 @@ func msgWeight(m types.Message) int {
 	}
 }
 
-// DrainCommitted implements runtime.Machine; multi-group output is drained
-// through DrainGroupCommitted instead.
-func (m *Manager) DrainCommitted(dst []types.Entry) []types.Entry { return dst }
+// Commit is one committed entry attributed to its group.
+type Commit struct {
+	Group types.GroupID
+	Entry types.Entry
+}
 
-// DrainResolved implements runtime.Machine (see DrainGroupResolved).
-func (m *Manager) DrainResolved(dst []types.Resolution) []types.Resolution { return dst }
-
-// DrainGroupCommitted appends every group's newly committed entries to dst
-// in per-group commit order, applying shard lifecycle entries (splits and
+// DrainCommitted appends every group's newly committed entries to dst in
+// per-group commit order, applying shard lifecycle entries (splits and
 // merges) as they stream past — that is the point where every member
 // process mutates its routing table identically.
-func (m *Manager) DrainGroupCommitted(dst []runtime.GroupEntry) []runtime.GroupEntry {
+func (m *Manager) DrainCommitted(dst []Commit) []Commit {
 	// Index-based loop: applySplit appends the daughter to m.order, and the
 	// daughter has no output yet.
 	for i := 0; i < len(m.order); i++ {
@@ -557,28 +551,25 @@ func (m *Manager) DrainGroupCommitted(dst []runtime.GroupEntry) []runtime.GroupE
 			case types.KindShardMerge:
 				m.applyMerge(g, e)
 			}
-			dst = append(dst, runtime.GroupEntry{Group: g.id, Entry: e})
+			dst = append(dst, Commit{Group: g.id, Entry: e})
 		}
 	}
 	clear(m.entryBuf)
 	return dst
 }
 
-// DrainGroupResolved appends every group's proposal resolutions to dst.
-func (m *Manager) DrainGroupResolved(dst []runtime.GroupResolution) []runtime.GroupResolution {
+// DrainResolved appends every group's proposal resolutions to dst; their
+// proposal IDs are process-wide (see nextPID).
+func (m *Manager) DrainResolved(dst []types.Resolution) []types.Resolution {
 	for _, g := range m.order {
-		m.resBuf = g.core.DrainResolved(m.resBuf[:0])
-		for _, r := range m.resBuf {
-			dst = append(dst, runtime.GroupResolution{Group: g.id, Resolution: r})
-		}
+		dst = g.core.DrainResolved(dst)
 	}
 	return dst
 }
 
-// DrainGroupReadDone appends every group's resolved reads to dst,
-// translating core-local tokens back to the process-wide ones Read
-// returned.
-func (m *Manager) DrainGroupReadDone(dst []runtime.GroupRead) []runtime.GroupRead {
+// DrainReadDone appends every group's resolved reads to dst, translating
+// core-local tokens back to the process-wide ones Read returned.
+func (m *Manager) DrainReadDone(dst []types.ReadDone) []types.ReadDone {
 	for _, g := range m.order {
 		m.readBuf = g.core.DrainReadDone(m.readBuf[:0])
 		for _, r := range m.readBuf {
@@ -587,7 +578,7 @@ func (m *Manager) DrainGroupReadDone(dst []runtime.GroupRead) []runtime.GroupRea
 				delete(m.readMap, key)
 				r.ID = pub
 			}
-			dst = append(dst, runtime.GroupRead{Group: g.id, Done: r})
+			dst = append(dst, r)
 		}
 	}
 	return dst
@@ -633,8 +624,4 @@ func (m *Manager) Metrics() map[string]uint64 {
 	return out
 }
 
-var (
-	_ runtime.Machine      = (*Manager)(nil)
-	_ runtime.GroupOutputs = (*Manager)(nil)
-	_ runtime.Synced       = (*Manager)(nil)
-)
+var _ runtime.Machine = (*Manager)(nil)

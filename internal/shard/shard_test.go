@@ -49,8 +49,8 @@ func newTestManager(t *testing.T, stores map[types.GroupID]*storage.Memory, meta
 // drive advances the manager through d of virtual time, ticking due
 // deadlines and draining outputs (discarded: single-member groups have no
 // peers), returning all committed entries seen.
-func drive(m *Manager, from, d time.Duration) (time.Duration, []GroupEntryLike) {
-	var out []GroupEntryLike
+func drive(m *Manager, from, d time.Duration) (time.Duration, []Commit) {
+	var out []Commit
 	end := from + d
 	now := from
 	for now < end {
@@ -62,20 +62,64 @@ func drive(m *Manager, from, d time.Duration) (time.Duration, []GroupEntryLike) 
 		}
 		m.Tick(now)
 		m.DrainOutbox(nil)
-		for _, ge := range m.DrainGroupCommitted(nil) {
-			out = append(out, GroupEntryLike{Group: ge.Group, Entry: ge.Entry})
-		}
-		m.DrainGroupResolved(nil)
+		out = m.DrainCommitted(out)
+		m.DrainResolved(nil)
+		m.DrainReadDone(nil)
 		now += time.Millisecond
 	}
 	return now, out
 }
 
-// GroupEntryLike mirrors runtime.GroupEntry without importing runtime in
-// assertions.
-type GroupEntryLike struct {
-	Group types.GroupID
-	Entry types.Entry
+// TestFlatDrainsCarryProcessWideIDs checks that the manager's flat drains
+// hand back a proposal's resolution under the PID ProposeKey returned and a
+// read's completion under the token Read returned, whichever group served
+// them: the host tracks both without group tags.
+func TestFlatDrainsCarryProcessWideIDs(t *testing.T) {
+	stores := map[types.GroupID]*storage.Memory{}
+	m := newTestManager(t, stores, nil, []GroupSpec{
+		{ID: "ga", Start: ""},
+		{ID: "gm", Start: "m"},
+	})
+	now, _ := drive(m, 0, 50*time.Millisecond) // both groups elect themselves
+	gid, pid := m.ProposeKey(now, "x", []byte("v"))
+	if gid != "gm" {
+		t.Fatalf("key x routed to %q, want gm", gid)
+	}
+	_, first := m.Read(now, "a", types.ReadLinearizable)
+	_, token := m.Read(now, "x", types.ReadLinearizable)
+	var commits []Commit
+	var resolved []types.Resolution
+	var reads []types.ReadDone
+	for end := now + 100*time.Millisecond; now < end; now += time.Millisecond {
+		m.Tick(now)
+		m.DrainOutbox(nil)
+		commits = m.DrainCommitted(commits)
+		resolved = m.DrainResolved(resolved)
+		reads = m.DrainReadDone(reads)
+	}
+	idx := types.Index(0)
+	for _, r := range resolved {
+		if r.PID == pid {
+			idx = r.Index
+		}
+	}
+	if idx == 0 {
+		t.Fatalf("DrainResolved never returned %v: %+v", pid, resolved)
+	}
+	var committed bool
+	for _, c := range commits {
+		committed = committed || (c.Group == "gm" && c.Entry.Index == idx && string(c.Entry.Data) == "v")
+	}
+	if !committed {
+		t.Fatalf("DrainCommitted has no gm entry at index %d: %+v", idx, commits)
+	}
+	got := make(map[uint64]bool)
+	for _, d := range reads {
+		got[d.ID] = d.OK
+	}
+	if !got[first] || !got[token] || first == token {
+		t.Fatalf("DrainReadDone = %+v, want tokens %d and %d confirmed", reads, first, token)
+	}
 }
 
 func TestRouteBoundaries(t *testing.T) {

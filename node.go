@@ -108,11 +108,6 @@ type Options struct {
 	// must be consumed, or commit delivery stalls (consensus itself keeps
 	// running).
 	CommitBuffer int
-	// ApplyQueueSize bounds the commit→apply pipeline between the
-	// consensus goroutine and the callback dispatcher, in drained output
-	// batches (0 = a 256-batch default). A full pipeline applies
-	// backpressure to consensus instead of buffering unboundedly.
-	ApplyQueueSize int
 	// Trace, when set, enables the protocol flight recorder: typed events
 	// (elections, per-peer appends, snapshot streams, reads, sessions) in
 	// a fixed-size ring plus per-proposal stage latency histograms and
@@ -149,13 +144,72 @@ type Node struct{ *site }
 // (classic Raft is that core with the fast track off) on a runtime host.
 // RaftNode exposes a subset of Node's methods: the ones defined here.
 type site struct {
-	host    *runtime.Host
+	base[Entry]
 	fr      *fastraft.Node
-	aud     *audit.Auditor
 	commits chan Entry
+}
+
+// base is what every node type shares: the runtime host over its machine
+// (C is the machine's commit record), the online safety auditor, and the
+// waiters that turn resolutions and read completions into finished
+// Propose and Read calls.
+type base[C any] struct {
+	host *runtime.Host[C]
+	aud  *audit.Auditor
 	proposalWaiters
 	readWaiters
 }
+
+// checkRequired reports a missing ID or Transport, which every node type's
+// options (named by opts in the error) require.
+func checkRequired(opts string, id NodeID, tr Transport) error {
+	if id == types.None {
+		return fmt.Errorf("hraft: %s.ID is required", opts)
+	}
+	if tr == nil {
+		return fmt.Errorf("hraft: %s.Transport is required", opts)
+	}
+	return nil
+}
+
+// commitBuffer sizes a commit channel: the options' CommitBuffer, or 1024
+// when unset.
+func commitBuffer(n int) int {
+	if n <= 0 {
+		return 1024
+	}
+	return n
+}
+
+// start hosts m on tr: its commit records, drained by drainCommitted, go
+// to onCommit; its resolutions and read completions to the waiters; the
+// durability advances of s to the machine (see wireDurability).
+func (b *base[C]) start(aud *audit.Auditor, rec *trace.Recorder, m runtime.Machine, drainCommitted func([]C) []C, onCommit func(C), tr Transport, s Storage) {
+	b.aud = aud
+	b.proposalWaiters.waiters = make(map[ProposalID]chan Index)
+	b.readWaiters.waiters = make(map[uint64]chan readOutcome)
+	b.host = runtime.NewHost(m, drainCommitted, tr, runtime.Callbacks[C]{
+		OnCommit:   onCommit,
+		OnResolve:  b.resolve,
+		OnReadDone: b.resolveRead,
+		Recorder:   rec,
+	})
+	wireDurability(b.host, s, rec)
+}
+
+// Stop halts the node, like a crash: peers detect the silence. Its
+// storage remains usable for a restart.
+func (b *base[C]) Stop() {
+	b.markStopped()
+	b.markReadsStopped()
+	b.host.Stop()
+}
+
+// AuditReport snapshots the node's online safety auditor (trivially clean
+// when tracing — and with it auditing — is disabled). A C-Raft site's
+// auditor watches both consensus layers, a sharded node's every group.
+// Safe from any goroutine.
+func (b *base[C]) AuditReport() AuditReport { return b.aud.Snapshot() }
 
 // NewNode builds and starts a Fast Raft node.
 func NewNode(opts Options) (*Node, error) {
@@ -170,11 +224,8 @@ func NewNode(opts Options) (*Node, error) {
 // selects classic Raft: the fast track off, static membership (no
 // silent-leave detection, no automatic rejoin).
 func newSite(opts Options, classic bool) (*site, error) {
-	if opts.ID == types.None {
-		return nil, errors.New("hraft: Options.ID is required")
-	}
-	if opts.Transport == nil {
-		return nil, errors.New("hraft: Options.Transport is required")
+	if err := checkRequired("Options", opts.ID, opts.Transport); err != nil {
+		return nil, err
 	}
 	if opts.Storage == nil {
 		opts.Storage = NewMemoryStorage()
@@ -210,30 +261,13 @@ func newSite(opts Options, classic bool) (*site, error) {
 	if err != nil {
 		return nil, fmt.Errorf("hraft: %w", err)
 	}
-	buf := opts.CommitBuffer
-	if buf <= 0 {
-		buf = 1024
-	}
-	n := &site{
-		fr:              fr,
-		aud:             aud,
-		commits:         make(chan Entry, buf),
-		proposalWaiters: newProposalWaiters(),
-		readWaiters:     newReadWaiters(),
-	}
-	n.host = runtime.NewHost(fr, opts.Transport, runtime.Callbacks{
-		OnCommit: func(e Entry) {
-			if opts.OnCommit != nil {
-				opts.OnCommit(e)
-			}
-			n.commits <- e
-		},
-		OnResolve:      n.resolve,
-		OnReadDone:     n.resolveRead,
-		ApplyQueueSize: opts.ApplyQueueSize,
-		Recorder:       rec,
-	})
-	wireDurability(n.host, opts.Storage, rec)
+	n := &site{fr: fr, commits: make(chan Entry, commitBuffer(opts.CommitBuffer))}
+	n.start(aud, rec, fr, fr.DrainCommitted, func(e Entry) {
+		if opts.OnCommit != nil {
+			opts.OnCommit(e)
+		}
+		n.commits <- e
+	}, opts.Transport, opts.Storage)
 	return n, nil
 }
 
@@ -241,7 +275,7 @@ func newSite(opts Options, classic bool) (*site, error) {
 // completions flow back through NotifyDurable so durability-gated machine
 // outputs release, and (when tracing) each durable batch feeds the
 // hist.fsync_batch_size histogram. A no-op for synchronous storage.
-func wireDurability(host *runtime.Host, s Storage, rec *trace.Recorder) {
+func wireDurability[C any](host *runtime.Host[C], s Storage, rec *trace.Recorder) {
 	g := storage.AsGrouped(s)
 	if g == nil {
 		return
@@ -267,28 +301,28 @@ func (n *site) ID() NodeID { return n.fr.ID() }
 // Role returns the node's current role.
 func (n *site) Role() Role {
 	var r Role
-	n.host.Do(func(_ time.Duration, _ runtime.Machine) { r = n.fr.Role() })
+	n.host.Do(func(time.Duration) { r = n.fr.Role() })
 	return r
 }
 
 // Leader returns the node's view of the current leader (empty if unknown).
 func (n *site) Leader() NodeID {
 	var l NodeID
-	n.host.Do(func(_ time.Duration, _ runtime.Machine) { l = n.fr.LeaderID() })
+	n.host.Do(func(time.Duration) { l = n.fr.LeaderID() })
 	return l
 }
 
 // Term returns the node's current term.
 func (n *site) Term() Term {
 	var t Term
-	n.host.Do(func(_ time.Duration, _ runtime.Machine) { t = n.fr.Term() })
+	n.host.Do(func(time.Duration) { t = n.fr.Term() })
 	return t
 }
 
 // CommitIndex returns the node's commit index.
 func (n *site) CommitIndex() Index {
 	var i Index
-	n.host.Do(func(_ time.Duration, _ runtime.Machine) { i = n.fr.CommitIndex() })
+	n.host.Do(func(time.Duration) { i = n.fr.CommitIndex() })
 	return i
 }
 
@@ -296,7 +330,7 @@ func (n *site) CommitIndex() Index {
 // covered by its snapshot (0 if the log has never been compacted).
 func (n *Node) SnapshotIndex() Index {
 	var i Index
-	n.host.Do(func(_ time.Duration, _ runtime.Machine) { i = n.fr.SnapshotIndex() })
+	n.host.Do(func(time.Duration) { i = n.fr.SnapshotIndex() })
 	return i
 }
 
@@ -304,14 +338,14 @@ func (n *Node) SnapshotIndex() Index {
 // compacted).
 func (n *Node) FirstIndex() Index {
 	var i Index
-	n.host.Do(func(_ time.Duration, _ runtime.Machine) { i = n.fr.FirstIndex() })
+	n.host.Do(func(time.Duration) { i = n.fr.FirstIndex() })
 	return i
 }
 
 // Members returns the node's active voting configuration.
 func (n *Node) Members() Membership {
 	var m Membership
-	n.host.Do(func(_ time.Duration, _ runtime.Machine) { m = n.fr.Config().Clone() })
+	n.host.Do(func(time.Duration) { m = n.fr.Config().Clone() })
 	return m
 }
 
@@ -325,7 +359,7 @@ func (n *site) Commits() <-chan Entry { return n.commits }
 // periodically; counters only ever increase.
 func (n *site) Metrics() map[string]uint64 {
 	var m map[string]uint64
-	n.host.Do(func(_ time.Duration, _ runtime.Machine) { m = n.fr.Metrics() })
+	n.host.Do(func(time.Duration) { m = n.fr.Metrics() })
 	n.aud.MergeMetrics(m)
 	return m
 }
@@ -334,7 +368,7 @@ func (n *site) Metrics() map[string]uint64 {
 // until it commits (watch Commits or use Propose to await it).
 func (n *site) ProposeAsync(data []byte) ProposalID {
 	var pid ProposalID
-	n.host.Do(func(now time.Duration, _ runtime.Machine) {
+	n.host.Do(func(now time.Duration) {
 		pid = n.fr.Propose(now, data)
 	})
 	return pid
@@ -344,7 +378,7 @@ func (n *site) ProposeAsync(data []byte) ProposalID {
 // index. Note that a retry after a lost acknowledgment can commit twice;
 // use OpenSession/Session.Propose for exactly-once semantics.
 func (n *site) Propose(ctx context.Context, data []byte) (Index, error) {
-	return n.await(ctx, n.host, func(now time.Duration) ProposalID {
+	return n.await(ctx, func(now time.Duration) ProposalID {
 		return n.fr.Propose(now, data)
 	})
 }
@@ -353,22 +387,14 @@ func (n *site) Propose(ctx context.Context, data []byte) (Index, error) {
 // becomes a non-voting member, is caught up by the leader, and turns into
 // a voting member once the configuration including it commits.
 func (n *Node) Join(contacts []NodeID) {
-	n.host.Do(func(now time.Duration, _ runtime.Machine) {
+	n.host.Do(func(now time.Duration) {
 		n.fr.Join(now, contacts)
 	})
 }
 
 // Leave announces that this node wants to leave the configuration.
 func (n *Node) Leave() {
-	n.host.Do(func(now time.Duration, _ runtime.Machine) {
+	n.host.Do(func(now time.Duration) {
 		n.fr.Leave(now)
 	})
-}
-
-// Stop halts the node (equivalent to a crash: peers detect the silence).
-// Its storage remains usable for a restart.
-func (n *site) Stop() {
-	n.markStopped()
-	n.markReadsStopped()
-	n.host.Stop()
 }

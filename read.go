@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"github.com/hraft-io/hraft/internal/replica"
-	"github.com/hraft-io/hraft/internal/runtime"
 	"github.com/hraft-io/hraft/internal/types"
 )
 
@@ -65,10 +64,6 @@ type readWaiters struct {
 	stopped bool
 }
 
-func newReadWaiters() readWaiters {
-	return readWaiters{waiters: make(map[uint64]chan readOutcome)}
-}
-
 // resolveRead completes a waiting read (wired as the host's OnReadDone).
 func (w *readWaiters) resolveRead(d types.ReadDone) {
 	w.mu.Lock()
@@ -91,7 +86,8 @@ func (w *readWaiters) markReadsStopped() {
 
 // awaitRead runs submit on the host, registers a waiter for the returned
 // read token and blocks until it resolves or ctx expires.
-func (w *readWaiters) awaitRead(ctx context.Context, host *runtime.Host, submit func(now time.Duration) uint64) (Index, error) {
+func (b *base[C]) awaitRead(ctx context.Context, submit func(now time.Duration) uint64) (Index, error) {
+	w := &b.readWaiters
 	w.mu.Lock()
 	if w.stopped {
 		w.mu.Unlock()
@@ -100,7 +96,7 @@ func (w *readWaiters) awaitRead(ctx context.Context, host *runtime.Host, submit 
 	w.mu.Unlock()
 	ch := make(chan readOutcome, 1)
 	var id uint64
-	host.Do(func(now time.Duration, _ runtime.Machine) {
+	b.host.Do(func(now time.Duration) {
 		id = submit(now)
 		w.mu.Lock()
 		w.waiters[id] = ch
@@ -135,7 +131,7 @@ func (n *site) Read(ctx context.Context) (Index, error) {
 // ReadWith performs a read under an explicit consistency mode (see
 // ReadConsistency).
 func (n *site) ReadWith(ctx context.Context, c ReadConsistency) (Index, error) {
-	return n.awaitRead(ctx, n.host, func(now time.Duration) uint64 {
+	return n.awaitRead(ctx, func(now time.Duration) uint64 {
 		return n.fr.Read(now, c)
 	})
 }
@@ -145,7 +141,7 @@ func (n *site) ReadWith(ctx context.Context, c ReadConsistency) (Index, error) {
 // srtt/rttvar and inflight bytes.
 func (n *site) PeerStatus() []PeerStatus {
 	var s []PeerStatus
-	n.host.Do(func(_ time.Duration, _ runtime.Machine) { s = n.fr.PeerStatus() })
+	n.host.Do(func(time.Duration) { s = n.fr.PeerStatus() })
 	return s
 }
 
@@ -162,7 +158,7 @@ func (n *CRaftNode) Read(ctx context.Context) (Index, error) {
 
 // ReadWith performs a site-local read under an explicit consistency mode.
 func (n *CRaftNode) ReadWith(ctx context.Context, c ReadConsistency) (Index, error) {
-	return n.awaitRead(ctx, n.host, func(now time.Duration) uint64 {
+	return n.awaitRead(ctx, func(now time.Duration) uint64 {
 		return n.cn.Read(now, c)
 	})
 }
@@ -174,7 +170,7 @@ func (n *CRaftNode) ReadWith(ctx context.Context, c ReadConsistency) (Index, err
 // cluster (ErrReadFailed otherwise); use it when the local replay
 // position must be confirmed against the ring.
 func (n *CRaftNode) ReadGlobal(ctx context.Context) (Index, error) {
-	return n.awaitRead(ctx, n.host, func(now time.Duration) uint64 {
+	return n.awaitRead(ctx, func(now time.Duration) uint64 {
 		return n.cn.ReadGlobal(now, ReadLinearizable)
 	})
 }
@@ -183,7 +179,7 @@ func (n *CRaftNode) ReadGlobal(ctx context.Context) (Index, error) {
 // (empty unless this site leads its cluster).
 func (n *CRaftNode) PeerStatus() []PeerStatus {
 	var s []PeerStatus
-	n.host.Do(func(_ time.Duration, _ runtime.Machine) { s = n.cn.PeerStatus() })
+	n.host.Do(func(time.Duration) { s = n.cn.PeerStatus() })
 	return s
 }
 
@@ -191,6 +187,6 @@ func (n *CRaftNode) PeerStatus() []PeerStatus {
 // progress (empty unless this site leads the global ring).
 func (n *CRaftNode) GlobalPeerStatus() []PeerStatus {
 	var s []PeerStatus
-	n.host.Do(func(_ time.Duration, _ runtime.Machine) { s = n.cn.GlobalPeerStatus() })
+	n.host.Do(func(time.Duration) { s = n.cn.GlobalPeerStatus() })
 	return s
 }

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"github.com/hraft-io/hraft/internal/runtime"
 	"github.com/hraft-io/hraft/internal/types"
 )
 
@@ -127,16 +126,12 @@ func (s *Session) proposeSerialized(ctx context.Context, seq, ack uint64, data [
 // --- Waiter plumbing shared by the three node wrappers ----------------------
 
 // proposalWaiters is the per-wrapper bookkeeping that turns proposal
-// resolutions into completed Propose calls. Node and RaftNode (through
-// site), CRaftNode and ShardNode embed it; its methods are the single implementation of submit-and-await.
+// resolutions into completed Propose calls; every node type has one through
+// base, whose await is the single implementation of submit-and-await.
 type proposalWaiters struct {
 	mu      sync.Mutex
 	waiters map[ProposalID]chan Index
 	stopped bool
-}
-
-func newProposalWaiters() proposalWaiters {
-	return proposalWaiters{waiters: make(map[ProposalID]chan Index)}
 }
 
 // resolve completes a waiting proposal (wired as the host's OnResolve).
@@ -162,7 +157,8 @@ func (w *proposalWaiters) markStopped() {
 // await runs submit on the host, registers a waiter for the returned
 // proposal and blocks until it resolves or ctx expires. The zero index is
 // passed through to callers (session rejection).
-func (w *proposalWaiters) await(ctx context.Context, host *runtime.Host, submit func(now time.Duration) ProposalID) (Index, error) {
+func (b *base[C]) await(ctx context.Context, submit func(now time.Duration) ProposalID) (Index, error) {
+	w := &b.proposalWaiters
 	w.mu.Lock()
 	if w.stopped {
 		w.mu.Unlock()
@@ -171,7 +167,7 @@ func (w *proposalWaiters) await(ctx context.Context, host *runtime.Host, submit 
 	w.mu.Unlock()
 	ch := make(chan Index, 1)
 	var pid ProposalID
-	host.Do(func(now time.Duration, _ runtime.Machine) {
+	b.host.Do(func(now time.Duration) {
 		pid = submit(now)
 		if pid == (ProposalID{}) {
 			return
@@ -202,7 +198,7 @@ func (w *proposalWaiters) await(ctx context.Context, host *runtime.Host, submit 
 // registration to commit. The resulting Session provides exactly-once
 // Propose semantics across retries, node restarts and log compaction.
 func (n *site) OpenSession(ctx context.Context) (*Session, error) {
-	idx, err := n.await(ctx, n.host, func(now time.Duration) ProposalID {
+	idx, err := n.await(ctx, func(now time.Duration) ProposalID {
 		return n.fr.OpenSession(now)
 	})
 	if err != nil {
@@ -220,7 +216,7 @@ func (n *site) AttachSession(id SessionID, lastSeq uint64) *Session {
 		id:  id,
 		seq: lastSeq,
 		propose: func(ctx context.Context, sid SessionID, seq, ack uint64, data []byte) (Index, error) {
-			return n.await(ctx, n.host, func(now time.Duration) ProposalID {
+			return n.await(ctx, func(now time.Duration) ProposalID {
 				return n.fr.ProposeSession(now, sid, seq, ack, data)
 			})
 		},
@@ -233,7 +229,7 @@ func (n *site) AttachSession(id SessionID, lastSeq uint64) *Session {
 // duplicates are withheld from the local commit stream, and therefore
 // never reach the global batch log twice either.
 func (n *CRaftNode) OpenSession(ctx context.Context) (*Session, error) {
-	idx, err := n.await(ctx, n.host, func(now time.Duration) ProposalID {
+	idx, err := n.await(ctx, func(now time.Duration) ProposalID {
 		return n.cn.OpenSession(now)
 	})
 	if err != nil {
@@ -249,7 +245,7 @@ func (n *CRaftNode) AttachSession(id SessionID, lastSeq uint64) *Session {
 		id:  id,
 		seq: lastSeq,
 		propose: func(ctx context.Context, sid SessionID, seq, ack uint64, data []byte) (Index, error) {
-			return n.await(ctx, n.host, func(now time.Duration) ProposalID {
+			return n.await(ctx, func(now time.Duration) ProposalID {
 				return n.cn.ProposeSession(now, sid, seq, ack, data)
 			})
 		},

@@ -2,14 +2,12 @@ package hraft
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 	"time"
 
 	"github.com/hraft-io/hraft/internal/audit"
 	"github.com/hraft-io/hraft/internal/core/fastraft"
-	"github.com/hraft-io/hraft/internal/runtime"
 	"github.com/hraft-io/hraft/internal/shard"
 	"github.com/hraft-io/hraft/internal/storage"
 	"github.com/hraft-io/hraft/internal/trace"
@@ -42,11 +40,9 @@ func OpenShardWAL(path string, opt WALOptions) (ShardStorageFn, Storage, error) 
 	return func(gid GroupID) Storage { return w.Group(gid) }, w, nil
 }
 
-// ShardCommit is one committed entry attributed to its group.
-type ShardCommit struct {
-	Group GroupID
-	Entry Entry
-}
+// ShardCommit is one committed entry attributed to its group: fields Group
+// (a GroupID) and Entry.
+type ShardCommit = shard.Commit
 
 // ShardOptions configures a sharded node: N consensus groups multiplexed
 // over one process, one transport endpoint and one shared storage fabric.
@@ -96,8 +92,6 @@ type ShardOptions struct {
 	OnCommit func(GroupID, Entry)
 	// CommitBuffer sizes the Commits channel (default 1024).
 	CommitBuffer int
-	// ApplyQueueSize bounds the commit→apply pipeline (0 = default).
-	ApplyQueueSize int
 	// Trace enables the flight recorder: one recorder per group (events
 	// are group-tagged) plus the online safety auditor across all of them.
 	Trace *TraceOptions
@@ -109,21 +103,15 @@ type ShardOptions struct {
 // leadership at runtime. Propose copies the caller's buffer; committed
 // entries share the log's Data, read-only.
 type ShardNode struct {
-	host    *runtime.Host
+	base[ShardCommit]
 	mgr     *shard.Manager
-	aud     *audit.Auditor
 	commits chan ShardCommit
-	proposalWaiters
-	readWaiters
 }
 
 // NewShardNode builds and starts a sharded node.
 func NewShardNode(opts ShardOptions) (*ShardNode, error) {
-	if opts.ID == types.None {
-		return nil, errors.New("hraft: ShardOptions.ID is required")
-	}
-	if opts.Transport == nil {
-		return nil, errors.New("hraft: ShardOptions.Transport is required")
+	if err := checkRequired("ShardOptions", opts.ID, opts.Transport); err != nil {
+		return nil, err
 	}
 	if opts.Storage == nil {
 		mem := make(map[GroupID]Storage)
@@ -188,32 +176,16 @@ func NewShardNode(opts ShardOptions) (*ShardNode, error) {
 	if err != nil {
 		return nil, fmt.Errorf("hraft: %w", err)
 	}
-	buf := opts.CommitBuffer
-	if buf <= 0 {
-		buf = 1024
-	}
-	n := &ShardNode{
-		mgr:             mgr,
-		aud:             aud,
-		commits:         make(chan ShardCommit, buf),
-		proposalWaiters: newProposalWaiters(),
-		readWaiters:     newReadWaiters(),
-	}
-	n.host = runtime.NewHost(mgr, opts.Transport, runtime.Callbacks{
-		OnGroupCommit: func(gid types.GroupID, e Entry) {
-			if opts.OnCommit != nil {
-				opts.OnCommit(gid, e)
-			}
-			n.commits <- ShardCommit{Group: gid, Entry: e}
-		},
-		OnGroupResolve:  func(_ types.GroupID, r types.Resolution) { n.resolve(r) },
-		OnGroupReadDone: func(_ types.GroupID, d types.ReadDone) { n.resolveRead(d) },
-		ApplyQueueSize:  opts.ApplyQueueSize,
-	})
+	n := &ShardNode{mgr: mgr, commits: make(chan ShardCommit, commitBuffer(opts.CommitBuffer))}
 	// The meta storage is the shared store's handle (OpenShardWAL returns
 	// the WAL itself): its durability callbacks release every group's gated
 	// outputs through one SyncDone fan-out.
-	wireDurability(n.host, opts.Meta, nil)
+	n.start(aud, nil, mgr, mgr.DrainCommitted, func(c ShardCommit) {
+		if opts.OnCommit != nil {
+			opts.OnCommit(c.Group, c.Entry)
+		}
+		n.commits <- c
+	}, opts.Transport, opts.Meta)
 	return n, nil
 }
 
@@ -223,7 +195,7 @@ func (n *ShardNode) ID() NodeID { return n.mgr.ID() }
 // Groups returns the live group IDs in sorted order.
 func (n *ShardNode) Groups() []GroupID {
 	var out []GroupID
-	n.host.Do(func(_ time.Duration, _ runtime.Machine) { out = n.mgr.Groups() })
+	n.host.Do(func(time.Duration) { out = n.mgr.Groups() })
 	return out
 }
 
@@ -236,7 +208,7 @@ type ShardRange struct {
 // Ranges returns the routing table in key order.
 func (n *ShardNode) Ranges() []ShardRange {
 	var out []ShardRange
-	n.host.Do(func(_ time.Duration, _ runtime.Machine) {
+	n.host.Do(func(time.Duration) {
 		for _, r := range n.mgr.Ranges() {
 			out = append(out, ShardRange{Start: r.Start, Group: r.Group})
 		}
@@ -247,7 +219,7 @@ func (n *ShardNode) Ranges() []ShardRange {
 // Route returns the group currently owning key.
 func (n *ShardNode) Route(key string) GroupID {
 	var gid GroupID
-	n.host.Do(func(_ time.Duration, _ runtime.Machine) { gid = n.mgr.Route(key) })
+	n.host.Do(func(time.Duration) { gid = n.mgr.Route(key) })
 	return gid
 }
 
@@ -258,7 +230,7 @@ func (n *ShardNode) Commits() <-chan ShardCommit { return n.commits }
 // Propose routes data by key and waits for the owning group to commit it,
 // returning the index within that group's log.
 func (n *ShardNode) Propose(ctx context.Context, key string, data []byte) (Index, error) {
-	return n.await(ctx, n.host, func(now time.Duration) ProposalID {
+	return n.await(ctx, func(now time.Duration) ProposalID {
 		_, pid := n.mgr.ProposeKey(now, key, data)
 		return pid
 	})
@@ -269,7 +241,7 @@ func (n *ShardNode) Propose(ctx context.Context, key string, data []byte) (Index
 func (n *ShardNode) ProposeAsync(key string, data []byte) (GroupID, ProposalID) {
 	var gid GroupID
 	var pid ProposalID
-	n.host.Do(func(now time.Duration, _ runtime.Machine) {
+	n.host.Do(func(now time.Duration) {
 		gid, pid = n.mgr.ProposeKey(now, key, data)
 	})
 	return gid, pid
@@ -283,7 +255,7 @@ func (n *ShardNode) Read(ctx context.Context, key string) (Index, error) {
 
 // ReadWith performs a read barrier under the given consistency mode.
 func (n *ShardNode) ReadWith(ctx context.Context, key string, c ReadConsistency) (Index, error) {
-	return n.awaitRead(ctx, n.host, func(now time.Duration) uint64 {
+	return n.awaitRead(ctx, func(now time.Duration) uint64 {
 		_, token := n.mgr.Read(now, key, c)
 		return token
 	})
@@ -295,7 +267,7 @@ func (n *ShardNode) ReadWith(ctx context.Context, key string, c ReadConsistency)
 // position.
 func (n *ShardNode) Split(ctx context.Context, daughter GroupID, pivot string) (Index, error) {
 	var splitErr error
-	idx, err := n.await(ctx, n.host, func(now time.Duration) ProposalID {
+	idx, err := n.await(ctx, func(now time.Duration) ProposalID {
 		pid, err := n.mgr.Split(now, daughter, pivot)
 		if err != nil {
 			splitErr = err
@@ -312,7 +284,7 @@ func (n *ShardNode) Split(ctx context.Context, daughter GroupID, pivot string) (
 // and waits for the merge entry to commit in the retiring group.
 func (n *ShardNode) Merge(ctx context.Context, right GroupID) (Index, error) {
 	var mergeErr error
-	idx, err := n.await(ctx, n.host, func(now time.Duration) ProposalID {
+	idx, err := n.await(ctx, func(now time.Duration) ProposalID {
 		pid, err := n.mgr.Merge(now, right)
 		if err != nil {
 			mergeErr = err
@@ -330,7 +302,7 @@ func (n *ShardNode) Merge(ctx context.Context, right GroupID) (Index, error) {
 // target is not a member.
 func (n *ShardNode) TransferLeader(gid GroupID, target NodeID) bool {
 	var ok bool
-	n.host.Do(func(_ time.Duration, _ runtime.Machine) {
+	n.host.Do(func(time.Duration) {
 		ok = n.mgr.TransferLeader(gid, target)
 	})
 	return ok
@@ -352,7 +324,7 @@ type GroupStatus struct {
 // /debug/hraft/shards by DebugHandler).
 func (n *ShardNode) ShardStatus() []GroupStatus {
 	var out []GroupStatus
-	n.host.Do(func(_ time.Duration, _ runtime.Machine) {
+	n.host.Do(func(time.Duration) {
 		starts := make(map[GroupID]string)
 		for _, r := range n.mgr.Ranges() {
 			starts[r.Group] = r.Start
@@ -382,7 +354,7 @@ func (n *ShardNode) ShardStatus() []GroupStatus {
 // /debug/hraft/shards (ShardStatus).
 func (n *ShardNode) DebugStatus(traceTail int) DebugStatus {
 	var ds DebugStatus
-	n.host.Do(func(_ time.Duration, _ runtime.Machine) {
+	n.host.Do(func(time.Duration) {
 		ds = DebugStatus{
 			Node:        string(n.mgr.ID()),
 			Role:        n.mgr.Role().String(),
@@ -399,7 +371,7 @@ func (n *ShardNode) DebugStatus(traceTail int) DebugStatus {
 // recorder's sliding window. Safe from any goroutine.
 func (n *ShardNode) DebugTop() DebugTop {
 	var t DebugTop
-	n.host.Do(func(now time.Duration, _ runtime.Machine) {
+	n.host.Do(func(now time.Duration) {
 		t = DebugTop{Node: string(n.mgr.ID())}
 		for _, gid := range n.mgr.Groups() {
 			core := n.mgr.Group(gid)
@@ -429,19 +401,7 @@ func (n *ShardNode) DebugTop() DebugTop {
 // splits/merges applied, groups retired, leader transfers.
 func (n *ShardNode) Metrics() map[string]uint64 {
 	var m map[string]uint64
-	n.host.Do(func(_ time.Duration, _ runtime.Machine) { m = n.mgr.Metrics() })
+	n.host.Do(func(time.Duration) { m = n.mgr.Metrics() })
 	n.aud.MergeMetrics(m)
 	return m
-}
-
-// AuditReport returns the cross-group online safety auditor's report
-// (zero report when tracing is disabled).
-func (n *ShardNode) AuditReport() AuditReport { return n.aud.Snapshot() }
-
-// Stop halts the process: every group goes down together, like a crash.
-// Storage remains usable for a restart.
-func (n *ShardNode) Stop() {
-	n.markStopped()
-	n.markReadsStopped()
-	n.host.Stop()
 }
