@@ -1,7 +1,6 @@
 package hraft
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -98,9 +97,20 @@ type CRaftOptions struct {
 // its cluster that, while leading the cluster, also represents it in
 // inter-cluster consensus. Propose copies the caller's buffer; committed
 // entries, local and global, share the log's Data, read-only.
+//
+// The methods it shares with Node act on the cluster's local log: Role
+// and PeerStatus are the site's local ones; Propose waits for the local
+// commit (the paper's closed-loop semantics) and the cluster leader later
+// batches the entry into the global log; sessions deduplicate at the
+// intra-cluster level, so a duplicate never reaches the global log either;
+// Read and ReadWith are site-local, served by the cluster's Fast Raft
+// leader without crossing a cluster boundary, and observe every write of
+// this cluster that Propose acknowledged (ReadGlobal escalates to the
+// global ring). Metrics carry the local instance's counters under
+// "local.", the global instance's under "global." and batch-layer counters
+// under "craft.".
 type CRaftNode struct {
-	base[craftCommit]
-	cn            *craft.Node
+	logNode[craftCommit, *craft.Node]
 	commits       chan Entry
 	globalCommits chan Entry
 	// drained is drainCommitted's buffer for the core's two commit streams.
@@ -153,8 +163,8 @@ func NewCRaftNode(opts CRaftOptions) (*CRaftNode, error) {
 		return nil, fmt.Errorf("hraft: %w", err)
 	}
 	buf := commitBuffer(opts.CommitBuffer)
-	n := &CRaftNode{cn: cn, commits: make(chan Entry, buf), globalCommits: make(chan Entry, buf)}
-	n.start(aud, rec, cn, n.drainCommitted, func(c craftCommit) {
+	n := &CRaftNode{commits: make(chan Entry, buf), globalCommits: make(chan Entry, buf)}
+	n.start(cn, aud, rec, n.drainCommitted, func(c craftCommit) {
 		if c.global {
 			if opts.OnGlobalCommit != nil {
 				opts.OnGlobalCommit(c.entry)
@@ -173,11 +183,11 @@ func NewCRaftNode(opts CRaftOptions) (*CRaftNode, error) {
 // drainCommitted appends the site's new local commits, then its new global
 // ones, to dst. The host calls it under its lock.
 func (n *CRaftNode) drainCommitted(dst []craftCommit) []craftCommit {
-	n.drained = n.cn.DrainCommitted(n.drained[:0])
+	n.drained = n.m.DrainCommitted(n.drained[:0])
 	for _, e := range n.drained {
 		dst = append(dst, craftCommit{entry: e})
 	}
-	n.drained = n.cn.DrainGlobalCommitted(n.drained[:0])
+	n.drained = n.m.DrainGlobalCommitted(n.drained[:0])
 	for _, e := range n.drained {
 		dst = append(dst, craftCommit{entry: e, global: true})
 	}
@@ -185,24 +195,14 @@ func (n *CRaftNode) drainCommitted(dst []craftCommit) []craftCommit {
 	return dst
 }
 
-// ID returns the site identity.
-func (n *CRaftNode) ID() NodeID { return n.cn.ID() }
-
 // ClusterID returns the cluster identity.
-func (n *CRaftNode) ClusterID() NodeID { return n.cn.ClusterID() }
-
-// Role returns the site's local-consensus role.
-func (n *CRaftNode) Role() Role {
-	var r Role
-	n.host.Do(func(time.Duration) { r = n.cn.Role() })
-	return r
-}
+func (n *CRaftNode) ClusterID() NodeID { return n.m.ClusterID() }
 
 // IsClusterLeader reports whether this site currently leads its cluster
 // (and therefore represents it globally).
 func (n *CRaftNode) IsClusterLeader() bool {
 	var ok bool
-	n.host.Do(func(time.Duration) { ok = n.cn.IsGlobalMember() })
+	n.host.Do(func(time.Duration) { ok = n.m.IsGlobalMember() })
 	return ok
 }
 
@@ -210,7 +210,7 @@ func (n *CRaftNode) IsClusterLeader() bool {
 // committed.
 func (n *CRaftNode) GlobalCommitIndex() Index {
 	var i Index
-	n.host.Do(func(time.Duration) { i = n.cn.GlobalCommitIndex() })
+	n.host.Do(func(time.Duration) { i = n.m.GlobalCommitIndex() })
 	return i
 }
 
@@ -218,46 +218,16 @@ func (n *CRaftNode) GlobalCommitIndex() Index {
 // consumed.
 func (n *CRaftNode) Commits() <-chan Entry { return n.commits }
 
-// Metrics returns a snapshot of the site's monotonic counters: the local
-// consensus instance's under "local.", the global instance's under
-// "global." and batch-layer counters under "craft.".
-func (n *CRaftNode) Metrics() map[string]uint64 {
-	var m map[string]uint64
-	n.host.Do(func(time.Duration) { m = n.cn.Metrics() })
-	n.aud.MergeMetrics(m)
-	return m
-}
-
 // GlobalCommits streams entries committed to the global log (Data
 // read-only); it must be consumed.
 func (n *CRaftNode) GlobalCommits() <-chan Entry { return n.globalCommits }
-
-// Propose submits an application entry to intra-cluster consensus and
-// waits for the local commit (the paper's closed-loop semantics); the
-// cluster leader later batches it into the global log. Note that a retry
-// after a lost acknowledgment can commit twice; use
-// OpenSession/Session.Propose for exactly-once semantics.
-func (n *CRaftNode) Propose(ctx context.Context, data []byte) (Index, error) {
-	return n.await(ctx, func(now time.Duration) ProposalID {
-		return n.cn.Propose(now, data)
-	})
-}
-
-// ProposeAsync submits an application entry without waiting.
-func (n *CRaftNode) ProposeAsync(data []byte) ProposalID {
-	var pid ProposalID
-	n.host.Do(func(now time.Duration) {
-		pid = n.cn.Propose(now, data)
-	})
-	return pid
-}
 
 // JoinGlobal requests that this cluster join the global configuration (a
 // new cluster forming, paper Section V-C). It takes effect once this site
 // leads its cluster.
 func (n *CRaftNode) JoinGlobal(contacts []NodeID) {
 	n.host.Do(func(now time.Duration) {
-		n.cn.JoinGlobal(now, contacts)
+		n.m.JoinGlobal(now, contacts)
 	})
 }
 
@@ -269,6 +239,6 @@ func (n *CRaftNode) JoinGlobal(contacts []NodeID) {
 func RegisterClusterEndpoint(net *InProcNetwork, cluster NodeID, node *CRaftNode) {
 	ep := net.Endpoint(cluster)
 	ep.SetHandler(func(env Envelope) {
-		node.host.Do(func(now time.Duration) { node.cn.Step(now, env) })
+		node.host.Do(func(now time.Duration) { node.m.Step(now, env) })
 	})
 }

@@ -187,71 +187,83 @@ func debugPeers(ps []PeerStatus) []DebugPeer {
 	return out
 }
 
-// DebugStatus snapshots the node's debug state; traceTail bounds the
-// flight-recorder events included (0 = none).
-func (n *site) DebugStatus(traceTail int) DebugStatus {
-	var s DebugStatus
-	n.host.Do(func(time.Duration) {
-		s = DebugStatus{
-			Node:        string(n.fr.ID()),
-			Role:        n.fr.Role().String(),
-			Term:        uint64(n.fr.Term()),
-			Leader:      string(n.fr.LeaderID()),
-			CommitIndex: uint64(n.fr.CommitIndex()),
-			Peers:       debugPeers(n.fr.PeerStatus()),
-		}
-		if lu := n.fr.LeaseUntil(); lu > 0 {
-			s.LeaseUntil = lu.String()
-		}
-	})
-	if traceTail > 0 {
-		s.Trace = n.fr.Recorder().Tail(traceTail)
-	}
-	return s
+// consensusView is the consensus state every debug row starts from: a
+// Fast Raft core, a C-Raft site's local instance, a shard manager's first
+// group.
+type consensusView interface {
+	ID() NodeID
+	Role() Role
+	Term() Term
+	LeaderID() NodeID
+	CommitIndex() Index
 }
 
-// Recorder returns the node's flight recorder (nil unless Options.Trace
-// was set). Safe from any goroutine.
-func (n *site) Recorder() *TraceRecorder { return n.fr.Recorder() }
+// groupView is one consensus group as a DebugTop row shows it.
+type groupView interface {
+	consensusView
+	LastIndex() Index
+	TrackCommits() (fast, classic uint64)
+	Recorder() *trace.Recorder
+}
+
+// statusRow is the consensus part of a DebugStatus. Call it under the
+// host lock, like topRow.
+func statusRow(c consensusView) DebugStatus {
+	return DebugStatus{
+		Node:        string(c.ID()),
+		Role:        c.Role().String(),
+		Term:        uint64(c.Term()),
+		Leader:      string(c.LeaderID()),
+		CommitIndex: uint64(c.CommitIndex()),
+	}
+}
+
+// topRow is group's DebugTop row for core c, with the sliding window c's
+// recorder keeps under key.
+func topRow(c groupView, group, key string, now time.Duration) DebugTopGroup {
+	g := DebugTopGroup{
+		Group:       group,
+		Role:        c.Role().String(),
+		Term:        uint64(c.Term()),
+		Leader:      string(c.LeaderID()),
+		CommitIndex: uint64(c.CommitIndex()),
+		LastIndex:   uint64(c.LastIndex()),
+		Proposals:   pickLive(c.Recorder().LiveStats(now), key),
+	}
+	g.CommitLag = g.LastIndex - g.CommitIndex
+	g.CommitsFast, g.CommitsClassic = c.TrackCommits()
+	return g
+}
+
+// DebugStatus snapshots the node's debug state; traceTail bounds the
+// flight-recorder events included (0 = none).
+func (n *site) DebugStatus(traceTail int) DebugStatus { return n.debugStatus(traceTail, nil) }
 
 // DebugStatus snapshots the site's debug state across both consensus
 // layers; traceTail bounds the flight-recorder events included (0 =
 // none). The trace interleaves local and global events (the layers share
 // one ring).
 func (n *CRaftNode) DebugStatus(traceTail int) DebugStatus {
-	var s DebugStatus
-	n.host.Do(func(time.Duration) {
-		s = DebugStatus{
-			Node:        string(n.cn.ID()),
-			Cluster:     string(n.cn.ClusterID()),
-			Role:        n.cn.Role().String(),
-			Term:        uint64(n.cn.Term()),
-			Leader:      string(n.cn.LeaderID()),
-			CommitIndex: uint64(n.cn.CommitIndex()),
-			Peers:       debugPeers(n.cn.PeerStatus()),
+	return n.debugStatus(traceTail, func(s *DebugStatus) {
+		s.Cluster = string(n.m.ClusterID())
+		if n.m.IsGlobalMember() {
+			s.GlobalRole = n.m.GlobalRole().String()
+			s.GlobalPeers = debugPeers(n.m.GlobalPeerStatus())
 		}
-		if lu := n.cn.LeaseUntil(); lu > 0 {
-			s.LeaseUntil = lu.String()
-		}
-		if n.cn.IsGlobalMember() {
-			s.GlobalRole = n.cn.GlobalRole().String()
-			s.GlobalPeers = debugPeers(n.cn.GlobalPeerStatus())
-		}
-		s.GlobalTerm = uint64(n.cn.GlobalTerm())
-		s.GlobalCommitIndex = uint64(n.cn.GlobalCommitIndex())
+		s.GlobalTerm = uint64(n.m.GlobalTerm())
+		s.GlobalCommitIndex = uint64(n.m.GlobalCommitIndex())
 	})
-	if traceTail > 0 {
-		s.Trace = n.cn.Recorder().Tail(traceTail)
-	}
+}
+
+// DebugString renders a diagnostic summary of a C-Raft node's state.
+func (n *CRaftNode) DebugString() string {
+	var s string
+	n.host.Do(func(time.Duration) { s = n.m.DebugString() })
 	return s
 }
 
-// Recorder returns the site's flight recorder (nil unless
-// CRaftOptions.Trace was set). Safe from any goroutine.
-func (n *CRaftNode) Recorder() *TraceRecorder { return n.cn.Recorder() }
-
-// StatusSource is anything serving a DebugStatus; Node, RaftNode and
-// CRaftNode all qualify.
+// StatusSource is anything serving a DebugStatus; Node, RaftNode,
+// CRaftNode and ShardNode all qualify.
 type StatusSource interface {
 	// DebugStatus snapshots the node's debug state with up to traceTail
 	// flight-recorder events.
@@ -544,32 +556,14 @@ func fillTopMetrics(t *DebugTop, m map[string]uint64) {
 	}
 }
 
-// fillTrackCommits copies the leader-side commit counters under prefix (""
-// for a single group, "local."/"global." for C-Raft's layers) into g.
-func fillTrackCommits(g *DebugTopGroup, m map[string]uint64, prefix string) {
-	g.CommitsFast = m[prefix+"fastraft.commits_fast"]
-	g.CommitsClassic = m[prefix+"fastraft.commits_classic"]
-}
-
 // DebugTop snapshots the node's live rate/latency aggregates (served at
 // /debug/hraft/top). Safe from any goroutine.
 func (n *site) DebugTop() DebugTop {
 	var t DebugTop
 	n.host.Do(func(now time.Duration) {
-		g := DebugTopGroup{
-			Role:        n.fr.Role().String(),
-			Term:        uint64(n.fr.Term()),
-			Leader:      string(n.fr.LeaderID()),
-			CommitIndex: uint64(n.fr.CommitIndex()),
-			LastIndex:   uint64(n.fr.LastIndex()),
-		}
-		g.CommitLag = g.LastIndex - g.CommitIndex
-		g.Proposals = pickLive(n.fr.Recorder().LiveStats(now), n.fr.Recorder().Group())
-		t = DebugTop{Node: string(n.fr.ID()), Groups: []DebugTopGroup{g}}
+		t = DebugTop{Node: string(n.m.ID()), Groups: []DebugTopGroup{topRow(n.m, "", n.m.Recorder().Group(), now)}}
 	})
-	m := n.Metrics()
-	fillTopMetrics(&t, m)
-	fillTrackCommits(&t.Groups[0], m, "")
+	fillTopMetrics(&t, n.Metrics())
 	return t
 }
 
@@ -578,36 +572,25 @@ func (n *site) DebugTop() DebugTop {
 func (n *CRaftNode) DebugTop() DebugTop {
 	var t DebugTop
 	n.host.Do(func(now time.Duration) {
-		live := n.cn.Recorder().LiveStats(now)
-		local := DebugTopGroup{
-			Group:       "local",
-			Role:        n.cn.Role().String(),
-			Term:        uint64(n.cn.Term()),
-			Leader:      string(n.cn.LeaderID()),
-			CommitIndex: uint64(n.cn.CommitIndex()),
-			LastIndex:   uint64(n.cn.LocalLastIndex()),
-			Proposals:   pickLive(live, "local"),
-		}
-		local.CommitLag = local.LastIndex - local.CommitIndex
-		t = DebugTop{Node: string(n.cn.ID()), Groups: []DebugTopGroup{local}}
-		if n.cn.IsGlobalMember() {
-			global := DebugTopGroup{
+		t = DebugTop{Node: string(n.m.ID()), Groups: []DebugTopGroup{topRow(n.m, "local", "local", now)}}
+		if n.m.IsGlobalMember() {
+			t.Groups = append(t.Groups, DebugTopGroup{
 				Group:       "global",
-				Role:        n.cn.GlobalRole().String(),
-				Term:        uint64(n.cn.GlobalTerm()),
-				CommitIndex: uint64(n.cn.GlobalCommitIndex()),
+				Role:        n.m.GlobalRole().String(),
+				Term:        uint64(n.m.GlobalTerm()),
+				CommitIndex: uint64(n.m.GlobalCommitIndex()),
 				// The replayed global log has no last-index view here; lag
 				// stays 0 and LastIndex mirrors the commit point.
-				LastIndex: uint64(n.cn.GlobalCommitIndex()),
-				Proposals: pickLive(live, "global"),
-			}
-			t.Groups = append(t.Groups, global)
+				LastIndex: uint64(n.m.GlobalCommitIndex()),
+				Proposals: pickLive(n.m.Recorder().LiveStats(now), "global"),
+			})
 		}
 	})
 	m := n.Metrics()
 	fillTopMetrics(&t, m)
-	for i := range t.Groups {
-		fillTrackCommits(&t.Groups[i], m, t.Groups[i].Group+".")
+	if len(t.Groups) > 1 {
+		// Past global instances count too, so these come from Metrics.
+		t.Groups[1].CommitsFast, t.Groups[1].CommitsClassic = m["global.fastraft.commits_fast"], m["global.fastraft.commits_classic"]
 	}
 	return t
 }
@@ -756,8 +739,8 @@ func fetchPeerStatus(client *http.Client, id, base string) DebugClusterPeer {
 }
 
 // DebugSource is the combined surface ServeDebug mounts: Prometheus
-// metrics plus the debug endpoints. Node, RaftNode and CRaftNode all
-// qualify.
+// metrics plus the debug endpoints. Node, RaftNode, CRaftNode and
+// ShardNode all qualify.
 type DebugSource interface {
 	MetricSource
 	StatusSource

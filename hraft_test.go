@@ -461,19 +461,140 @@ func TestPublicAPIRaftBaseline(t *testing.T) {
 	}
 }
 
-// TestRaftNodeAPIIsNodeSubset pins the public surface Node and RaftNode
-// share one implementation behind: Node's 24 exported methods and
-// RaftNode's 19, each of which Node has too.
-func TestRaftNodeAPIIsNodeSubset(t *testing.T) {
-	node, raft := reflect.TypeOf(&hraft.Node{}), reflect.TypeOf(&hraft.RaftNode{})
-	if node.NumMethod() != 24 || raft.NumMethod() != 19 {
-		t.Fatalf("Node has %d exported methods, RaftNode %d; want 24 and 19", node.NumMethod(), raft.NumMethod())
-	}
-	for i := 0; i < raft.NumMethod(); i++ {
-		name := raft.Method(i).Name
-		if _, ok := node.MethodByName(name); !ok {
-			t.Fatalf("RaftNode.%s is not a Node method", name)
+// nodeSurface is the exported method set of each public node type, as
+// methodSet prints it. The four types share their implementation through
+// embedded types, so a change there can add or drop a method silently;
+// this list makes it show.
+const nodeSurface = `
+Node.AttachSession(types.SessionID, uint64) *hraft.Session
+Node.AuditReport() audit.Report
+Node.CommitIndex() types.Index
+Node.Commits() <-chan types.Entry
+Node.DebugStatus(int) hraft.DebugStatus
+Node.DebugTop() hraft.DebugTop
+Node.FirstIndex() types.Index
+Node.ID() types.NodeID
+Node.Join([]types.NodeID)
+Node.Leader() types.NodeID
+Node.Leave()
+Node.Members() types.Config
+Node.Metrics() map[string]uint64
+Node.OpenSession(context.Context) (*hraft.Session, error)
+Node.PeerStatus() []replica.PeerStatus
+Node.Propose(context.Context, []uint8) (types.Index, error)
+Node.ProposeAsync([]uint8) types.ProposalID
+Node.Read(context.Context) (types.Index, error)
+Node.ReadWith(context.Context, types.ReadConsistency) (types.Index, error)
+Node.Recorder() *trace.Recorder
+Node.Role() types.Role
+Node.SnapshotIndex() types.Index
+Node.Stop()
+Node.Term() types.Term
+
+RaftNode.AttachSession(types.SessionID, uint64) *hraft.Session
+RaftNode.AuditReport() audit.Report
+RaftNode.CommitIndex() types.Index
+RaftNode.Commits() <-chan types.Entry
+RaftNode.DebugStatus(int) hraft.DebugStatus
+RaftNode.DebugTop() hraft.DebugTop
+RaftNode.ID() types.NodeID
+RaftNode.Leader() types.NodeID
+RaftNode.Metrics() map[string]uint64
+RaftNode.OpenSession(context.Context) (*hraft.Session, error)
+RaftNode.PeerStatus() []replica.PeerStatus
+RaftNode.Propose(context.Context, []uint8) (types.Index, error)
+RaftNode.ProposeAsync([]uint8) types.ProposalID
+RaftNode.Read(context.Context) (types.Index, error)
+RaftNode.ReadWith(context.Context, types.ReadConsistency) (types.Index, error)
+RaftNode.Recorder() *trace.Recorder
+RaftNode.Role() types.Role
+RaftNode.Stop()
+RaftNode.Term() types.Term
+
+CRaftNode.AttachSession(types.SessionID, uint64) *hraft.Session
+CRaftNode.AuditReport() audit.Report
+CRaftNode.ClusterID() types.NodeID
+CRaftNode.Commits() <-chan types.Entry
+CRaftNode.DebugStatus(int) hraft.DebugStatus
+CRaftNode.DebugString() string
+CRaftNode.DebugTop() hraft.DebugTop
+CRaftNode.GlobalCommitIndex() types.Index
+CRaftNode.GlobalCommits() <-chan types.Entry
+CRaftNode.GlobalPeerStatus() []replica.PeerStatus
+CRaftNode.ID() types.NodeID
+CRaftNode.IsClusterLeader() bool
+CRaftNode.JoinGlobal([]types.NodeID)
+CRaftNode.Metrics() map[string]uint64
+CRaftNode.OpenSession(context.Context) (*hraft.Session, error)
+CRaftNode.PeerStatus() []replica.PeerStatus
+CRaftNode.Propose(context.Context, []uint8) (types.Index, error)
+CRaftNode.ProposeAsync([]uint8) types.ProposalID
+CRaftNode.Read(context.Context) (types.Index, error)
+CRaftNode.ReadGlobal(context.Context) (types.Index, error)
+CRaftNode.ReadWith(context.Context, types.ReadConsistency) (types.Index, error)
+CRaftNode.Recorder() *trace.Recorder
+CRaftNode.Role() types.Role
+CRaftNode.Stop()
+
+ShardNode.AuditReport() audit.Report
+ShardNode.Commits() <-chan shard.Commit
+ShardNode.DebugStatus(int) hraft.DebugStatus
+ShardNode.DebugTop() hraft.DebugTop
+ShardNode.Groups() []types.GroupID
+ShardNode.ID() types.NodeID
+ShardNode.Merge(context.Context, types.GroupID) (types.Index, error)
+ShardNode.Metrics() map[string]uint64
+ShardNode.Propose(context.Context, string, []uint8) (types.Index, error)
+ShardNode.ProposeAsync(string, []uint8) (types.GroupID, types.ProposalID)
+ShardNode.Ranges() []hraft.ShardRange
+ShardNode.Read(context.Context, string) (types.Index, error)
+ShardNode.ReadWith(context.Context, string, types.ReadConsistency) (types.Index, error)
+ShardNode.Route(string) types.GroupID
+ShardNode.ShardStatus() []hraft.GroupStatus
+ShardNode.Split(context.Context, types.GroupID, string) (types.Index, error)
+ShardNode.Stop()
+ShardNode.TransferLeader(types.GroupID, types.NodeID) bool
+`
+
+// methodSet lists the exported methods of the node type v points to, one
+// signature a line in reflect's (sorted) order, e.g.
+// "Node.Propose(context.Context, []uint8) (types.Index, error)".
+func methodSet(v any) string {
+	t := reflect.TypeOf(v)
+	var b strings.Builder
+	for i := 0; i < t.NumMethod(); i++ {
+		m := t.Method(i)
+		var in, out []string
+		for j := 1; j < m.Type.NumIn(); j++ { // In(0) is the receiver
+			in = append(in, m.Type.In(j).String())
 		}
+		for j := 0; j < m.Type.NumOut(); j++ {
+			out = append(out, m.Type.Out(j).String())
+		}
+		b.WriteString(t.Elem().Name() + "." + m.Name + "(" + strings.Join(in, ", ") + ")")
+		switch len(out) {
+		case 0:
+		case 1:
+			b.WriteString(" " + out[0])
+		default:
+			b.WriteString(" (" + strings.Join(out, ", ") + ")")
+		}
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
+// TestNodeTypesMethodSetsAreGolden pins the public surface of Node,
+// RaftNode, CRaftNode and ShardNode, names and signatures: RaftNode's
+// methods are a subset of Node's, and no node type gains or loses a
+// method through what the types embed.
+func TestNodeTypesMethodSetsAreGolden(t *testing.T) {
+	var got []string
+	for _, v := range []any{&hraft.Node{}, &hraft.RaftNode{}, &hraft.CRaftNode{}, &hraft.ShardNode{}} {
+		got = append(got, methodSet(v))
+	}
+	if g, want := "\n"+strings.Join(got, "\n"), nodeSurface; g != want {
+		t.Fatalf("node method sets changed:\n got:%s\nwant:%s", g, want)
 	}
 }
 

@@ -221,8 +221,12 @@ func (n *Node) PendingProposals() int { return n.local.PendingProposals() }
 // local log has never been compacted).
 func (n *Node) LocalSnapshotIndex() types.Index { return n.local.SnapshotIndex() }
 
-// LocalLastIndex returns the local log's last occupied index.
-func (n *Node) LocalLastIndex() types.Index { return n.local.LastIndex() }
+// LastIndex returns the local log's last occupied index.
+func (n *Node) LastIndex() types.Index { return n.local.LastIndex() }
+
+// TrackCommits returns the local instance's leader commits by track (see
+// fastraft.Node.TrackCommits).
+func (n *Node) TrackCommits() (fast, classic uint64) { return n.local.TrackCommits() }
 
 // IsGlobalMember reports whether this site currently runs the cluster's
 // global instance (i.e., leads its cluster).
@@ -390,14 +394,6 @@ func (n *Node) ProposeSession(now time.Duration, sid types.SessionID, seq, ack u
 
 // Sessions exposes the local-level session registry (tests, diagnostics).
 func (n *Node) Sessions() *session.Registry { return n.local.Sessions() }
-
-// JoinCluster starts the local (intra-cluster) join protocol for a site
-// entering an existing cluster.
-func (n *Node) JoinCluster(now time.Duration, contacts []types.NodeID) {
-	n.now = now
-	n.local.Join(now, contacts)
-	n.pump(now)
-}
 
 // JoinGlobal registers this cluster for the global join protocol (forming
 // a new cluster, paper Section V-C). The join request is sent once this

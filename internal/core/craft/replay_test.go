@@ -211,7 +211,7 @@ func TestSuccessorStartsGlobalAfterReplayCatchesUp(t *testing.T) {
 
 	// The ack that commits s1's no-op commits the delta before it.
 	n.Step(time.Hour, local("s3", types.AppendEntriesResp{
-		Term: n.Term(), Success: true, MatchIndex: n.LocalLastIndex(),
+		Term: n.Term(), Success: true, MatchIndex: n.LastIndex(),
 	}))
 	if n.GlobalCommitIndex() != 1 {
 		t.Fatalf("replayed gCommit = %d, want 1", n.GlobalCommitIndex())

@@ -23,7 +23,7 @@ import (
 var publishMu sync.Mutex
 
 // MetricSource is anything exposing a monotonic counter snapshot:
-// Node, RaftNode and CRaftNode all qualify.
+// Node, RaftNode, CRaftNode and ShardNode all qualify.
 type MetricSource interface {
 	// Metrics returns the current counter values by name.
 	Metrics() map[string]uint64

@@ -1,17 +1,12 @@
 package hraft
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math/rand"
 	"time"
 
-	"github.com/hraft-io/hraft/internal/audit"
 	"github.com/hraft-io/hraft/internal/core/fastraft"
-	"github.com/hraft-io/hraft/internal/runtime"
-	"github.com/hraft-io/hraft/internal/storage"
-	"github.com/hraft-io/hraft/internal/trace"
 	"github.com/hraft-io/hraft/internal/types"
 )
 
@@ -116,7 +111,8 @@ type Options struct {
 	Trace *TraceOptions
 }
 
-// ErrStopped is returned by operations on a stopped node.
+// ErrStopped is returned by calls on a stopped node, and by every call
+// still waiting on the node when Stop runs.
 var ErrStopped = errors.New("hraft: node stopped")
 
 // mixSeed derives a node's timer seed from the user seed and the node ID,
@@ -137,79 +133,20 @@ func mixSeed(seed int64, id NodeID) int64 {
 }
 
 // Node is a Fast Raft site running on real time. Propose copies the
-// caller's buffer; committed entries share the log's Data, read-only.
+// caller's buffer; committed entries share the log's Data, read-only. Its
+// Metrics carry the fastraft.* replication counters (snapshot chunks
+// sent/resent, appends throttled, pending-install rounds, proposals
+// queued, ...), hist.* latency histograms and gauge.* values.
 type Node struct{ *site }
 
 // site is the implementation Node and RaftNode share: one Fast Raft core
 // (classic Raft is that core with the fast track off) on a runtime host.
-// RaftNode exposes a subset of Node's methods: the ones defined here.
+// RaftNode exposes a subset of Node's methods: the ones defined here and
+// on logNode.
 type site struct {
-	base[Entry]
-	fr      *fastraft.Node
+	logNode[Entry, *fastraft.Node]
 	commits chan Entry
 }
-
-// base is what every node type shares: the runtime host over its machine
-// (C is the machine's commit record), the online safety auditor, and the
-// waiters that turn resolutions and read completions into finished
-// Propose and Read calls.
-type base[C any] struct {
-	host *runtime.Host[C]
-	aud  *audit.Auditor
-	proposalWaiters
-	readWaiters
-}
-
-// checkRequired reports a missing ID or Transport, which every node type's
-// options (named by opts in the error) require.
-func checkRequired(opts string, id NodeID, tr Transport) error {
-	if id == types.None {
-		return fmt.Errorf("hraft: %s.ID is required", opts)
-	}
-	if tr == nil {
-		return fmt.Errorf("hraft: %s.Transport is required", opts)
-	}
-	return nil
-}
-
-// commitBuffer sizes a commit channel: the options' CommitBuffer, or 1024
-// when unset.
-func commitBuffer(n int) int {
-	if n <= 0 {
-		return 1024
-	}
-	return n
-}
-
-// start hosts m on tr: its commit records, drained by drainCommitted, go
-// to onCommit; its resolutions and read completions to the waiters; the
-// durability advances of s to the machine (see wireDurability).
-func (b *base[C]) start(aud *audit.Auditor, rec *trace.Recorder, m runtime.Machine, drainCommitted func([]C) []C, onCommit func(C), tr Transport, s Storage) {
-	b.aud = aud
-	b.proposalWaiters.waiters = make(map[ProposalID]chan Index)
-	b.readWaiters.waiters = make(map[uint64]chan readOutcome)
-	b.host = runtime.NewHost(m, drainCommitted, tr, runtime.Callbacks[C]{
-		OnCommit:   onCommit,
-		OnResolve:  b.resolve,
-		OnReadDone: b.resolveRead,
-		Recorder:   rec,
-	})
-	wireDurability(b.host, s, rec)
-}
-
-// Stop halts the node, like a crash: peers detect the silence. Its
-// storage remains usable for a restart.
-func (b *base[C]) Stop() {
-	b.markStopped()
-	b.markReadsStopped()
-	b.host.Stop()
-}
-
-// AuditReport snapshots the node's online safety auditor (trivially clean
-// when tracing — and with it auditing — is disabled). A C-Raft site's
-// auditor watches both consensus layers, a sharded node's every group.
-// Safe from any goroutine.
-func (b *base[C]) AuditReport() AuditReport { return b.aud.Snapshot() }
 
 // NewNode builds and starts a Fast Raft node.
 func NewNode(opts Options) (*Node, error) {
@@ -261,8 +198,8 @@ func newSite(opts Options, classic bool) (*site, error) {
 	if err != nil {
 		return nil, fmt.Errorf("hraft: %w", err)
 	}
-	n := &site{fr: fr, commits: make(chan Entry, commitBuffer(opts.CommitBuffer))}
-	n.start(aud, rec, fr, fr.DrainCommitted, func(e Entry) {
+	n := &site{commits: make(chan Entry, commitBuffer(opts.CommitBuffer))}
+	n.start(fr, aud, rec, fr.DrainCommitted, func(e Entry) {
 		if opts.OnCommit != nil {
 			opts.OnCommit(e)
 		}
@@ -271,58 +208,24 @@ func newSite(opts Options, classic bool) (*site, error) {
 	return n, nil
 }
 
-// wireDurability connects group-commit storage to a host: fsync
-// completions flow back through NotifyDurable so durability-gated machine
-// outputs release, and (when tracing) each durable batch feeds the
-// hist.fsync_batch_size histogram. A no-op for synchronous storage.
-func wireDurability[C any](host *runtime.Host[C], s Storage, rec *trace.Recorder) {
-	g := storage.AsGrouped(s)
-	if g == nil {
-		return
-	}
-	g.OnDurable(host.NotifyDurable)
-	if rec == nil {
-		return
-	}
-	type fsyncObservable interface {
-		SetFsyncObserver(func(records, bytes int, took time.Duration))
-	}
-	if fo, ok := s.(fsyncObservable); ok {
-		start := time.Now()
-		fo.SetFsyncObserver(func(records, bytes int, _ time.Duration) {
-			rec.FsyncBatch(time.Since(start), records, bytes)
-		})
-	}
-}
-
-// ID returns the node's identity.
-func (n *site) ID() NodeID { return n.fr.ID() }
-
-// Role returns the node's current role.
-func (n *site) Role() Role {
-	var r Role
-	n.host.Do(func(time.Duration) { r = n.fr.Role() })
-	return r
-}
-
 // Leader returns the node's view of the current leader (empty if unknown).
 func (n *site) Leader() NodeID {
 	var l NodeID
-	n.host.Do(func(time.Duration) { l = n.fr.LeaderID() })
+	n.host.Do(func(time.Duration) { l = n.m.LeaderID() })
 	return l
 }
 
 // Term returns the node's current term.
 func (n *site) Term() Term {
 	var t Term
-	n.host.Do(func(time.Duration) { t = n.fr.Term() })
+	n.host.Do(func(time.Duration) { t = n.m.Term() })
 	return t
 }
 
 // CommitIndex returns the node's commit index.
 func (n *site) CommitIndex() Index {
 	var i Index
-	n.host.Do(func(time.Duration) { i = n.fr.CommitIndex() })
+	n.host.Do(func(time.Duration) { i = n.m.CommitIndex() })
 	return i
 }
 
@@ -330,7 +233,7 @@ func (n *site) CommitIndex() Index {
 // covered by its snapshot (0 if the log has never been compacted).
 func (n *Node) SnapshotIndex() Index {
 	var i Index
-	n.host.Do(func(time.Duration) { i = n.fr.SnapshotIndex() })
+	n.host.Do(func(time.Duration) { i = n.m.SnapshotIndex() })
 	return i
 }
 
@@ -338,14 +241,14 @@ func (n *Node) SnapshotIndex() Index {
 // compacted).
 func (n *Node) FirstIndex() Index {
 	var i Index
-	n.host.Do(func(time.Duration) { i = n.fr.FirstIndex() })
+	n.host.Do(func(time.Duration) { i = n.m.FirstIndex() })
 	return i
 }
 
 // Members returns the node's active voting configuration.
 func (n *Node) Members() Membership {
 	var m Membership
-	n.host.Do(func(time.Duration) { m = n.fr.Config().Clone() })
+	n.host.Do(func(time.Duration) { m = n.m.Config().Clone() })
 	return m
 }
 
@@ -353,48 +256,18 @@ func (n *Node) Members() Membership {
 // channel must be consumed.
 func (n *site) Commits() <-chan Entry { return n.commits }
 
-// Metrics returns a snapshot of the node's monotonic replication counters
-// (snapshot chunks sent/resent, appends throttled, pending-install rounds,
-// proposals queued, ...). Publish them with PublishExpvar or scrape
-// periodically; counters only ever increase.
-func (n *site) Metrics() map[string]uint64 {
-	var m map[string]uint64
-	n.host.Do(func(time.Duration) { m = n.fr.Metrics() })
-	n.aud.MergeMetrics(m)
-	return m
-}
-
-// ProposeAsync submits an entry without waiting; the proposal is re-sent
-// until it commits (watch Commits or use Propose to await it).
-func (n *site) ProposeAsync(data []byte) ProposalID {
-	var pid ProposalID
-	n.host.Do(func(now time.Duration) {
-		pid = n.fr.Propose(now, data)
-	})
-	return pid
-}
-
-// Propose submits an entry and waits for it to commit, returning its log
-// index. Note that a retry after a lost acknowledgment can commit twice;
-// use OpenSession/Session.Propose for exactly-once semantics.
-func (n *site) Propose(ctx context.Context, data []byte) (Index, error) {
-	return n.await(ctx, func(now time.Duration) ProposalID {
-		return n.fr.Propose(now, data)
-	})
-}
-
 // Join starts the join protocol toward the given contacts: the node
 // becomes a non-voting member, is caught up by the leader, and turns into
 // a voting member once the configuration including it commits.
 func (n *Node) Join(contacts []NodeID) {
 	n.host.Do(func(now time.Duration) {
-		n.fr.Join(now, contacts)
+		n.m.Join(now, contacts)
 	})
 }
 
 // Leave announces that this node wants to leave the configuration.
 func (n *Node) Leave() {
 	n.host.Do(func(now time.Duration) {
-		n.fr.Leave(now)
+		n.m.Leave(now)
 	})
 }

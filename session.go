@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"sync"
-	"time"
 
 	"github.com/hraft-io/hraft/internal/types"
 )
@@ -20,11 +19,6 @@ type SessionID = types.SessionID
 // dropped. The proposal was NOT applied; the client must open a fresh
 // session and decide for itself whether to re-submit.
 var ErrSessionExpired = errors.New("hraft: session expired or response no longer cached")
-
-// errProposalAborted reports that a submit callback declined to propose;
-// callers that can abort (ShardNode.Split/Merge) replace it with the
-// specific validation error.
-var errProposalAborted = errors.New("hraft: proposal aborted before submission")
 
 // Session is a client-session handle providing exactly-once proposal
 // semantics: proposals carry a (SessionID, sequence) identity that
@@ -121,133 +115,4 @@ func (s *Session) proposeSerialized(ctx context.Context, seq, ack uint64, data [
 		return 0, ErrSessionExpired
 	}
 	return idx, nil
-}
-
-// --- Waiter plumbing shared by the three node wrappers ----------------------
-
-// proposalWaiters is the per-wrapper bookkeeping that turns proposal
-// resolutions into completed Propose calls; every node type has one through
-// base, whose await is the single implementation of submit-and-await.
-type proposalWaiters struct {
-	mu      sync.Mutex
-	waiters map[ProposalID]chan Index
-	stopped bool
-}
-
-// resolve completes a waiting proposal (wired as the host's OnResolve).
-func (w *proposalWaiters) resolve(r types.Resolution) {
-	w.mu.Lock()
-	ch, ok := w.waiters[r.PID]
-	if ok {
-		delete(w.waiters, r.PID)
-	}
-	w.mu.Unlock()
-	if ok {
-		ch <- r.Index
-	}
-}
-
-// markStopped makes subsequent awaits fail fast with ErrStopped.
-func (w *proposalWaiters) markStopped() {
-	w.mu.Lock()
-	w.stopped = true
-	w.mu.Unlock()
-}
-
-// await runs submit on the host, registers a waiter for the returned
-// proposal and blocks until it resolves or ctx expires. The zero index is
-// passed through to callers (session rejection).
-func (b *base[C]) await(ctx context.Context, submit func(now time.Duration) ProposalID) (Index, error) {
-	w := &b.proposalWaiters
-	w.mu.Lock()
-	if w.stopped {
-		w.mu.Unlock()
-		return 0, ErrStopped
-	}
-	w.mu.Unlock()
-	ch := make(chan Index, 1)
-	var pid ProposalID
-	b.host.Do(func(now time.Duration) {
-		pid = submit(now)
-		if pid == (ProposalID{}) {
-			return
-		}
-		w.mu.Lock()
-		w.waiters[pid] = ch
-		w.mu.Unlock()
-	})
-	// A zero ID means submit aborted before proposing (e.g. an invalid
-	// shard split); nothing will ever resolve it.
-	if pid == (ProposalID{}) {
-		return 0, errProposalAborted
-	}
-	select {
-	case idx := <-ch:
-		return idx, nil
-	case <-ctx.Done():
-		w.mu.Lock()
-		delete(w.waiters, pid)
-		w.mu.Unlock()
-		return 0, ctx.Err()
-	}
-}
-
-// --- Node and RaftNode (one Fast Raft core) ----------------------------------
-
-// OpenSession registers a new client session and waits for the
-// registration to commit. The resulting Session provides exactly-once
-// Propose semantics across retries, node restarts and log compaction.
-func (n *site) OpenSession(ctx context.Context) (*Session, error) {
-	idx, err := n.await(ctx, func(now time.Duration) ProposalID {
-		return n.fr.OpenSession(now)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return n.AttachSession(SessionID(idx), 0), nil
-}
-
-// AttachSession resumes a previously opened session from its persisted ID
-// and last used sequence number (e.g. after the client process
-// restarted). Attaching does not verify the session still exists; an
-// expired session surfaces as ErrSessionExpired on the next Propose.
-func (n *site) AttachSession(id SessionID, lastSeq uint64) *Session {
-	return &Session{
-		id:  id,
-		seq: lastSeq,
-		propose: func(ctx context.Context, sid SessionID, seq, ack uint64, data []byte) (Index, error) {
-			return n.await(ctx, func(now time.Duration) ProposalID {
-				return n.fr.ProposeSession(now, sid, seq, ack, data)
-			})
-		},
-	}
-}
-
-// --- CRaftNode (hierarchical) -----------------------------------------------
-
-// OpenSession registers a new client session at the intra-cluster level:
-// duplicates are withheld from the local commit stream, and therefore
-// never reach the global batch log twice either.
-func (n *CRaftNode) OpenSession(ctx context.Context) (*Session, error) {
-	idx, err := n.await(ctx, func(now time.Duration) ProposalID {
-		return n.cn.OpenSession(now)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return n.AttachSession(SessionID(idx), 0), nil
-}
-
-// AttachSession resumes a previously opened session (see
-// Node.AttachSession).
-func (n *CRaftNode) AttachSession(id SessionID, lastSeq uint64) *Session {
-	return &Session{
-		id:  id,
-		seq: lastSeq,
-		propose: func(ctx context.Context, sid SessionID, seq, ack uint64, data []byte) (Index, error) {
-			return n.await(ctx, func(now time.Duration) ProposalID {
-				return n.cn.ProposeSession(now, sid, seq, ack, data)
-			})
-		},
-	}
 }

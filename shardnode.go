@@ -101,10 +101,12 @@ type ShardOptions struct {
 // consensus groups behind one endpoint, one ticker wheel and one storage
 // fabric. Keys route to groups by range; groups split, merge and move
 // leadership at runtime. Propose copies the caller's buffer; committed
-// entries share the log's Data, read-only.
+// entries share the log's Data, read-only. Its Metrics sum every group's
+// core counters and add the shard.* multiplexing counters: routed
+// proposals, coalesced frames, batches sent, splits/merges applied, groups
+// retired, leader transfers.
 type ShardNode struct {
-	base[ShardCommit]
-	mgr     *shard.Manager
+	base[ShardCommit, *shard.Manager]
 	commits chan ShardCommit
 }
 
@@ -176,11 +178,11 @@ func NewShardNode(opts ShardOptions) (*ShardNode, error) {
 	if err != nil {
 		return nil, fmt.Errorf("hraft: %w", err)
 	}
-	n := &ShardNode{mgr: mgr, commits: make(chan ShardCommit, commitBuffer(opts.CommitBuffer))}
+	n := &ShardNode{commits: make(chan ShardCommit, commitBuffer(opts.CommitBuffer))}
 	// The meta storage is the shared store's handle (OpenShardWAL returns
 	// the WAL itself): its durability callbacks release every group's gated
 	// outputs through one SyncDone fan-out.
-	n.start(aud, nil, mgr, mgr.DrainCommitted, func(c ShardCommit) {
+	n.start(mgr, aud, nil, mgr.DrainCommitted, func(c ShardCommit) {
 		if opts.OnCommit != nil {
 			opts.OnCommit(c.Group, c.Entry)
 		}
@@ -189,13 +191,10 @@ func NewShardNode(opts ShardOptions) (*ShardNode, error) {
 	return n, nil
 }
 
-// ID returns the process identity.
-func (n *ShardNode) ID() NodeID { return n.mgr.ID() }
-
 // Groups returns the live group IDs in sorted order.
 func (n *ShardNode) Groups() []GroupID {
 	var out []GroupID
-	n.host.Do(func(time.Duration) { out = n.mgr.Groups() })
+	n.host.Do(func(time.Duration) { out = n.m.Groups() })
 	return out
 }
 
@@ -209,7 +208,7 @@ type ShardRange struct {
 func (n *ShardNode) Ranges() []ShardRange {
 	var out []ShardRange
 	n.host.Do(func(time.Duration) {
-		for _, r := range n.mgr.Ranges() {
+		for _, r := range n.m.Ranges() {
 			out = append(out, ShardRange{Start: r.Start, Group: r.Group})
 		}
 	})
@@ -219,7 +218,7 @@ func (n *ShardNode) Ranges() []ShardRange {
 // Route returns the group currently owning key.
 func (n *ShardNode) Route(key string) GroupID {
 	var gid GroupID
-	n.host.Do(func(time.Duration) { gid = n.mgr.Route(key) })
+	n.host.Do(func(time.Duration) { gid = n.m.Route(key) })
 	return gid
 }
 
@@ -230,9 +229,9 @@ func (n *ShardNode) Commits() <-chan ShardCommit { return n.commits }
 // Propose routes data by key and waits for the owning group to commit it,
 // returning the index within that group's log.
 func (n *ShardNode) Propose(ctx context.Context, key string, data []byte) (Index, error) {
-	return n.await(ctx, func(now time.Duration) ProposalID {
-		_, pid := n.mgr.ProposeKey(now, key, data)
-		return pid
+	return await(ctx, n.host, &n.props, func(now time.Duration) (ProposalID, error) {
+		_, pid := n.m.ProposeKey(now, key, data)
+		return pid, nil
 	})
 }
 
@@ -242,7 +241,7 @@ func (n *ShardNode) ProposeAsync(key string, data []byte) (GroupID, ProposalID) 
 	var gid GroupID
 	var pid ProposalID
 	n.host.Do(func(now time.Duration) {
-		gid, pid = n.mgr.ProposeKey(now, key, data)
+		gid, pid = n.m.ProposeKey(now, key, data)
 	})
 	return gid, pid
 }
@@ -255,8 +254,8 @@ func (n *ShardNode) Read(ctx context.Context, key string) (Index, error) {
 
 // ReadWith performs a read barrier under the given consistency mode.
 func (n *ShardNode) ReadWith(ctx context.Context, key string, c ReadConsistency) (Index, error) {
-	return n.awaitRead(ctx, func(now time.Duration) uint64 {
-		_, token := n.mgr.Read(now, key, c)
+	return n.read(ctx, func(now time.Duration) uint64 {
+		_, token := n.m.Read(now, key, c)
 		return token
 	})
 }
@@ -266,35 +265,17 @@ func (n *ShardNode) ReadWith(ctx context.Context, key string, c ReadConsistency)
 // the parent group. Every member then creates the daughter at the same log
 // position.
 func (n *ShardNode) Split(ctx context.Context, daughter GroupID, pivot string) (Index, error) {
-	var splitErr error
-	idx, err := n.await(ctx, func(now time.Duration) ProposalID {
-		pid, err := n.mgr.Split(now, daughter, pivot)
-		if err != nil {
-			splitErr = err
-		}
-		return pid
+	return await(ctx, n.host, &n.props, func(now time.Duration) (ProposalID, error) {
+		return n.m.Split(now, daughter, pivot)
 	})
-	if splitErr != nil {
-		return 0, splitErr
-	}
-	return idx, err
 }
 
 // Merge proposes folding the named group's range into its left neighbor
 // and waits for the merge entry to commit in the retiring group.
 func (n *ShardNode) Merge(ctx context.Context, right GroupID) (Index, error) {
-	var mergeErr error
-	idx, err := n.await(ctx, func(now time.Duration) ProposalID {
-		pid, err := n.mgr.Merge(now, right)
-		if err != nil {
-			mergeErr = err
-		}
-		return pid
+	return await(ctx, n.host, &n.props, func(now time.Duration) (ProposalID, error) {
+		return n.m.Merge(now, right)
 	})
-	if mergeErr != nil {
-		return 0, mergeErr
-	}
-	return idx, err
 }
 
 // TransferLeader orders the named group's leadership to the target
@@ -303,7 +284,7 @@ func (n *ShardNode) Merge(ctx context.Context, right GroupID) (Index, error) {
 func (n *ShardNode) TransferLeader(gid GroupID, target NodeID) bool {
 	var ok bool
 	n.host.Do(func(time.Duration) {
-		ok = n.mgr.TransferLeader(gid, target)
+		ok = n.m.TransferLeader(gid, target)
 	})
 	return ok
 }
@@ -326,11 +307,11 @@ func (n *ShardNode) ShardStatus() []GroupStatus {
 	var out []GroupStatus
 	n.host.Do(func(time.Duration) {
 		starts := make(map[GroupID]string)
-		for _, r := range n.mgr.Ranges() {
+		for _, r := range n.m.Ranges() {
 			starts[r.Group] = r.Start
 		}
-		for _, gid := range n.mgr.Groups() {
-			core := n.mgr.Group(gid)
+		for _, gid := range n.m.Groups() {
+			core := n.m.Group(gid)
 			if core == nil {
 				continue
 			}
@@ -354,15 +335,7 @@ func (n *ShardNode) ShardStatus() []GroupStatus {
 // /debug/hraft/shards (ShardStatus).
 func (n *ShardNode) DebugStatus(traceTail int) DebugStatus {
 	var ds DebugStatus
-	n.host.Do(func(time.Duration) {
-		ds = DebugStatus{
-			Node:        string(n.mgr.ID()),
-			Role:        n.mgr.Role().String(),
-			Term:        uint64(n.mgr.Term()),
-			Leader:      string(n.mgr.LeaderID()),
-			CommitIndex: uint64(n.mgr.CommitIndex()),
-		}
-	})
+	n.host.Do(func(time.Duration) { ds = statusRow(n.m) })
 	return ds
 }
 
@@ -372,36 +345,13 @@ func (n *ShardNode) DebugStatus(traceTail int) DebugStatus {
 func (n *ShardNode) DebugTop() DebugTop {
 	var t DebugTop
 	n.host.Do(func(now time.Duration) {
-		t = DebugTop{Node: string(n.mgr.ID())}
-		for _, gid := range n.mgr.Groups() {
-			core := n.mgr.Group(gid)
-			if core == nil {
-				continue
+		t = DebugTop{Node: string(n.m.ID())}
+		for _, gid := range n.m.Groups() {
+			if core := n.m.Group(gid); core != nil {
+				t.Groups = append(t.Groups, topRow(core, string(gid), string(gid), now))
 			}
-			g := DebugTopGroup{
-				Group:       string(gid),
-				Role:        core.Role().String(),
-				Term:        uint64(core.Term()),
-				Leader:      string(core.LeaderID()),
-				CommitIndex: uint64(core.CommitIndex()),
-				LastIndex:   uint64(core.LastIndex()),
-			}
-			g.CommitLag = g.LastIndex - g.CommitIndex
-			g.Proposals = pickLive(core.Recorder().LiveStats(now), string(gid))
-			g.CommitsFast, g.CommitsClassic = core.TrackCommits()
-			t.Groups = append(t.Groups, g)
 		}
 	})
 	fillTopMetrics(&t, n.Metrics())
 	return t
-}
-
-// Metrics merges every group's core counters (summed) with the shard.*
-// multiplexing counters: routed proposals, coalesced frames, batches sent,
-// splits/merges applied, groups retired, leader transfers.
-func (n *ShardNode) Metrics() map[string]uint64 {
-	var m map[string]uint64
-	n.host.Do(func(time.Duration) { m = n.mgr.Metrics() })
-	n.aud.MergeMetrics(m)
-	return m
 }
